@@ -1,26 +1,18 @@
-"""Analyzer runtime guard — cold vs warm (cached) full-tree scans.
+"""Analyzer runtime guard — a cold serial scan of the source tree.
 
 The self-clean test in tier-1 runs the analyzer over ``src/repro`` on
-every pytest invocation, so the scan has to stay interactive.  With the
-two-pass engine the interesting costs are:
-
-* **cold** — empty cache: parse every file, run pass 1, build the
-  project index, run pass 2;
-* **warm** — every per-module record served from the content-hash
-  cache, pass 2 re-run;
-* **changed-only** — nothing changed, so the cached whole-program
-  findings are reused and pass 2 is skipped entirely;
-* **uncached** — the cacheless path the self-clean gate exercises.
-
-The warm and changed-only runs must stay under 1 s (the incremental
-contract recorded in ``BENCH_lint.json``), and all four modes must
-return byte-identical findings — here the empty set, since tier-1 keeps
-the tree clean.
+every pytest invocation, so the scan has to stay interactive.  The
+engine has one mode: a serial two-pass run with no on-disk state, so
+every scan is cold (parse every file, run pass 1, build the project
+index, run pass 2).  The scan must stay under 10 s and, since tier-1
+keeps the tree clean, return no findings.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -32,73 +24,37 @@ from repro.lint import LintEngine, load_config
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _timed(engine: LintEngine, paths, **kwargs):
-    start = time.perf_counter()
-    run = engine.run(paths, **kwargs)
-    return run, time.perf_counter() - start
-
-
-def test_lint_cold_vs_warm_runtime(benchmark, tmp_path):
+def test_lint_cold_scan_runtime(benchmark):
     config = load_config(pyproject=REPO_ROOT / "pyproject.toml")
     paths = list(config.paths)
-    cache_dir = tmp_path / "lint-cache"
 
-    cold_run, cold = _timed(LintEngine(config, cache_dir=cache_dir), paths)
-    warm_run, warm = _timed(LintEngine(config, cache_dir=cache_dir), paths)
-    changed_run, changed_only = _timed(
-        LintEngine(config, cache_dir=cache_dir), paths, changed_only=True
-    )
-    uncached_run, uncached = _timed(
-        LintEngine(config, use_cache=False), paths
-    )
+    def scan():
+        return LintEngine(config).run(paths)
 
-    # Byte-identity across every mode is the cache's core contract.
-    assert cold_run.findings == []
-    assert warm_run.findings == cold_run.findings
-    assert changed_run.findings == cold_run.findings
-    assert uncached_run.findings == cold_run.findings
-    assert cold_run.cache_misses == cold_run.checked_files
-    assert warm_run.cache_hits == warm_run.checked_files
-    assert changed_run.project_reused and changed_run.changed == []
+    start = time.perf_counter()
+    run = scan()
+    cold = time.perf_counter() - start
+    assert run.findings == []
 
-    benchmark.pedantic(
-        lambda: LintEngine(config, cache_dir=cache_dir).run(
-            paths, changed_only=True
-        ),
-        rounds=3,
-        iterations=1,
-    )
+    benchmark.pedantic(scan, rounds=3, iterations=1)
 
-    rows = [
-        {"mode": "cold", "seconds": round(cold, 3), "cache": "miss x%d" % cold_run.cache_misses},
-        {"mode": "warm", "seconds": round(warm, 3), "cache": "hit x%d" % warm_run.cache_hits},
-        {"mode": "changed-only", "seconds": round(changed_only, 3), "cache": "project reuse"},
-        {"mode": "uncached", "seconds": round(uncached, 3), "cache": "disabled"},
-    ]
     table = format_table(
-        rows,
-        title="repro.lint — two-pass scan runtime (%d files)"
-        % cold_run.checked_files,
+        [{"mode": "cold serial", "seconds": round(cold, 3)}],
+        title="repro.lint — two-pass scan runtime (%d files)" % len(run.files),
     )
     save_and_print("lint_runtime", table)
 
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     payload = {
-        "files": cold_run.checked_files,
-        "findings": len(cold_run.findings),
+        "files": len(run.files),
+        "findings": len(run.findings),
         "cold_seconds": cold,
-        "warm_seconds": warm,
-        "changed_only_seconds": changed_only,
-        "uncached_seconds": uncached,
-        "warm_speedup": cold / max(warm, 1e-9),
-        "changed_only_speedup": cold / max(changed_only, 1e-9),
-        "warm_budget_seconds": 1.0,
-        "byte_identical_findings": True,
+        "cold_budget_seconds": 10.0,
+        "host_cpus": os.cpu_count() or 1,
+        "python": platform.python_version(),
     }
     (RESULTS_DIR / "BENCH_lint.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
     assert cold < 10.0
-    assert warm < 1.0, "cached pass-1 reuse must keep the scan interactive"
-    assert changed_only < 1.0, "--changed-only must skip pass 2 entirely"

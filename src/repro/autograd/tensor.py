@@ -17,6 +17,7 @@ always holds.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,7 +26,18 @@ from .sparse import SparseGrad
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "concatenate", "stack"]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """The tape switch, one per thread; every thread starts with it on.
+
+    Server workers enter ``no_grad`` concurrently; with one shared flag,
+    overlapping blocks could leave recording off for every thread.
+    """
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
@@ -33,22 +45,21 @@ class no_grad:
 
     Used during evaluation and fact-discovery inference, where only forward
     scores are needed and tape bookkeeping would waste time and memory.
+    The switch is per thread; other threads keep their own setting.
     """
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autodiff tape."""
-    return _GRAD_ENABLED
+    """Return whether operations on this thread record the autodiff tape."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -118,7 +129,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
         self.sparse_grad = False
         self._catch_up: Callable[[np.ndarray], None] | None = None
         self.grad: np.ndarray | SparseGrad | None = None
@@ -168,7 +179,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         parents = tuple(parents)
-        needs_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        needs_grad = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs_grad)
         if needs_grad:
             out._parents = parents

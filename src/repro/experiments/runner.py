@@ -31,6 +31,7 @@ import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .. import faults
 from ..discovery.discover import DiscoveryResult, discover_facts
 from ..obs import (
     ReportableMixin,
@@ -59,7 +60,6 @@ from ..resilience import (
     spawn_seed,
     with_retries,
 )
-from ..resilience import faults
 
 logger = logging.getLogger(__name__)
 

@@ -1,8 +1,7 @@
 """First-class deterministic fault injection.
 
-Grew out of the test-only harness in :mod:`repro.resilience.faults`
-(which now re-exports this package for compatibility).  The promotion
-buys two things the old home could not offer:
+Grew out of a test-only harness in :mod:`repro.resilience`.  The
+promotion buys two things the old home could not offer:
 
 * **Layering** — :mod:`repro.faults` sits below every other ``repro``
   package, so the parallel fabric, the journal, and the shared-memory

@@ -84,23 +84,3 @@ __all__ = [
     "top_objects",
     "top_subjects",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the brute-force reference ranker was historically
-    # re-exported here, but its canonical home is repro.kge.evaluation.
-    # Keeping it lazily importable (with a warning) lets old notebooks and
-    # scripts keep running one more release.
-    if name == "compute_ranks_reference":
-        import warnings
-
-        warnings.warn(
-            "importing compute_ranks_reference from repro.kge is deprecated; "
-            "import it from repro.kge.evaluation instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .evaluation import compute_ranks_reference
-
-        return compute_ranks_reference
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import faults
 from ..autograd import Adagrad, Adam, Optimizer, SGD
 from ..kg.graph import KnowledgeGraph
 from ..obs import get_registry, span
@@ -50,7 +51,6 @@ from ..resilience import (
     TrainingGuard,
     spawn_stream,
 )
-from ..resilience import faults
 from .base import KGEModel, create_model
 from .config import ModelConfig, TrainConfig
 from .evaluation import evaluate_ranking

@@ -4,16 +4,16 @@ The paper's experimental claims rest on invariants no framework enforces
 for us: deterministic sampling (every strategy draws from seeded
 ``np.random.Generator`` streams) and a correct, lean autodiff tape.  This
 package is an AST-based analyzer with a rule registry, inline
-``# lint: disable=RPRxxx`` suppressions, and text/JSON/SARIF reporters —
+``# lint: disable=RPRxxx`` suppressions, and text/JSON reporters —
 run as ``python -m repro.lint``, ``repro lint``, or the ``repro-lint``
 console script.
 
-The engine runs in two passes.  Pass 1 analyses each file independently
-(rules RPR001–RPR009) and extracts a per-module fact record; records
-and findings are cached on disk by content digest.  Pass 2 assembles
+The engine makes one serial run in two passes and keeps no state on
+disk.  Pass 1 parses each file once, in sorted order, runs the per-file
+rules over it and extracts a per-module fact record.  Pass 2 assembles
 the records into a whole-program :class:`~repro.lint.callgraph.ProjectIndex`
 with a resolved call graph and runs the inter-procedural rules
-(RPR010–RPR014) over it.
+(RPR010–RPR014) over it, one after another.
 
 Rules
 -----
@@ -65,22 +65,13 @@ The tier-1 test ``tests/lint/test_self_clean.py`` runs the analyzer over
 hold on every future change.
 """
 
-from .baseline import (
-    fingerprint,
-    load_baseline,
-    match_baseline,
-    render_baseline,
-    write_baseline,
-)
-from .cache import CACHE_VERSION, LintCache, default_cache_dir
 from .callgraph import CallGraph, ProjectIndex, node_key, split_node
 from .config import LintConfig, find_pyproject, load_config
 from .engine import LintEngine, LintRun
 from .explain import render_rules_doc
 from .findings import PARSE_ERROR_ID, Finding
-from .fixes import FixResult, fix_all_entries, fix_file, render_diff
 from .index import ModuleInfo, build_module_info
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_json, render_text
 from .rules import (
     ModuleContext,
     ProjectRule,
@@ -126,9 +117,6 @@ __all__ = [
     "ProjectIndex",
     "CallGraph",
     "LintRun",
-    "LintCache",
-    "CACHE_VERSION",
-    "FixResult",
     "register_rule",
     "all_rules",
     "local_rules",
@@ -139,23 +127,13 @@ __all__ = [
     "node_key",
     "split_node",
     "build_module_info",
-    "default_cache_dir",
     "LintConfig",
     "find_pyproject",
     "load_config",
     "LintEngine",
     "render_text",
     "render_json",
-    "render_sarif",
     "render_rules_doc",
-    "render_diff",
-    "render_baseline",
-    "fingerprint",
-    "load_baseline",
-    "match_baseline",
-    "write_baseline",
-    "fix_all_entries",
-    "fix_file",
     "filter_suppressed",
     "suppressed_rule_ids",
     "rules_api",

@@ -1,10 +1,10 @@
-"""Pass 2 substrate: name resolution, import graph, and the call graph.
+"""Pass 2 substrate: name resolution and the call graph.
 
 :class:`ProjectIndex` holds every :class:`~repro.lint.index.ModuleInfo`
 of a run and answers the cross-module questions pass 1 cannot: what an
 absolute dotted name resolves to (following binding chains through
-package ``__init__`` re-exports), which project modules a module
-imports, and which modules transitively depend on a changed one.
+package ``__init__`` re-exports) and which project classes an exception
+type descends from.
 
 :class:`CallGraph` layers call-edge resolution on top: direct calls,
 ``self.method()`` dispatch with base-class lookup across modules,
@@ -13,8 +13,7 @@ instances (``x = Foo(); x.m()``), and functions handed to executors.
 It provides reachability with witness paths (RPR010/RPR011) and a
 transitive raise-set fixpoint (RPR014).
 
-Everything here is recomputed per run from the (cached) per-module
-records — only pass 1 is persisted, so resolution never goes stale.
+Both are built once per run from the pass-1 records.
 """
 
 from __future__ import annotations
@@ -135,53 +134,6 @@ class ProjectIndex:
                 else:
                     out.add(base[-1])
         out.update(("Exception", "BaseException"))
-        return frozenset(out)
-
-    # ------------------------------------------------------------------
-    # Import graph
-    # ------------------------------------------------------------------
-    def import_graph(self) -> dict[str, frozenset[str]]:
-        """Project modules each module's bindings reach into."""
-        graph: dict[str, frozenset[str]] = {}
-        for name, info in self.modules.items():
-            deps: set[str] = set()
-            for binding in info.bindings.values():
-                kind, qual = self.resolve(binding.target)
-                if kind == "module":
-                    deps.add(qual)
-                elif kind == "symbol":
-                    deps.add(split_node(qual)[0])
-                elif kind == "missing":
-                    parts = qual.split(".")
-                    for cut in range(len(parts), 0, -1):
-                        prefix = ".".join(parts[:cut])
-                        if prefix in self.modules:
-                            deps.add(prefix)
-                            break
-            deps.discard(name)
-            graph[name] = frozenset(deps)
-        return graph
-
-    def transitive_importers(self, changed: set[str]) -> frozenset[str]:
-        """``changed`` plus every module that (transitively) imports one.
-
-        This is the cache-invalidation frontier: a re-export or signature
-        change in module M can only alter analysis results in modules
-        that can reach M through their imports.
-        """
-        reverse: dict[str, set[str]] = {name: set() for name in self.modules}
-        for importer, deps in self.import_graph().items():
-            for dep in deps:
-                if dep in reverse:
-                    reverse[dep].add(importer)
-        out = set(changed) & set(self.modules)
-        queue = list(out)
-        while queue:
-            current = queue.pop()
-            for importer in reverse.get(current, ()):
-                if importer not in out:
-                    out.add(importer)
-                    queue.append(importer)
         return frozenset(out)
 
 

@@ -9,12 +9,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baseline import load_baseline, match_baseline, write_baseline
 from .config import LintConfig, load_config
 from .engine import LintEngine
 from .explain import render_rules_doc
-from .fixes import fix_file, render_diff
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_json, render_text
 from .rules import all_rules
 
 __all__ = ["build_parser", "main"]
@@ -36,12 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: [tool.repro-lint].paths, else the current directory)",
     )
     parser.add_argument(
-        "-f", "--format", choices=("text", "json", "sarif"), default="text",
+        "-f", "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker threads (default: one per file up to the CPU count)",
     )
     parser.add_argument(
         "--enable", action="append", default=None, metavar="RPRxxx",
@@ -62,39 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-config", action="store_true",
         help="ignore [tool.repro-lint] entirely",
-    )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="incremental cache directory "
-        "(default: .repro-lint-cache next to the pyproject)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="neither read nor write the incremental cache",
-    )
-    parser.add_argument(
-        "--clear-cache", action="store_true",
-        help="drop the incremental cache before running",
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="reuse cached whole-program findings when no file changed",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help="report (and gate on) only findings not in this baseline",
-    )
-    parser.add_argument(
-        "--write-baseline", type=Path, default=None, metavar="FILE",
-        help="record the current findings as the accepted baseline",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanical __all__ fixes (RPR005/RPR013) before linting",
-    )
-    parser.add_argument(
-        "--diff", action="store_true",
-        help="preview the --fix rewrites as unified diffs without applying",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
@@ -136,58 +97,12 @@ def main(argv: list[str] | None = None) -> int:
             disable=_split_ids(args.disable),
             exclude=tuple(args.exclude or ()),
         )
-        engine = LintEngine(
-            config, cache_dir=args.cache_dir, use_cache=not args.no_cache
-        )
-        if args.clear_cache:
-            engine.clear_cache()
-        paths = args.paths or list(config.paths) or ["."]
-
-        if args.fix or args.diff:
-            changed = 0
-            for file in engine.collect_files(paths):
-                result = fix_file(file, apply=args.fix and not args.diff)
-                if result is not None and result.changed:
-                    changed += 1
-                    if args.diff:
-                        print(render_diff(result), end="")
-                    else:
-                        added = ",".join(result.added) or "-"
-                        removed = ",".join(result.removed) or "-"
-                        print(
-                            f"fixed {result.path}: __all__ "
-                            f"+[{added}] -[{removed}]"
-                        )
-            if args.diff:
-                return 0
-            print(f"{changed} file{'s' if changed != 1 else ''} fixed")
-
-        run = engine.run(paths, jobs=args.jobs, changed_only=args.changed_only)
-        findings = run.findings
-
-        if args.write_baseline is not None:
-            write_baseline(findings, args.write_baseline)
-            print(
-                f"baseline of {len(findings)} finding"
-                f"{'s' if len(findings) != 1 else ''} "
-                f"written to {args.write_baseline}"
-            )
-            return 0
-        baselined = 0
-        if args.baseline is not None:
-            known = load_baseline(args.baseline)
-            findings, accepted = match_baseline(findings, known)
-            baselined = len(accepted)
+        engine = LintEngine(config)
+        run = engine.run(args.paths or list(config.paths) or ["."])
     except (ValueError, FileNotFoundError, OSError) as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2
 
-    renderer = {
-        "json": render_json,
-        "sarif": render_sarif,
-    }.get(args.format, render_text)
-    output = renderer(findings, checked_files=run.checked_files)
-    if args.format == "text" and baselined:
-        output += f" ({baselined} baselined)"
-    print(output)
-    return 1 if findings else 0
+    renderer = render_json if args.format == "json" else render_text
+    print(renderer(run.findings, checked_files=len(run.files)))
+    return 1 if run.findings else 0

@@ -1,31 +1,22 @@
 """The two-pass analysis engine.
 
-Pass 1 walks every file in a thread pool: parse, extract the module's
-fact record (:mod:`repro.lint.index`), run the *local* rules, apply
-inline suppressions.  Records and per-file findings are served from the
-on-disk cache (:mod:`repro.lint.cache`) when the file's content digest
-matches, so warm runs skip parsing entirely.
-
-Pass 2 assembles the records into a :class:`~repro.lint.callgraph.ProjectIndex`,
-resolves the call graph once, and runs the *project* rules
-(RPR010–RPR014) over it in parallel — one worker per rule.  Project
-findings are cached under a whole-tree digest; ``changed_only=True``
-reuses them when nothing changed, making no-op re-lints sub-second.
-
-Findings are byte-identical whichever path produced them: cold, warm,
-and ``changed_only`` runs all return the same sorted list.
+One run is serial and keeps no state on disk.  Pass 1 reads and parses
+every file once, in sorted order: it runs the *local* rules, applies
+inline suppressions, and extracts the module's fact record
+(:mod:`repro.lint.index`).  Pass 2 assembles the records into a
+:class:`~repro.lint.callgraph.ProjectIndex`, resolves the call graph
+once, and runs the *project* rules one after another over it.  The
+merged findings are sorted, so a run over the same tree always returns
+the same list.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 
-from .cache import LintCache, content_digest, default_cache_dir
 from .callgraph import CallGraph, ProjectIndex
 from .config import LintConfig
 from .findings import PARSE_ERROR_ID, Finding
@@ -42,40 +33,22 @@ class LintRun:
 
     findings: list[Finding]
     files: list[Path]
-    #: Files whose pass-1 record came from the cache.
-    cache_hits: int = 0
-    #: Files parsed and analysed from scratch.
-    cache_misses: int = 0
-    #: True when pass 2 was skipped entirely (cached project findings).
-    project_reused: bool = False
-    #: Paths whose content digest differs from the cached one.
-    changed: list[str] = field(default_factory=list)
-
-    @property
-    def checked_files(self) -> int:
-        return len(self.files)
 
 
-@dataclass
-class _Pass1Result:
-    path: str
-    digest: str
-    info: ModuleInfo | None  # None on syntax error
-    findings: list[Finding]
-    source: str | None  # None when served from cache
-    cached: bool
+def _syntax_error(path: str, error: SyntaxError) -> Finding:
+    return Finding(
+        rule_id=PARSE_ERROR_ID,
+        path=path,
+        line=error.lineno or 1,
+        col=error.offset or 1,
+        message=f"syntax error: {error.msg}",
+    )
 
 
 class LintEngine:
     """Run the enabled rules over sources, files, or directory trees."""
 
-    def __init__(
-        self,
-        config: LintConfig | None = None,
-        *,
-        cache_dir: Path | str | None = None,
-        use_cache: bool = True,
-    ) -> None:
+    def __init__(self, config: LintConfig | None = None) -> None:
         self.config = config or LintConfig()
         self.rules = self._resolve_rules(self.config)
         self.local_rules = [
@@ -84,12 +57,6 @@ class LintEngine:
         self.project_rules = [
             rule for rule in self.rules if isinstance(rule, ProjectRule)
         ]
-        if cache_dir is not None:
-            self.cache_dir: Path | None = Path(cache_dir)
-        elif use_cache:
-            self.cache_dir = default_cache_dir(self.config.source)
-        else:
-            self.cache_dir = None
 
     @staticmethod
     def _resolve_rules(config: LintConfig) -> list[Rule]:
@@ -102,13 +69,6 @@ class LintEngine:
             rules = [rule for rule in rules if rule.rule_id in config.enable]
         return [rule for rule in rules if rule.rule_id not in config.disable]
 
-    def _make_cache(self) -> LintCache:
-        rule_ids = tuple(rule.rule_id for rule in self.rules)
-        return LintCache(self.cache_dir, rule_ids)
-
-    def clear_cache(self) -> None:
-        self._make_cache().clear()
-
     # ------------------------------------------------------------------
     # Single-module entry points
     # ------------------------------------------------------------------
@@ -119,15 +79,7 @@ class LintEngine:
         try:
             ctx = ModuleContext.from_source(source, path=path, module=module)
         except SyntaxError as error:
-            return [
-                Finding(
-                    rule_id=PARSE_ERROR_ID,
-                    path=path,
-                    line=error.lineno or 1,
-                    col=error.offset or 1,
-                    message=f"syntax error: {error.msg}",
-                )
-            ]
+            return [_syntax_error(path, error)]
         findings = [
             finding for rule in self.local_rules for finding in rule.check(ctx)
         ]
@@ -167,165 +119,43 @@ class LintEngine:
         return any(fnmatch(posix, pattern) for pattern in self.config.exclude)
 
     # ------------------------------------------------------------------
-    # Pass 1
-    # ------------------------------------------------------------------
-    def _analyse_file(self, cache: LintCache, path: Path) -> _Pass1Result:
-        raw = path.read_bytes()
-        digest = content_digest(raw)
-        cached = cache.lookup_module(str(path), digest)
-        if cached is not None:
-            info, findings = cached
-            return _Pass1Result(str(path), digest, info, findings, None, True)
-        source = raw.decode("utf-8")
-        module = derive_module_name(path)
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as error:
-            findings = [
-                Finding(
-                    rule_id=PARSE_ERROR_ID,
-                    path=str(path),
-                    line=error.lineno or 1,
-                    col=error.offset or 1,
-                    message=f"syntax error: {error.msg}",
-                )
-            ]
-            return _Pass1Result(str(path), digest, None, findings, source, False)
-        ctx = ModuleContext(
-            path=str(path), module=module, source=source, tree=tree
-        )
-        findings = [
-            finding for rule in self.local_rules for finding in rule.check(ctx)
-        ]
-        findings = sorted(
-            filter_suppressed(findings, source), key=Finding.sort_key
-        )
-        info = build_module_info(module, str(path), tree, digest=digest)
-        cache.store_module(str(path), digest, info, findings)
-        return _Pass1Result(str(path), digest, info, findings, source, False)
-
-    # ------------------------------------------------------------------
-    # Pass 2
-    # ------------------------------------------------------------------
-    def _run_project_rules(
-        self, results: list[_Pass1Result], jobs: int | None
-    ) -> list[Finding]:
-        modules: dict[str, ModuleInfo] = {}
-        for result in results:
-            if result.info is not None:
-                modules.setdefault(result.info.module, result.info)
-        if not modules or not self.project_rules:
-            return []
-        index = ProjectIndex(modules)
-        graph = CallGraph(index)
-
-        def run_rule(rule: ProjectRule) -> list[Finding]:
-            return list(rule.check_project(index, graph))
-
-        workers = min(len(self.project_rules), jobs or os.cpu_count() or 1)
-        if workers <= 1:
-            batches = [run_rule(rule) for rule in self.project_rules]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(run_rule, self.project_rules))
-        raw = [finding for batch in batches for finding in batch]
-        return self._filter_project(raw, results)
-
-    @staticmethod
-    def _filter_project(
-        findings: list[Finding], results: list[_Pass1Result]
-    ) -> list[Finding]:
-        """Apply inline suppressions to project findings, per file."""
-        if not findings:
-            return []
-        sources = {
-            result.path: result.source
-            for result in results
-            if result.source is not None
-        }
-        by_path: dict[str, list[Finding]] = {}
-        for finding in findings:
-            by_path.setdefault(finding.path, []).append(finding)
-        kept: list[Finding] = []
-        for path, group in by_path.items():
-            source = sources.get(path)
-            if source is None:
-                try:
-                    source = Path(path).read_text(encoding="utf-8")
-                except OSError:
-                    kept.extend(group)
-                    continue
-            kept.extend(filter_suppressed(group, source))
-        return kept
-
-    # ------------------------------------------------------------------
     # Full runs
     # ------------------------------------------------------------------
-    def run(
-        self,
-        paths: list[Path | str],
-        jobs: int | None = None,
-        changed_only: bool = False,
-    ) -> LintRun:
+    def run(self, paths: list[Path | str]) -> LintRun:
         """Two-pass analysis of every file under ``paths``."""
         files = self.collect_files(paths)
-        if not files:
-            return LintRun(findings=[], files=[])
-        cache = self._make_cache()
+        findings: list[Finding] = []
+        sources: dict[str, str] = {}
+        modules: dict[str, ModuleInfo] = {}
 
-        workers = jobs or min(len(files), os.cpu_count() or 1)
-        if workers <= 1:
-            results = [self._analyse_file(cache, file) for file in files]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda file: self._analyse_file(cache, file), files)
-                )
+        # Pass 1: parse each file once, run the local rules over it.
+        for file in files:
+            path = str(file)
+            source = file.read_bytes().decode("utf-8")
+            sources[path] = source
+            try:
+                tree = ast.parse(source)
+            except SyntaxError as error:
+                findings.append(_syntax_error(path, error))
+                continue
+            module = derive_module_name(file)
+            ctx = ModuleContext(path=path, module=module, source=source, tree=tree)
+            local = [
+                finding for rule in self.local_rules for finding in rule.check(ctx)
+            ]
+            findings.extend(filter_suppressed(local, source))
+            modules.setdefault(module, build_module_info(module, path, tree))
 
-        digests = {result.path: result.digest for result in results}
-        previous = cache.cached_digests()
-        changed = sorted(
-            path
-            for path, digest in digests.items()
-            if previous.get(path) != digest
-        )
+        # Pass 2: one project index and call graph, every project rule.
+        if modules and self.project_rules:
+            index = ProjectIndex(modules)
+            graph = CallGraph(index)
+            by_path: dict[str, list[Finding]] = {}
+            for rule in self.project_rules:
+                for finding in rule.check_project(index, graph):
+                    by_path.setdefault(finding.path, []).append(finding)
+            for path, group in by_path.items():
+                findings.extend(filter_suppressed(group, sources[path]))
 
-        project_digest = cache.project_digest(digests)
-        project_findings = None
-        project_reused = False
-        if changed_only:
-            project_findings = cache.lookup_project(project_digest)
-            project_reused = project_findings is not None
-        if project_findings is None:
-            project_findings = sorted(
-                self._run_project_rules(results, jobs), key=Finding.sort_key
-            )
-            cache.store_project(project_digest, project_findings)
-        cache.save()
+        return LintRun(findings=sorted(findings, key=Finding.sort_key), files=files)
 
-        findings = sorted(
-            (
-                finding
-                for result in results
-                for finding in result.findings
-            ),
-            key=Finding.sort_key,
-        )
-        merged = sorted(findings + project_findings, key=Finding.sort_key)
-        return LintRun(
-            findings=merged,
-            files=files,
-            cache_hits=sum(1 for result in results if result.cached),
-            cache_misses=sum(1 for result in results if not result.cached),
-            project_reused=project_reused,
-            changed=changed,
-        )
-
-    def lint_paths(
-        self,
-        paths: list[Path | str],
-        jobs: int | None = None,
-        changed_only: bool = False,
-    ) -> list[Finding]:
-        """Analyse every file under ``paths``; findings only."""
-        return self.run(paths, jobs=jobs, changed_only=changed_only).findings

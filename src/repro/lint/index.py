@@ -1,7 +1,7 @@
 """Pass 1 of the whole-program analyzer: per-module fact extraction.
 
 :func:`build_module_info` distils one parsed module into a
-:class:`ModuleInfo` — a JSON-serialisable record of everything the
+:class:`ModuleInfo` — a record of everything the
 inter-procedural rules (RPR010–RPR014) need: the import/binding table
 with relative imports resolved to absolute dotted targets, the top-level
 symbol table and ``__all__``, per-class attribute/lock maps, and
@@ -9,12 +9,11 @@ per-function call sites, raise sites, ``try`` shapes, shared-state
 mutations (with the ``with``-statement lock context they run under) and
 determinism hazards.
 
-The extraction is purely syntactic and local to one module, which is
-what makes the on-disk cache sound: a ``ModuleInfo`` is a function of
-the module source alone, so a content-digest match proves the cached
-record is still valid.  Everything cross-module (name resolution, the
-call graph, reachability) lives in :mod:`repro.lint.callgraph` and is
-recomputed per run from the cached per-module records.
+The extraction is purely syntactic and local to one module: a
+``ModuleInfo`` is a function of the module source alone.  Everything
+cross-module (name resolution, the call graph, reachability) lives in
+:mod:`repro.lint.callgraph` and is computed once per run from the
+per-module records.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ def sparse_locals(func: ast.AST, sparse_names: frozenset[str]) -> frozenset[str]
 
 
 # ----------------------------------------------------------------------
-# Serializable fact records
+# Fact records
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CallSite:
@@ -144,13 +143,6 @@ class CallSite:
     parts: tuple[str, ...]
     lineno: int
     col: int
-
-    def to_list(self) -> list:
-        return [list(self.parts), self.lineno, self.col]
-
-    @classmethod
-    def from_list(cls, data: list) -> "CallSite":
-        return cls(tuple(data[0]), data[1], data[2])
 
 
 @dataclass(frozen=True)
@@ -161,13 +153,6 @@ class RaiseSite:
     lineno: int
     col: int
 
-    def to_list(self) -> list:
-        return [list(self.parts), self.lineno, self.col]
-
-    @classmethod
-    def from_list(cls, data: list) -> "RaiseSite":
-        return cls(tuple(data[0]), data[1], data[2])
-
 
 @dataclass(frozen=True)
 class Hazard:
@@ -177,13 +162,6 @@ class Hazard:
     detail: str
     lineno: int
     col: int
-
-    def to_list(self) -> list:
-        return [self.kind, self.detail, self.lineno, self.col]
-
-    @classmethod
-    def from_list(cls, data: list) -> "Hazard":
-        return cls(data[0], data[1], data[2], data[3])
 
 
 @dataclass(frozen=True)
@@ -203,19 +181,6 @@ class Mutation:
     col: int
     withs: tuple[tuple[str, ...], ...]
 
-    def to_list(self) -> list:
-        return [
-            self.scope, list(self.path), self.lineno, self.col,
-            [list(w) for w in self.withs],
-        ]
-
-    @classmethod
-    def from_list(cls, data: list) -> "Mutation":
-        return cls(
-            data[0], tuple(data[1]), data[2], data[3],
-            tuple(tuple(w) for w in data[4]),
-        )
-
 
 @dataclass(frozen=True)
 class TryInfo:
@@ -224,21 +189,6 @@ class TryInfo:
     calls: tuple[CallSite, ...]
     raises: tuple[RaiseSite, ...]
     handlers: tuple["HandlerInfo", ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "calls": [c.to_list() for c in self.calls],
-            "raises": [r.to_list() for r in self.raises],
-            "handlers": [h.to_dict() for h in self.handlers],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TryInfo":
-        return cls(
-            calls=tuple(CallSite.from_list(c) for c in data["calls"]),
-            raises=tuple(RaiseSite.from_list(r) for r in data["raises"]),
-            handlers=tuple(HandlerInfo.from_dict(h) for h in data["handlers"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -249,23 +199,6 @@ class HandlerInfo:
     lineno: int
     col: int
     reraises: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "types": [list(t) for t in self.types],
-            "lineno": self.lineno,
-            "col": self.col,
-            "reraises": self.reraises,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HandlerInfo":
-        return cls(
-            types=tuple(tuple(t) for t in data["types"]),
-            lineno=data["lineno"],
-            col=data["col"],
-            reraises=data["reraises"],
-        )
 
 
 @dataclass
@@ -287,43 +220,6 @@ class FunctionInfo:
     nested: dict[str, str] = field(default_factory=dict)
     local_types: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "qual": self.qual,
-            "cls": self.cls,
-            "lineno": self.lineno,
-            "col": self.col,
-            "calls": [c.to_list() for c in self.calls],
-            "raises": [r.to_list() for r in self.raises],
-            "hazards": [h.to_list() for h in self.hazards],
-            "mutations": [m.to_list() for m in self.mutations],
-            "tries": [t.to_dict() for t in self.tries],
-            "spawns_pool": self.spawns_pool,
-            "submitted": [list(s) for s in self.submitted],
-            "nested": dict(self.nested),
-            "local_types": {k: list(v) for k, v in self.local_types.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionInfo":
-        return cls(
-            name=data["name"],
-            qual=data["qual"],
-            cls=data["cls"],
-            lineno=data["lineno"],
-            col=data["col"],
-            calls=tuple(CallSite.from_list(c) for c in data["calls"]),
-            raises=tuple(RaiseSite.from_list(r) for r in data["raises"]),
-            hazards=tuple(Hazard.from_list(h) for h in data["hazards"]),
-            mutations=tuple(Mutation.from_list(m) for m in data["mutations"]),
-            tries=tuple(TryInfo.from_dict(t) for t in data["tries"]),
-            spawns_pool=data["spawns_pool"],
-            submitted=tuple(tuple(s) for s in data["submitted"]),
-            nested=dict(data["nested"]),
-            local_types={k: tuple(v) for k, v in data["local_types"].items()},
-        )
-
 
 @dataclass
 class ClassInfo:
@@ -339,35 +235,6 @@ class ClassInfo:
     threadlocal_attrs: tuple[str, ...] = ()
     summary_keys: tuple[tuple[str, int, int], ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "col": self.col,
-            "bases": [list(b) for b in self.bases],
-            "methods": dict(self.methods),
-            "attr_types": {k: list(v) for k, v in self.attr_types.items()},
-            "lock_attrs": list(self.lock_attrs),
-            "threadlocal_attrs": list(self.threadlocal_attrs),
-            "summary_keys": [list(k) for k in self.summary_keys],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassInfo":
-        return cls(
-            name=data["name"],
-            lineno=data["lineno"],
-            col=data["col"],
-            bases=tuple(tuple(b) for b in data["bases"]),
-            methods=dict(data["methods"]),
-            attr_types={k: tuple(v) for k, v in data["attr_types"].items()},
-            lock_attrs=tuple(data["lock_attrs"]),
-            threadlocal_attrs=tuple(data["threadlocal_attrs"]),
-            summary_keys=tuple(
-                (k[0], k[1], k[2]) for k in data["summary_keys"]
-            ),
-        )
-
 
 @dataclass
 class Binding:
@@ -379,28 +246,14 @@ class Binding:
     lineno: int
     col: int
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "target": self.target,
-            "kind": self.kind,
-            "lineno": self.lineno,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Binding":
-        return cls(**data)
-
 
 @dataclass
 class ModuleInfo:
-    """The complete per-module fact record (one cache entry)."""
+    """The complete per-module fact record."""
 
     module: str
     path: str
     is_package: bool = False
-    digest: str = ""
     bindings: dict[str, Binding] = field(default_factory=dict)
     definitions: dict[str, str] = field(default_factory=dict)  # name -> kind
     all_names: tuple[str, ...] | None = None
@@ -413,58 +266,6 @@ class ModuleInfo:
     #: target for imports, ``"<def>"`` for defs/classes, ``"<assign>"``
     #: for assignments.
     toplevel_order: tuple[tuple[str, str, int, int], ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "is_package": self.is_package,
-            "digest": self.digest,
-            "bindings": {k: b.to_dict() for k, b in self.bindings.items()},
-            "definitions": dict(self.definitions),
-            "all_names": list(self.all_names) if self.all_names is not None else None,
-            "all_span": list(self.all_span) if self.all_span else None,
-            "functions": {k: f.to_dict() for k, f in self.functions.items()},
-            "classes": {k: c.to_dict() for k, c in self.classes.items()},
-            "module_locks": list(self.module_locks),
-            "toplevel_order": [list(t) for t in self.toplevel_order],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleInfo":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            is_package=data["is_package"],
-            digest=data["digest"],
-            bindings={
-                k: Binding.from_dict(b) for k, b in data["bindings"].items()
-            },
-            definitions=dict(data["definitions"]),
-            all_names=(
-                tuple(data["all_names"]) if data["all_names"] is not None else None
-            ),
-            all_span=tuple(data["all_span"]) if data["all_span"] else None,
-            functions={
-                k: FunctionInfo.from_dict(f) for k, f in data["functions"].items()
-            },
-            classes={
-                k: ClassInfo.from_dict(c) for k, c in data["classes"].items()
-            },
-            module_locks=tuple(data["module_locks"]),
-            toplevel_order=tuple(
-                (t[0], t[1], t[2], t[3]) for t in data["toplevel_order"]
-            ),
-        )
-
-    def imported_project_modules(self, prefix: str = "repro.") -> frozenset[str]:
-        """Project modules this module's bindings point into."""
-        out = set()
-        for binding in self.bindings.values():
-            target = binding.target
-            if target.startswith(prefix) or target == prefix.rstrip("."):
-                out.add(target)
-        return frozenset(out)
 
 
 # ----------------------------------------------------------------------
@@ -872,8 +673,8 @@ def _summary_payload_keys(
     """Literal string keys of the dict a ``summary()`` method returns.
 
     Handles the two idioms used across the codebase: returning a dict
-    literal directly (possibly wrapped in ``DeprecatedKeyDict(out, ...)``)
-    and building ``out = {...}`` then returning it (or the wrapper).
+    literal directly (possibly wrapped in ``dict(out)``) and building
+    ``out = {...}`` then returning it (or the wrapper).
     """
     named_literals: dict[str, ast.Dict] = {}
     returned: ast.expr | None = None
@@ -888,7 +689,7 @@ def _summary_payload_keys(
     payload: ast.expr | None = returned
     if isinstance(payload, ast.Call) and payload.args:
         callee = dotted_name(payload.func)
-        if callee is not None and callee[-1] in ("DeprecatedKeyDict", "dict"):
+        if callee is not None and callee[-1] == "dict":
             payload = payload.args[0]
     if isinstance(payload, ast.Name):
         payload = named_literals.get(payload.id)
@@ -901,16 +702,12 @@ def _summary_payload_keys(
     return tuple(keys)
 
 
-def build_module_info(
-    module: str, path: str, tree: ast.Module, digest: str = ""
-) -> ModuleInfo:
+def build_module_info(module: str, path: str, tree: ast.Module) -> ModuleInfo:
     """Extract the full fact record for one parsed module."""
     from pathlib import Path
 
     is_package = Path(path).name == "__init__.py"
-    info = ModuleInfo(
-        module=module, path=path, is_package=is_package, digest=digest
-    )
+    info = ModuleInfo(module=module, path=path, is_package=is_package)
 
     toplevel: list[tuple[str, str, int, int]] = []
     module_lock_names: list[str] = []

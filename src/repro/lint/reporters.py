@@ -1,4 +1,4 @@
-"""Finding reporters: text, JSON, and SARIF 2.1.0 for CI upload."""
+"""Finding reporters: compiler-style text and JSON."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 from .findings import Finding
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_text", "render_json"]
 
 
 def render_text(findings: list[Finding], checked_files: int | None = None) -> str:
@@ -29,59 +29,4 @@ def render_json(findings: list[Finding], checked_files: int | None = None) -> st
     }
     if checked_files is not None:
         payload["checked_files"] = checked_files
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_sarif(findings: list[Finding], checked_files: int | None = None) -> str:
-    """SARIF 2.1.0 log, the interchange format CI annotation tools ingest.
-
-    The rule table is built from the live registry so every finding's
-    ``ruleId`` has a matching ``rules`` entry, as the spec recommends.
-    """
-    from .rules import all_rules
-
-    rules = [
-        {
-            "id": rule.rule_id,
-            "name": rule.name,
-            "shortDescription": {"text": rule.description},
-        }
-        for rule in all_rules()
-    ]
-    results = [
-        {
-            "ruleId": finding.rule_id,
-            "level": "warning",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path},
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in findings
-    ]
-    run: dict[str, object] = {
-        "tool": {
-            "driver": {
-                "name": "repro-lint",
-                "informationUri": "https://example.invalid/repro-lint",
-                "rules": rules,
-            }
-        },
-        "results": results,
-    }
-    if checked_files is not None:
-        run["properties"] = {"checkedFiles": checked_files}
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [run],
-    }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -34,6 +34,11 @@ __all__ = [
     "get_rule",
     "derive_module_name",
     "numpy_aliases",
+    "in_scope",
+    "call_tail",
+    "is_bounded",
+    "self_attr",
+    "waitable_bindings",
 ]
 
 _REGISTRY: dict[str, "Rule"] = {}
@@ -68,6 +73,103 @@ def numpy_aliases(tree: ast.Module) -> frozenset[str]:
                 if alias.name == "numpy":
                     aliases.add(alias.asname or "numpy")
     return frozenset(aliases)
+
+
+def in_scope(module: str, scopes: tuple[str, ...]) -> bool:
+    """Whether ``module`` is one of ``scopes`` or a submodule of one."""
+    return any(
+        module == scope or module.startswith(scope + ".") for scope in scopes
+    )
+
+
+def call_tail(node: ast.Call) -> str | None:
+    """Last component of the callee's (dotted) name, if it has one."""
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    return None
+
+
+def _is_false(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value is False
+
+
+def is_bounded(method: str, call: ast.Call) -> bool:
+    """Does this blocking call carry a timeout or opt out of blocking?
+
+    Shared by the wait rules (RPR016, RPR018); each decides for itself
+    which methods count as blocking.
+    """
+    for keyword in call.keywords:
+        if keyword.arg == "timeout":
+            return True
+        if keyword.arg in ("block", "blocking") and _is_false(keyword.value):
+            return True
+    if method in ("wait", "result", "exception", "join"):
+        # First positional parameter is the timeout itself.
+        return bool(call.args)
+    if method in ("get", "acquire") and call.args and _is_false(call.args[0]):
+        return True  # get(False)/acquire(False) poll instead of waiting.
+    return False
+
+
+def self_attr(node: ast.expr) -> str | None:
+    """``self.<attr>`` -> attribute name, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def waitable_bindings(
+    root: ast.AST, factories: dict[str, str]
+) -> tuple[dict[str, str], dict[str, str]]:
+    """``({name: kind}, {self_attr: kind})`` bound anywhere under ``root``.
+
+    A name or ``self.<attr>`` becomes a waitable of ``factories[ctor]``
+    when assigned (or ``with``-bound) from a ``ctor(...)`` call, and a
+    ``future`` when assigned from an ``x.submit(...)`` call.
+    """
+    names: dict[str, str] = {}
+    attrs: dict[str, str] = {}
+
+    def kind_of(value: ast.expr) -> str | None:
+        if not isinstance(value, ast.Call):
+            return None
+        tail = call_tail(value)
+        if tail in factories:
+            return factories[tail]
+        if tail == "submit" and isinstance(value.func, ast.Attribute):
+            return "future"
+        return None
+
+    def bind(target: ast.expr, kind: str) -> None:
+        if isinstance(target, ast.Name):
+            names[target.id] = kind
+        else:
+            attr = self_attr(target)
+            if attr is not None:
+                attrs[attr] = kind
+
+    for node in ast.walk(root):
+        if isinstance(node, ast.Assign):
+            kind = kind_of(node.value)
+            if kind is not None:
+                for target in node.targets:
+                    bind(target, kind)
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            kind = kind_of(node.value)
+            if kind is not None:
+                bind(node.target, kind)
+        elif isinstance(node, ast.withitem):
+            kind = kind_of(node.context_expr)
+            if kind is not None and node.optional_vars is not None:
+                bind(node.optional_vars, kind)
+    return names, attrs
 
 
 @dataclass

@@ -75,8 +75,7 @@ class AllConsistencyRule(Rule):
         "documentation builds, and the package re-export checks "
         "(RPR013) all read it.  A phantom entry breaks consumers at "
         "import time; an unlisted public def quietly forks the API "
-        "into 'documented' and 'accidental' halves.  `repro lint --fix` "
-        "repairs both directions mechanically."
+        "into 'documented' and 'accidental' halves."
     )
     example = (
         "__all__ = [\"gone\"]        # RPR005: 'gone' is not defined\n"

@@ -27,7 +27,7 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .rules import ModuleContext, Rule, numpy_aliases, register_rule
+from .rules import ModuleContext, Rule, in_scope, numpy_aliases, register_rule
 
 __all__ = ["DenseMaterialisationRule"]
 
@@ -35,14 +35,6 @@ _SCOPES = ("repro.kg", "repro.discovery")
 _EXEMPT = ("repro.kg.storage", "repro.kg.blocked")
 _DENSIFIERS = frozenset({"toarray", "todense"})
 _ALLOCATORS = frozenset({"zeros", "ones", "empty", "full"})
-
-
-def _in_scope(module: str) -> bool:
-    if any(module == mod or module.startswith(mod + ".") for mod in _EXEMPT):
-        return False
-    return any(
-        module == scope or module.startswith(scope + ".") for scope in _SCOPES
-    )
 
 
 def _is_square_variable_shape(shape: ast.expr) -> bool:
@@ -81,7 +73,7 @@ class DenseMaterialisationRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(ctx.module):
+        if in_scope(ctx.module, _EXEMPT) or not in_scope(ctx.module, _SCOPES):
             return
         np_names = numpy_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):

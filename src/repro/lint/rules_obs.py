@@ -23,7 +23,7 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .rules import ModuleContext, Rule, register_rule
+from .rules import ModuleContext, Rule, in_scope, register_rule
 
 __all__ = ["ObservabilityRule"]
 
@@ -66,12 +66,6 @@ def _clock_function_aliases(tree: ast.Module) -> dict[str, str]:
     return aliases
 
 
-def _in_scope(module: str, scopes: tuple[str, ...]) -> bool:
-    return any(
-        module == scope or module.startswith(scope + ".") for scope in scopes
-    )
-
-
 def _base_name(base: ast.expr) -> str | None:
     if isinstance(base, ast.Name):
         return base.id
@@ -102,7 +96,7 @@ class ObservabilityRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if _in_scope(ctx.module, _CLOCK_SCOPES):
+        if in_scope(ctx.module, _CLOCK_SCOPES):
             time_names = _time_aliases(ctx.tree)
             clock_names = _clock_function_aliases(ctx.tree)
             for node in ast.walk(ctx.tree):
@@ -131,7 +125,7 @@ class ObservabilityRule(Rule):
                         "repro.obs.span (or Stopwatch for budget loops)",
                     )
 
-        if _in_scope(ctx.module, _REPORTABLE_SCOPES):
+        if in_scope(ctx.module, _REPORTABLE_SCOPES):
             for node in ast.walk(ctx.tree):
                 if not isinstance(node, ast.ClassDef):
                     continue

@@ -36,7 +36,7 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .rules import ModuleContext, Rule, register_rule
+from .rules import ModuleContext, Rule, call_tail, register_rule
 
 __all__ = ["ProcessPoolSafetyRule"]
 
@@ -64,15 +64,6 @@ _SEED_DERIVERS = frozenset({"spawn_stream", "spawn_seed"})
 _FunctionDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _call_tail(node: ast.Call) -> str | None:
-    """Last component of the callee's (dotted) name, if it has one."""
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
-
-
 def _param_names(func: ast.FunctionDef) -> set[str]:
     args = func.args
     names = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
@@ -85,7 +76,7 @@ def _param_names(func: ast.FunctionDef) -> set[str]:
 
 def _derives_stream(func: ast.FunctionDef) -> bool:
     for node in ast.walk(func):
-        if isinstance(node, ast.Call) and _call_tail(node) in _SEED_DERIVERS:
+        if isinstance(node, ast.Call) and call_tail(node) in _SEED_DERIVERS:
             return True
     return False
 
@@ -126,7 +117,7 @@ class ProcessPoolSafetyRule(Rule):
                 value = stmt.value
                 if not isinstance(value, ast.Call):
                     continue
-                tail = _call_tail(value)
+                tail = call_tail(value)
                 if tail not in _HAZARD_FACTORIES:
                     continue
                 targets = (
@@ -212,14 +203,14 @@ class ProcessPoolSafetyRule(Rule):
                     expr = node.context_expr
                     if (
                         isinstance(expr, ast.Call)
-                        and _call_tail(expr) in _POOL_NAMES
+                        and call_tail(expr) in _POOL_NAMES
                         and isinstance(node.optional_vars, ast.Name)
                     ):
                         pool_locals.add(node.optional_vars.id)
                 elif (
                     isinstance(node, ast.Assign)
                     and isinstance(node.value, ast.Call)
-                    and _call_tail(node.value) in _POOL_NAMES
+                    and call_tail(node.value) in _POOL_NAMES
                 ):
                     for target in node.targets:
                         if isinstance(target, ast.Name):
@@ -227,7 +218,7 @@ class ProcessPoolSafetyRule(Rule):
             for node in ast.walk(root):
                 if not isinstance(node, ast.Call):
                     continue
-                tail = _call_tail(node)
+                tail = call_tail(node)
                 if tail in _SCHEDULER_NAMES and node.args:
                     check_dispatch(node.args[0], local_callables, "worker")
                 elif tail in _POOL_NAMES:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from .findings import Finding
-from .rules import ProjectRule, register_rule
+from .rules import ProjectRule, in_scope, register_rule
 
 if TYPE_CHECKING:
     from .callgraph import CallGraph, ProjectIndex
@@ -47,12 +47,6 @@ _BAD_SUFFIXES = {
 _CANONICAL_SUFFIXES = ("_seconds", "_count")
 
 
-def _in_scope(module: str) -> bool:
-    return any(
-        module == scope or module.startswith(scope + ".") for scope in _SCOPES
-    )
-
-
 @register_rule
 class ReportableDriftRule(ProjectRule):
     rule_id = "RPR012"
@@ -82,7 +76,7 @@ class ReportableDriftRule(ProjectRule):
     ) -> Iterator[Finding]:
         population = []  # (module, path, cls_name, key, line, col)
         for module in sorted(index.modules):
-            if not _in_scope(module):
+            if not in_scope(module, _SCOPES):
                 continue
             info = index.modules[module]
             for cls_name in sorted(info.classes):

@@ -22,7 +22,7 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .rules import ModuleContext, Rule, numpy_aliases, register_rule
+from .rules import ModuleContext, Rule, in_scope, numpy_aliases, register_rule
 
 __all__ = ["ResilienceRule"]
 
@@ -93,10 +93,7 @@ class ResilienceRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        in_atomic_scope = any(
-            ctx.module == scope or ctx.module.startswith(scope + ".")
-            for scope in _ATOMIC_SCOPES
-        )
+        in_atomic_scope = in_scope(ctx.module, _ATOMIC_SCOPES)
         np_names = numpy_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler):

@@ -35,7 +35,14 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .rules import ModuleContext, Rule, register_rule
+from .rules import (
+    ModuleContext,
+    Rule,
+    is_bounded,
+    register_rule,
+    self_attr,
+    waitable_bindings,
+)
 
 __all__ = ["ServeHandlerHygieneRule"]
 
@@ -79,85 +86,6 @@ _MUTATING_METHODS = frozenset(
 )
 
 _FunctionDef = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _call_tail(node: ast.Call) -> str | None:
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
-
-
-def _is_false(node: ast.expr) -> bool:
-    return isinstance(node, ast.Constant) and node.value is False
-
-
-def _is_bounded(method: str, call: ast.Call) -> bool:
-    """Does this blocking call carry a timeout or opt out of blocking?"""
-    for keyword in call.keywords:
-        if keyword.arg == "timeout":
-            return True
-        if keyword.arg in ("block", "blocking") and _is_false(keyword.value):
-            return True
-    if method in ("wait", "result", "exception", "join"):
-        # First positional parameter is the timeout itself.
-        return bool(call.args)
-    if method in ("get", "acquire") and call.args and _is_false(call.args[0]):
-        return True  # get(False)/acquire(False) poll instead of waiting.
-    return False
-
-
-def _waitable_kind(value: ast.expr) -> str | None:
-    if not isinstance(value, ast.Call):
-        return None
-    tail = _call_tail(value)
-    if tail in _WAITABLE_FACTORIES:
-        return _WAITABLE_FACTORIES[tail]
-    if tail == "submit" and isinstance(value.func, ast.Attribute):
-        return "future"
-    return None
-
-
-def _is_self_attr(node: ast.expr) -> str | None:
-    """``self.<attr>`` receiver -> attribute name, else ``None``."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _waitable_bindings(root: ast.AST) -> tuple[dict[str, str], dict[str, str]]:
-    """``({name: kind}, {self_attr: kind})`` bound anywhere under ``root``."""
-    names: dict[str, str] = {}
-    attrs: dict[str, str] = {}
-
-    def bind(target: ast.expr, kind: str) -> None:
-        if isinstance(target, ast.Name):
-            names[target.id] = kind
-        else:
-            attr = _is_self_attr(target)
-            if attr is not None:
-                attrs[attr] = kind
-
-    for node in ast.walk(root):
-        if isinstance(node, ast.Assign):
-            kind = _waitable_kind(node.value)
-            if kind is not None:
-                for target in node.targets:
-                    bind(target, kind)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            kind = _waitable_kind(node.value)
-            if kind is not None:
-                bind(node.target, kind)
-        elif isinstance(node, ast.withitem):
-            kind = _waitable_kind(node.context_expr)
-            if kind is not None and node.optional_vars is not None:
-                bind(node.optional_vars, kind)
-    return names, attrs
 
 
 def _module_level_names(tree: ast.Module) -> frozenset[str]:
@@ -234,7 +162,7 @@ class ServeHandlerHygieneRule(Rule):
                 module_stmts.body.append(stmt)
         scopes.append(module_stmts)
         for root in scopes:
-            names, attrs = _waitable_bindings(root)
+            names, attrs = waitable_bindings(root, _WAITABLE_FACTORIES)
             for node in ast.walk(root):
                 if not isinstance(node, ast.Call):
                     continue
@@ -242,7 +170,7 @@ class ServeHandlerHygieneRule(Rule):
                     continue
                 method = node.func.attr
                 kinds = _BLOCKING_METHODS.get(method)
-                if kinds is None or _is_bounded(method, node):
+                if kinds is None or is_bounded(method, node):
                     continue
                 receiver = node.func.value
                 kind = None
@@ -251,7 +179,7 @@ class ServeHandlerHygieneRule(Rule):
                     kind = names.get(receiver.id)
                     owner = f"'{receiver.id}'"
                 else:
-                    attr = _is_self_attr(receiver)
+                    attr = self_attr(receiver)
                     if attr is not None:
                         kind = attrs.get(attr)
                         owner = f"'self.{attr}'"

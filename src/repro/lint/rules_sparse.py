@@ -24,19 +24,13 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .rules import ModuleContext, Rule, register_rule
+from .rules import ModuleContext, Rule, in_scope, register_rule
 
 __all__ = ["SparseGradReadRule"]
 
 _SCOPES = ("repro.kge", "repro.autograd")
 #: Calling any of these marks a function as sparse-aware.
 _SPARSE_HANDLERS = frozenset({"flush", "to_dense", "add_into_dense", "norm_squared"})
-
-
-def _in_scope(module: str) -> bool:
-    return any(
-        module == scope or module.startswith(scope + ".") for scope in _SCOPES
-    )
 
 
 def _handles_sparse(func: ast.AST) -> bool:
@@ -113,7 +107,7 @@ class SparseGradReadRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(ctx.module):
+        if not in_scope(ctx.module, _SCOPES):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -19,7 +19,7 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .rules import ModuleContext, Rule, register_rule
+from .rules import ModuleContext, Rule, in_scope, register_rule
 
 __all__ = ["TapeHygieneRule"]
 
@@ -49,13 +49,6 @@ _SCORING_CALLS = frozenset(
         "anytime_discover",
     }
 )
-
-
-def _in_scope(module: str) -> bool:
-    return any(
-        module == prefix or module.startswith(prefix + ".")
-        for prefix in _SCOPED_MODULES
-    )
 
 
 def _is_no_grad(item: ast.withitem) -> bool:
@@ -102,7 +95,7 @@ class TapeHygieneRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(ctx.module):
+        if not in_scope(ctx.module, _SCOPED_MODULES):
             return
         yield from self._walk(ctx, ctx.tree, guarded=False)
 

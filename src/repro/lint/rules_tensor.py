@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .findings import Finding
 from .index import scipy_sparse_aliases, sparse_locals
-from .rules import ModuleContext, Rule, register_rule
+from .rules import ModuleContext, Rule, in_scope, register_rule
 
 __all__ = ["DataMutationRule", "BackwardClosureRule"]
 
@@ -71,10 +71,7 @@ class DataMutationRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if any(
-            ctx.module == exempt or ctx.module.startswith(exempt + ".")
-            for exempt in _MUTATION_EXEMPT
-        ):
+        if in_scope(ctx.module, _MUTATION_EXEMPT):
             return
         aliases = scipy_sparse_aliases(ctx.tree)
         yield from self._walk(
@@ -154,10 +151,7 @@ class BackwardClosureRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not (
-            ctx.module == _AUTOGRAD_PREFIX
-            or ctx.module.startswith(_AUTOGRAD_PREFIX + ".")
-        ):
+        if not in_scope(ctx.module, (_AUTOGRAD_PREFIX,)):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.FunctionDef):

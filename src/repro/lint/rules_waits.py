@@ -38,7 +38,14 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .rules import ModuleContext, Rule, register_rule
+from .rules import (
+    ModuleContext,
+    Rule,
+    call_tail,
+    is_bounded,
+    register_rule,
+    waitable_bindings,
+)
 
 __all__ = ["UnboundedWaitRule"]
 
@@ -72,71 +79,6 @@ _BLOCKING_METHODS = {
 }
 
 _FunctionDef = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _call_tail(node: ast.Call) -> str | None:
-    """Last component of the callee's (dotted) name, if it has one."""
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
-
-
-def _is_false(node: ast.expr) -> bool:
-    return isinstance(node, ast.Constant) and node.value is False
-
-
-def _is_bounded(method: str, call: ast.Call) -> bool:
-    """Does this blocking call carry a timeout or opt out of blocking?"""
-    for keyword in call.keywords:
-        if keyword.arg == "timeout":
-            return True
-        if keyword.arg in ("block", "blocking") and _is_false(keyword.value):
-            return True
-    if method in ("result", "exception", "join"):
-        # First positional parameter is the timeout itself.
-        return bool(call.args)
-    if method == "get" and call.args and _is_false(call.args[0]):
-        return True  # Queue.get(False) raises Empty instead of waiting.
-    if method == "acquire" and call.args and _is_false(call.args[0]):
-        return True  # Lock.acquire(False) polls instead of waiting.
-    return False
-
-
-def _bindings_of(root: ast.AST) -> dict[str, str]:
-    """``{name: waitable kind}`` for names bound in ``root``'s scope."""
-    bindings: dict[str, str] = {}
-
-    def bind(target: ast.expr, kind: str) -> None:
-        if isinstance(target, ast.Name):
-            bindings[target.id] = kind
-
-    def kind_of(value: ast.expr) -> str | None:
-        if not isinstance(value, ast.Call):
-            return None
-        tail = _call_tail(value)
-        if tail in _WAITABLE_FACTORIES:
-            return _WAITABLE_FACTORIES[tail]
-        if tail == "submit" and isinstance(value.func, ast.Attribute):
-            return "future"
-        return None
-
-    for node in ast.walk(root):
-        if isinstance(node, ast.Assign):
-            kind = kind_of(node.value)
-            if kind is not None:
-                for target in node.targets:
-                    bind(target, kind)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            kind = kind_of(node.value)
-            if kind is not None:
-                bind(node.target, kind)
-        elif isinstance(node, ast.withitem):
-            kind = kind_of(node.context_expr)
-            if kind is not None and node.optional_vars is not None:
-                bind(node.optional_vars, kind)
-    return bindings
 
 
 @register_rule
@@ -185,7 +127,7 @@ class UnboundedWaitRule(Rule):
         for roots in scopes:
             bindings: dict[str, str] = {}
             for root in roots:
-                bindings.update(_bindings_of(root))
+                bindings.update(waitable_bindings(root, _WAITABLE_FACTORIES)[0])
             for node in (n for root in roots for n in ast.walk(root)):
                 if not isinstance(node, ast.Call):
                     continue
@@ -193,7 +135,7 @@ class UnboundedWaitRule(Rule):
                     continue
                 method = node.func.attr
                 kinds = _BLOCKING_METHODS.get(method)
-                if kinds is None or _is_bounded(method, node):
+                if kinds is None or is_bounded(method, node):
                     continue
                 receiver = node.func.value
                 if isinstance(receiver, ast.Name):
@@ -203,7 +145,7 @@ class UnboundedWaitRule(Rule):
                     owner = f"'{receiver.id}' ({kind})"
                 elif (
                     isinstance(receiver, ast.Call)
-                    and _call_tail(receiver) == "submit"
+                    and call_tail(receiver) == "submit"
                     and isinstance(receiver.func, ast.Attribute)
                     and "future" in kinds
                 ):

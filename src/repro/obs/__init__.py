@@ -13,7 +13,7 @@ The subsystem has four small parts:
 - :mod:`repro.obs.exporters` — snapshot renderers (JSON, Prometheus
   text, human table) behind ``--metrics-out`` and ``repro obs``.
 - :mod:`repro.obs.reporting` — the :class:`Reportable` result protocol
-  and the deprecated-key alias machinery used by every ``summary()``.
+  every ``summary()`` speaks.
 """
 
 from .exporters import (
@@ -36,7 +36,7 @@ from .registry import (
     set_registry,
     use_registry,
 )
-from .reporting import DeprecatedKeyDict, Reportable, ReportableMixin, json_default
+from .reporting import Reportable, ReportableMixin, json_default
 from .spans import Span, Stopwatch, flatten_spans, span, span_tree_delta
 
 __all__ = [
@@ -63,6 +63,5 @@ __all__ = [
     "EXPORTER_FORMATS",
     "Reportable",
     "ReportableMixin",
-    "DeprecatedKeyDict",
     "json_default",
 ]

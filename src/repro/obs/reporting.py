@@ -1,26 +1,18 @@
-"""The unified result/telemetry API: ``Reportable`` and deprecated keys.
+"""The unified result/telemetry API: the ``Reportable`` protocol.
 
 Every result object in the codebase (``DiscoveryResult``, ``MatrixRow``,
 ``GuardReport``, ``RankingStats``, ...) satisfies the :class:`Reportable`
 protocol: ``summary()`` returns a flat dict of scalars under canonical
 names (durations ``*_seconds``, tallies ``*_count``), ``to_dict()``
 returns the full serialisable payload, ``to_json()`` its JSON text.
-
-Key renames follow the deprecation policy documented in
-``docs/architecture.md``: ``summary()`` returns a
-:class:`DeprecatedKeyDict` that still *resolves* the old names (with a
-``DeprecationWarning``) but only iterates/serialises the canonical ones,
-so downstream code keeps working for one release while new output is
-uniformly named.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
-from typing import Any, Mapping, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
-__all__ = ["Reportable", "ReportableMixin", "DeprecatedKeyDict", "json_default"]
+__all__ = ["Reportable", "ReportableMixin", "json_default"]
 
 
 @runtime_checkable
@@ -65,46 +57,3 @@ class ReportableMixin:
 
     def to_json(self, *, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent, default=json_default)
-
-
-class DeprecatedKeyDict(dict):
-    """A dict whose legacy key aliases still resolve, with a warning.
-
-    Only canonical keys are stored, iterated and serialised; looking up an
-    alias returns the canonical value and emits a ``DeprecationWarning``
-    naming the replacement.  ``in`` succeeds silently for aliases so
-    existing presence checks don't spam warnings.
-    """
-
-    def __init__(
-        self,
-        data: Mapping[str, Any],
-        aliases: Mapping[str, str] | None = None,
-        owner: str = "summary()",
-    ) -> None:
-        super().__init__(data)
-        self._aliases = dict(aliases or {})
-        self._owner = owner
-        for old, new in self._aliases.items():
-            if new not in self:
-                raise KeyError(f"alias {old!r} points at missing canonical key {new!r}")
-
-    def __missing__(self, key: str) -> Any:
-        new = self._aliases.get(key)
-        if new is None:
-            raise KeyError(key)
-        warnings.warn(
-            f"{self._owner} key {key!r} is deprecated; use {new!r}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self[new]
-
-    def __contains__(self, key: object) -> bool:
-        return dict.__contains__(self, key) or key in self._aliases
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default

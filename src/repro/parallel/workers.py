@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import faults
 from ..resilience import FaultPlan, spawn_stream
-from ..resilience import faults
 from .shared import ModelHandle, attach_model
 
 __all__ = [

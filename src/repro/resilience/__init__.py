@@ -19,9 +19,7 @@ restarting from zero:
   is deterministic without replaying the identical failing draw;
 * :mod:`~repro.resilience.deadline` — the unified wall-clock
   :class:`Deadline` threaded from CLI flags down to retry loops and the
-  scheduler watchdog;
-* :mod:`~repro.resilience.faults` — compatibility shim for the
-  fault-injection harness, promoted to first-class :mod:`repro.faults`.
+  scheduler watchdog.
 
 Layering: this package sits below :mod:`repro.kge` and
 :mod:`repro.experiments` (and above only :mod:`repro.faults`) and must
@@ -39,7 +37,7 @@ from .errors import (
     SegmentLostError,
     TrainingDivergedError,
 )
-from .faults import FaultPlan, inject
+from ..faults import FaultPlan, inject
 from .guards import GuardConfig, GuardEvent, GuardReport, TrainingGuard
 from .journal import JournalView, RunJournal, error_fingerprint
 from .retry import RetryPolicy, with_retries

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from . import faults
+from .. import faults
 
 __all__ = ["atomic_write", "atomic_write_bytes", "atomic_savez", "digest_arrays"]
 

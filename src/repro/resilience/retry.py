@@ -18,7 +18,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from . import faults
+from .. import faults
 from .deadline import Deadline
 from .errors import DeadlineExceededError, RetryBudgetExceededError
 

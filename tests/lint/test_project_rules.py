@@ -2,10 +2,9 @@
 
 ``fixtures/miniproj`` exercises what the single-file fixtures cannot:
 relative imports, package re-exports, method dispatch through a local
-instance, and an import cycle.  The same package drives the incremental
-cache (cold / warm / ``--changed-only`` byte-identity), the SARIF and
-baseline reporters against golden files, the ``--fix`` autofixer, and
-the generated rule reference's freshness check.
+instance, and an import cycle.  The same package checks that a
+configured command-line run leaves nothing behind on disk.  The
+generated rule reference's freshness check lives here too.
 """
 
 from __future__ import annotations
@@ -14,25 +13,16 @@ import ast
 import shutil
 from pathlib import Path
 
-import pytest
-
 from repro.lint import (
     LintEngine,
     ProjectIndex,
     build_module_info,
     derive_module_name,
-    fix_file,
-    load_baseline,
-    match_baseline,
-    render_baseline,
-    render_diff,
     render_rules_doc,
-    render_sarif,
 )
 from repro.lint.cli import main as lint_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
-GOLDEN = Path(__file__).parent / "golden"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Every finding the miniproj scan must produce, in sorted order.
@@ -42,10 +32,9 @@ EXPECTED = [
 ]
 
 
-def _scan(monkeypatch, **kwargs):
+def _scan(monkeypatch):
     monkeypatch.chdir(FIXTURES)
-    engine = LintEngine(use_cache=kwargs.pop("use_cache", False), **kwargs)
-    return engine.run(["miniproj"])
+    return LintEngine().run(["miniproj"])
 
 
 def _keys(findings):
@@ -78,158 +67,38 @@ def test_whole_program_findings(monkeypatch):
 
 def test_import_cycle_is_indexed_not_fatal():
     index = _miniproj_index(FIXTURES / "miniproj")
-    graph = index.import_graph()
-    assert "miniproj.core" in graph["miniproj.util"]
-    assert "miniproj.util" in graph["miniproj.core"]
-
-
-def test_transitive_importers_is_the_invalidation_frontier():
-    index = _miniproj_index(FIXTURES / "miniproj")
-    # The cycle makes core and util mutually invalidating, and the
-    # package root re-exports both.
-    assert index.transitive_importers({"miniproj.util"}) == {
-        "miniproj",
+    # util imports core back while core imports draw from util: both
+    # directions of the cycle resolve.
+    util = index.modules["miniproj.util"]
+    core = index.modules["miniproj.core"]
+    assert index.resolve(util.bindings["core"].target) == (
+        "module",
         "miniproj.core",
-        "miniproj.util",
-    }
-    # The package root is a leaf of the reverse graph: nothing imports it.
-    assert index.transitive_importers({"miniproj"}) == {"miniproj"}
-    # Unknown modules never widen the frontier.
-    assert index.transitive_importers({"nonexistent"}) == frozenset()
+    )
+    assert index.resolve(core.bindings["draw"].target) == (
+        "symbol",
+        "miniproj.util:draw",
+    )
 
 
 # ----------------------------------------------------------------------
-# Incremental cache
+# No on-disk state
 # ----------------------------------------------------------------------
-@pytest.fixture
-def mini_copy(tmp_path):
-    target = tmp_path / "miniproj"
-    shutil.copytree(FIXTURES / "miniproj", target)
-    return target
+def _listing(root: Path) -> list[str]:
+    return sorted(path.relative_to(root).as_posix() for path in root.rglob("*"))
 
 
-def test_cache_cold_warm_and_changed_only_are_byte_identical(
-    mini_copy, tmp_path, monkeypatch
-):
+def test_configured_cli_run_writes_nothing(tmp_path, monkeypatch, capsys):
+    shutil.copytree(FIXTURES / "miniproj", tmp_path / "miniproj")
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.repro-lint]\npaths = ["miniproj"]\n', encoding="utf-8"
+    )
     monkeypatch.chdir(tmp_path)
-    cache_dir = tmp_path / "cache"
+    before = _listing(tmp_path)
 
-    cold = LintEngine(cache_dir=cache_dir).run(["miniproj"])
-    assert cold.cache_misses == 3 and cold.cache_hits == 0
-    assert not cold.project_reused
-
-    warm = LintEngine(cache_dir=cache_dir).run(["miniproj"])
-    assert warm.cache_hits == 3 and warm.cache_misses == 0
-    assert warm.findings == cold.findings
-
-    reused = LintEngine(cache_dir=cache_dir).run(
-        ["miniproj"], changed_only=True
-    )
-    assert reused.project_reused
-    assert reused.changed == []
-    assert reused.findings == cold.findings
-
-    shutil.rmtree(cache_dir)
-    fresh = LintEngine(cache_dir=cache_dir).run(["miniproj"])
-    assert fresh.cache_misses == 3
-    assert fresh.findings == cold.findings
-
-
-def test_changed_only_reruns_pass2_after_an_edit(
-    mini_copy, tmp_path, monkeypatch
-):
-    monkeypatch.chdir(tmp_path)
-    cache_dir = tmp_path / "cache"
-    engine = LintEngine(cache_dir=cache_dir)
-    before = engine.run(["miniproj"])
-    assert any(f.rule_id == "RPR010" for f in before.findings)
-
-    util = mini_copy / "util.py"
-    util.write_text(
-        util.read_text(encoding="utf-8").replace(
-            "np.random.default_rng()", "np.random.default_rng(13)"
-        ),
-        encoding="utf-8",
-    )
-    after = LintEngine(cache_dir=cache_dir).run(
-        ["miniproj"], changed_only=True
-    )
-    assert not after.project_reused
-    assert after.cache_hits == 2 and after.cache_misses == 1
-    assert [f.rule_id for f in after.findings] == ["RPR013"]
-
-
-# ----------------------------------------------------------------------
-# Reporters: SARIF + baseline against golden files
-# ----------------------------------------------------------------------
-def test_sarif_output_matches_golden(monkeypatch):
-    run = _scan(monkeypatch)
-    rendered = render_sarif(run.findings, checked_files=run.checked_files)
-    assert rendered + "\n" == (GOLDEN / "miniproj.sarif").read_text(
-        encoding="utf-8"
-    )
-
-
-def test_baseline_round_trips_through_golden(monkeypatch, tmp_path):
-    run = _scan(monkeypatch)
-    golden = GOLDEN / "miniproj.baseline.json"
-    assert render_baseline(run.findings) == golden.read_text(encoding="utf-8")
-    new, accepted = match_baseline(run.findings, load_baseline(golden))
-    assert new == [] and len(accepted) == len(run.findings)
-
-
-def test_cli_baseline_gates_only_new_findings(monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(FIXTURES)
-    baseline = tmp_path / "baseline.json"
-    code = lint_main(
-        ["miniproj", "--no-config", "--no-cache",
-         "--write-baseline", str(baseline)]
-    )
-    assert code == 0
-    code = lint_main(
-        ["miniproj", "--no-config", "--no-cache", "--baseline", str(baseline)]
-    )
-    assert code == 0
-    assert "(2 baselined)" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# --fix / --diff autofixer
-# ----------------------------------------------------------------------
-def test_fix_rewrites_all_in_both_directions(tmp_path):
-    broken = tmp_path / "broken.py"
-    broken.write_text(
-        (FIXTURES / "rpr005_bad.py").read_text(encoding="utf-8"),
-        encoding="utf-8",
-    )
-    result = fix_file(broken, apply=True)
-    assert result.changed
-    assert "public_but_unlisted" in result.added
-    assert "exported_missing" in result.removed
-    assert LintEngine().lint_file(broken) == []
-    assert "+" in render_diff(result)
-
-
-def test_cli_fix_repairs_the_package_reexport(mini_copy, tmp_path, capsys):
-    code = lint_main(
-        [str(mini_copy), "--no-config", "--no-cache", "--fix"]
-    )
-    # The RPR013 __all__ gap is fixed; the RPR010 hazard remains.
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "1 file fixed" in out
-    assert "RPR013" not in out and "RPR010" in out
-    assert '"helper"' in (mini_copy / "__init__.py").read_text(
-        encoding="utf-8"
-    ).replace("'", '"')
-
-
-def test_cli_diff_previews_without_writing(mini_copy, capsys):
-    original = (mini_copy / "__init__.py").read_text(encoding="utf-8")
-    code = lint_main([str(mini_copy), "--no-config", "--no-cache", "--diff"])
-    assert code == 0
-    assert "+" in capsys.readouterr().out
-    assert (mini_copy / "__init__.py").read_text(encoding="utf-8") == original
+    assert lint_main([]) == 1
+    assert "2 findings in 2 files (3 files checked)" in capsys.readouterr().out
+    assert _listing(tmp_path) == before
 
 
 # ----------------------------------------------------------------------

@@ -3,18 +3,14 @@
 This is the test that makes the analyzer's invariants binding — RNG
 determinism, tape hygiene, API consistency, and the whole-program
 determinism/concurrency/exception contracts hold on every change or the
-suite fails with the exact ``path:line:col`` of the violation.  The
-same run is also rendered as SARIF so CI consumers always get a
-schema-shaped report, clean or not.
+suite fails with the exact ``path:line:col`` of the violation.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.lint import LintEngine, load_config, render_sarif
-from repro.lint.rules import all_rules
+from repro.lint import LintEngine, load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -33,19 +29,4 @@ def test_source_tree_is_lint_clean():
     )
 
     # Both passes actually ran over the whole tree.
-    assert run.checked_files > 50
-
-    # The SARIF report of the gate run stays structurally valid: one
-    # run, the full live rule table, zero results.
-    sarif = json.loads(
-        render_sarif(run.findings, checked_files=run.checked_files)
-    )
-    assert sarif["version"] == "2.1.0"
-    (sarif_run,) = sarif["runs"]
-    assert sarif_run["results"] == []
-    assert sarif_run["properties"]["checkedFiles"] == run.checked_files
-    driver = sarif_run["tool"]["driver"]
-    assert driver["name"] == "repro-lint"
-    assert [rule["id"] for rule in driver["rules"]] == [
-        rule.rule_id for rule in all_rules()
-    ]
+    assert len(run.files) > 50

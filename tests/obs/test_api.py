@@ -1,4 +1,4 @@
-"""Public API surface: keyword-only configs, __all__ integrity, shims."""
+"""Public API surface: keyword-only configs, __all__ integrity."""
 
 from __future__ import annotations
 
@@ -85,17 +85,7 @@ class TestPublicApi:
         }
         assert expected <= set(repro.__all__)
 
-
-class TestDeprecationShims:
-    def test_compute_ranks_reference_moved_with_shim(self):
-        from repro.kge.evaluation import compute_ranks_reference as canonical
-
-        with pytest.deprecated_call(match="repro.kge.evaluation"):
-            from repro.kge import compute_ranks_reference
-        assert compute_ranks_reference is canonical
-        assert "compute_ranks_reference" not in __import__("repro.kge").kge.__all__
-
-    def test_unknown_kge_attribute_still_raises(self):
+    def test_unknown_kge_attribute_raises(self):
         import repro.kge
 
         with pytest.raises(AttributeError):

@@ -1,4 +1,4 @@
-"""The unified result API: Reportable protocol and deprecated key aliases."""
+"""The unified result API: the Reportable protocol."""
 
 from __future__ import annotations
 
@@ -7,58 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs import DeprecatedKeyDict, Reportable, ReportableMixin, json_default
-
-
-class TestDeprecatedKeyDict:
-    def make(self):
-        return DeprecatedKeyDict(
-            {"facts_count": 5, "mrr": 0.5},
-            {"num_facts": "facts_count"},
-            owner="Test.summary()",
-        )
-
-    def test_canonical_keys_resolve_silently(self):
-        import warnings
-
-        summary = self.make()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert summary["facts_count"] == 5
-
-    def test_alias_resolves_with_warning(self):
-        summary = self.make()
-        with pytest.deprecated_call(match="use 'facts_count'"):
-            assert summary["num_facts"] == 5
-
-    def test_iteration_and_serialisation_are_canonical_only(self):
-        summary = self.make()
-        assert set(summary) == {"facts_count", "mrr"}
-        assert "num_facts" not in json.loads(json.dumps(summary))
-
-    def test_contains_accepts_aliases_silently(self):
-        import warnings
-
-        summary = self.make()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert "num_facts" in summary
-            assert "facts_count" in summary
-            assert "bogus" not in summary
-
-    def test_get_routes_through_alias(self):
-        summary = self.make()
-        with pytest.deprecated_call():
-            assert summary.get("num_facts") == 5
-        assert summary.get("bogus", -1) == -1
-
-    def test_unknown_key_raises_keyerror(self):
-        with pytest.raises(KeyError):
-            self.make()["bogus"]
-
-    def test_alias_must_target_existing_key(self):
-        with pytest.raises(KeyError, match="missing canonical key"):
-            DeprecatedKeyDict({"a": 1}, {"old": "gone"})
+from repro.obs import Reportable, ReportableMixin, json_default
 
 
 class _Result(ReportableMixin):

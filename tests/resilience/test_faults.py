@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.resilience import FaultInjectedError, FaultPlan, atomic_write_bytes, faults
+from repro import faults
+from repro.resilience import FaultInjectedError, FaultPlan, atomic_write_bytes
 
 
 @pytest.fixture(autouse=True)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.resilience import (
     FaultPlan,
     RetryBudgetExceededError,
     RetryPolicy,
-    faults,
     with_retries,
 )
 

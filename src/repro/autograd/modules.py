@@ -148,43 +148,6 @@ class Module:
                 )
             setattr(module, name, state[key].copy())
 
-    def bind_state(self, state: dict[str, np.ndarray]) -> None:
-        """Bind parameters/buffers directly to ``state``'s arrays (zero copy).
-
-        Unlike :meth:`load_state_dict`, the arrays are adopted as-is —
-        parameters alias the caller's memory afterwards.  This is the
-        mechanism behind shared-memory model attachment
-        (:mod:`repro.parallel`): worker processes score against views
-        over a segment owned by the publishing process instead of
-        private copies.  The arrays may be read-only; such a model is
-        inference-only and any attempt to train it raises at write time.
-        """
-        params: dict[str, Parameter] = {}
-        buffers: dict[str, tuple[Module, str]] = {}
-        self._collect_slots(params, buffers, prefix="")
-        own_keys = set(params) | set(buffers)
-        missing = own_keys - set(state)
-        extra = set(state) - own_keys
-        if missing or extra:
-            raise KeyError(
-                f"state mismatch: missing={sorted(missing)}, extra={sorted(extra)}"
-            )
-        for key, param in params.items():
-            if param.data.shape != state[key].shape:
-                raise ValueError(
-                    f"shape mismatch for {key}: "
-                    f"{param.data.shape} vs {state[key].shape}"
-                )
-            param.data = state[key]
-        for key, (module, name) in buffers.items():
-            current = np.asarray(getattr(module, name))
-            if current.shape != state[key].shape:
-                raise ValueError(
-                    f"shape mismatch for buffer {key}: "
-                    f"{current.shape} vs {state[key].shape}"
-                )
-            setattr(module, name, state[key])
-
     def _collect_slots(
         self,
         params: dict[str, Parameter],

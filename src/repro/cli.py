@@ -15,11 +15,10 @@ Commands
 * ``grid`` — sweep the ``top_n`` × ``max_candidates`` hyperparameter grid;
 * ``journal`` — summarise a campaign run-journal (completed / failed /
   in-flight cells with failure fingerprints);
-* ``chaos`` — run a seeded fault schedule (worker SIGKILL, poisoned
-  shared-memory attach, torn journal write) against a small campaign and
-  assert the recovery invariants: no orphaned shared-memory segments,
-  a replayable journal, and post-recovery results bit-identical to a
-  fault-free run;
+* ``chaos`` — run a seeded fault schedule (torn journal write, failed
+  matrix cell) against a small campaign and assert the recovery
+  invariants: a replayable journal and post-recovery results
+  bit-identical to a fault-free run;
 * ``serve`` — serve checkpoints over HTTP: a long-lived query server with
   a model registry, request coalescing and live ``/metrics``;
 * ``query`` — one-shot typed client against a running ``repro serve``;
@@ -215,7 +214,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         journal_path=args.journal,
         max_cell_attempts=args.max_cell_attempts,
         on_error="degrade" if args.journal else "raise",
-        procs=args.procs,
         cell_deadline=args.cell_deadline,
     )
     failed = [r for r in rows if r.status != "ok"]
@@ -432,8 +430,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         max_candidates=args.max_candidates,
         relations=relations,
         seed=args.seed,
-        procs=args.procs,
-        cell_deadline=args.cell_deadline,
     )
     print(
         f"{result.num_facts} facts discovered "
@@ -496,7 +492,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         top_n_values=tuple(args.top_n_values),
         max_candidates_values=tuple(args.max_candidates_values),
         seed=args.seed,
-        procs=args.procs,
         cell_deadline=args.cell_deadline,
     )
     rows = [p.to_dict() for p in points]
@@ -557,27 +552,26 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Fault-injection acceptance run: break the fabric, then prove recovery.
+    """Fault-injection acceptance run: break a campaign, then prove recovery.
 
     Three passes over one small campaign:
 
     1. a fault-free baseline;
     2. a chaos pass under a seeded :class:`~repro.faults.FaultPlan`
-       (worker SIGKILL at dispatch, poisoned shared-memory attach, torn
-       journal append) that is allowed to crash and restart;
+       (a torn ``cell_succeeded`` journal append and a failed matrix
+       cell) that is allowed to crash and restart;
     3. a recovery pass with faults cleared and a raised attempt budget,
        resuming the chaos journal.
 
-    The invariants asserted at the end are the ones the execution fabric
-    promises: zero orphaned shared-memory segments, a replayable journal
-    (torn tails quarantined, every cell completed), and recovery rows
-    bit-identical to the baseline on every deterministic field.
+    The invariants asserted at the end are the ones the campaign runner
+    promises: a replayable journal (torn tails quarantined, every cell
+    completed) and recovery rows bit-identical to the baseline on every
+    deterministic field.
     """
     import tempfile
 
     from .experiments import run_matrix
     from .faults import FaultPlan, clear, install
-    from .parallel import orphaned_segments, reap_orphans
     from .resilience import RunJournal
 
     def deterministic_fields(rows):
@@ -589,11 +583,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             for r in rows
         ]
 
-    stale = reap_orphans()
-    if stale:
-        print(f"reaped {len(stale)} orphaned segment(s) from earlier runs: "
-              f"{', '.join(stale)}")
-
     campaign = dict(
         datasets=("wn18rr-like",),
         models=("distmult",),
@@ -601,7 +590,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         top_n=args.top_n,
         max_candidates=args.max_candidates,
         seed=args.seed,
-        procs=args.procs,
     )
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
@@ -612,8 +600,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
         plan = (
             FaultPlan()
-            .kill("worker_dispatch", match="*uniform_random*", times=1)
-            .fail("shared_attach", times=1)
             .torn(match="cell_succeeded", times=1)
             .fail("matrix_cell", match="*entity_frequency*", times=1)
         )
@@ -642,7 +628,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                           f"{error}); restarting from the journal")
         finally:
             clear()
-        print(f"  {plan.fired()} parent-side fault(s) fired, "
+        print(f"  {plan.fired()} fault(s) fired, "
               f"{restarts} restart(s)")
 
         print("pass 3/3: recovery pass (faults cleared, attempt budget "
@@ -655,12 +641,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
 
         view = RunJournal(journal_path).read()
-        orphans = orphaned_segments()
         failures: list[str] = []
-        if orphans:
-            failures.append(
-                f"orphaned shared-memory segments left behind: {orphans}"
-            )
         bad_rows = [
             f"{r.dataset}/{r.model}/{r.strategy}"
             for r in recovered
@@ -680,8 +661,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             )
 
         checks = [
-            {"invariant": "no orphaned /dev/shm segments",
-             "status": "FAIL" if orphans else "ok"},
             {"invariant": "journal replayable (no corrupt lines)",
              "status": "FAIL" if view.corrupt_lines else "ok"},
             {"invariant": "all cells recovered",
@@ -875,15 +854,12 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--max-cell-attempts", type=int, default=3,
                            help="times a cell may be started (crashes count) "
                                 "before it is reported as failed")
-    reproduce.add_argument("--procs", type=int, default=1,
-                           help="worker processes for parallel execution (1 = serial; results are identical either way)")
     reproduce.add_argument("--cell-deadline", type=float, default=None,
                            metavar="SECONDS",
-                           help="wall-clock budget per matrix cell; overruns "
-                                "are journalled as cell_timeout and charged "
-                                "against the attempt budget (with --procs > 1 "
-                                "the watchdog kills the overdue worker — size "
-                                "the budget above the ~1-2s pool spawn cost)")
+                           help="wall-clock budget per matrix cell attempt, "
+                                "checked cooperatively; overruns are "
+                                "journalled as cell_timeout and charged "
+                                "against the attempt budget")
     reproduce.add_argument("--metrics-out", default=None, metavar="PATH",
                            help="write a JSON metrics/span snapshot of the "
                                 "run (re-render with `repro obs`)")
@@ -960,12 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument("--seed", type=int, default=0)
     discover.add_argument("--limit", type=int, default=20,
                           help="facts to print (0 = all)")
-    discover.add_argument("--procs", type=int, default=1,
-                          help="worker processes for parallel execution (1 = serial; results are identical either way)")
-    discover.add_argument("--cell-deadline", type=float, default=None,
-                          metavar="SECONDS",
-                          help="wall-clock budget per relation when --procs "
-                               "> 1 (watchdog-enforced; ignored serially)")
     discover.add_argument("-o", "--output", default=None,
                           help="write facts as TSV instead of printing")
     discover.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -992,12 +962,10 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--max-candidates-values", type=int, nargs="+",
                       default=[50, 100, 200, 300, 400, 500])
     grid.add_argument("--seed", type=int, default=0)
-    grid.add_argument("--procs", type=int, default=1,
-                      help="worker processes for parallel execution (1 = serial; results are identical either way)")
     grid.add_argument("--cell-deadline", type=float, default=None,
                       metavar="SECONDS",
-                      help="wall-clock budget per grid point (cooperative "
-                           "serially, watchdog-enforced with --procs > 1)")
+                      help="wall-clock budget per grid point, checked "
+                           "cooperatively between relations")
     grid.set_defaults(func=_cmd_grid)
 
     journal = sub.add_parser(
@@ -1010,14 +978,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fault-injection acceptance run against a small campaign",
         description="Runs a fault-free baseline, a chaos pass under a "
-        "seeded fault schedule (worker SIGKILL, poisoned shared-memory "
-        "attach, torn journal write), and a recovery pass resuming the "
-        "same journal — then asserts zero orphaned segments, a "
-        "replayable journal, and bit-identical recovered results.",
+        "seeded fault schedule (torn journal write, failed matrix cell), "
+        "and a recovery pass resuming the same journal — then asserts a "
+        "replayable journal and bit-identical recovered results.",
     )
-    chaos.add_argument("--procs", type=int, default=2,
-                       help="worker processes (2 exercises the worker-side "
-                            "fault sites; 1 runs the serial schedule only)")
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--top-n", type=int, default=50)
     chaos.add_argument("--max-candidates", type=int, default=100)

@@ -171,7 +171,7 @@ def _mesh_candidates(
 
 @dataclass
 class RelationDiscovery:
-    """One relation's slice of a discovery run (the parallel unit of work)."""
+    """One relation's slice of a discovery run."""
 
     relation: int
     facts: np.ndarray
@@ -196,11 +196,9 @@ def discover_relation(
 ) -> RelationDiscovery:
     """Lines 8–15 of Algorithm 1 for a single relation.
 
-    Module-level, with the RNG passed in explicitly, so the parallel
-    fabric (:mod:`repro.parallel`) can dispatch individual relations to
-    worker processes; the serial loop in :func:`discover_facts` runs
-    exactly this code with exactly the same per-relation stream, which
-    is what makes ``procs=N`` bit-identical to serial.
+    The RNG is passed in explicitly: :func:`discover_facts` gives every
+    relation its own stream, so a relation's outcome does not depend on
+    which relations ran before it.
     """
     with span("discover.generate") as generate_span:
         local: list[np.ndarray] = []
@@ -299,10 +297,8 @@ def discover_facts(
     engine: RankingEngine | None = None,
     workers: int = 1,
     cache_size: int = 128,
-    procs: int = 1,
     config: DiscoveryConfig | None = None,
     deadline: Deadline | None = None,
-    cell_deadline: float | None = None,
 ) -> DiscoveryResult:
     """Discover plausible missing facts from a trained KGE model.
 
@@ -329,7 +325,7 @@ def discover_facts(
         Base seed for the entity sampler.  Every relation draws from its
         own stream, ``spawn_stream(seed, relation)``, so results are a
         pure function of ``(seed, relation)`` — independent of relation
-        order and of how relations are distributed across processes.
+        order.
     stats:
         Pre-computed :class:`GraphStatistics` (reused across runs so the
         weight-computation cost can also be measured in isolation).
@@ -352,15 +348,6 @@ def discover_facts(
         omitted); lets later generation iterations reuse rows for
         re-sampled ``(s, r)`` queries.  Each entry holds two
         ``num_entities``-sized float64 rows.
-    procs:
-        Worker *process* count.  With ``procs > 1`` relations are
-        dispatched across a spawn-based pool (:mod:`repro.parallel`)
-        scoring against shared-memory parameter views; results are
-        bit-identical to the serial path.  The model must be a
-        registry-constructible :class:`KGEModel` (it is republished from
-        its state dict), scoring runs in eval mode, and a passed-in
-        ``engine`` is ignored — each worker builds its own from
-        ``workers`` / ``cache_size``.
     config:
         Optional :class:`~repro.discovery.config.DiscoveryConfig`.  When
         given it replaces ``strategy``, ``top_n``, ``max_candidates``,
@@ -370,14 +357,10 @@ def discover_facts(
         exact run it describes.
     deadline:
         Optional cooperative :class:`~repro.resilience.Deadline` from the
-        caller (e.g. ``run_matrix``'s per-cell budget).  The serial loop
-        checks it between relations — a running relation is never
-        interrupted — and raises
-        :class:`~repro.resilience.DeadlineExceededError` on overrun.
-    cell_deadline:
-        Per-*relation* wall-clock budget in seconds for the parallel
-        path: the scheduler watchdog kills a worker whose relation cell
-        overshoots it.  Ignored when ``procs == 1`` (use ``deadline``).
+        caller (e.g. ``run_matrix``'s per-cell budget).  It is checked
+        between relations — a running relation is never interrupted —
+        and raises :class:`~repro.resilience.DeadlineExceededError` on
+        overrun.
 
     Returns
     -------
@@ -404,14 +387,12 @@ def discover_facts(
             f"has {graph.num_entities}; did you pass the wrong dataset?"
         )
 
-    if procs < 1:
-        raise ValueError(f"procs must be >= 1, got {procs}")
     train = graph.train
     if stats is None:
         stats = GraphStatistics(train)
-    if engine is None and procs == 1:
+    if engine is None:
         engine = RankingEngine(cache_size=cache_size, workers=workers)
-    stats_before = getattr(engine, "stats", None) if procs == 1 else None
+    stats_before = getattr(engine, "stats", None)
     stats_baseline = stats_before.as_dict() if stats_before is not None else {}
 
     if isinstance(strategy, str):
@@ -441,54 +422,26 @@ def discover_facts(
         candidates_generated = 0
         generation_seconds = 0.0
         ranking_seconds = 0.0
-        parallel_ranking_stats: dict[str, float] = {}
 
-        if procs > 1:
-            outcomes = _discover_parallel(
+        # Cooperative deadline enforcement: a relation in progress
+        # always finishes; the budget is checked at each relation
+        # boundary.
+        for relation in relations:
+            if deadline is not None:
+                deadline.check(f"discover_facts:relation/{relation}")
+            outcome = discover_relation(
                 model,
-                graph,
+                train,
                 strategy,
-                relations,
-                seed=seed,
+                relation,
+                spawn_stream(seed, relation),
                 top_n=top_n,
                 max_candidates=max_candidates,
                 sample_size=sample_size,
                 drop_self_loops=drop_self_loops,
                 rule_filter=rule_filter,
-                procs=procs,
-                workers=workers,
-                cache_size=cache_size,
-                cell_deadline=cell_deadline,
+                engine=engine,
             )
-        else:
-
-            def serial_outcomes():
-                # Cooperative deadline enforcement: a relation in
-                # progress always finishes; the budget is checked at
-                # each relation boundary.
-                for relation in relations:
-                    if deadline is not None:
-                        deadline.check(f"discover_facts:relation/{relation}")
-                    yield (
-                        discover_relation(
-                            model,
-                            train,
-                            strategy,
-                            relation,
-                            spawn_stream(seed, relation),
-                            top_n=top_n,
-                            max_candidates=max_candidates,
-                            sample_size=sample_size,
-                            drop_self_loops=drop_self_loops,
-                            rule_filter=rule_filter,
-                            engine=engine,
-                        ),
-                        None,
-                    )
-
-            outcomes = serial_outcomes()
-
-        for outcome, worker_stats in outcomes:
             generation_seconds += outcome.generation_seconds
             ranking_seconds += outcome.ranking_seconds
             candidates_generated += outcome.candidates_generated
@@ -497,11 +450,6 @@ def discover_facts(
                 outcome.candidates_generated
             )
             per_relation[outcome.relation] = len(outcome.ranks)
-            if worker_stats:
-                for key, value in worker_stats.items():
-                    parallel_ranking_stats[key] = (
-                        parallel_ranking_stats.get(key, 0) + value
-                    )
             if outcome.candidates_generated == 0:
                 continue
             all_facts.append(outcome.facts)
@@ -531,7 +479,7 @@ def discover_facts(
         generation_seconds,
         ranking_seconds,
     )
-    ranking_stats: dict[str, float] = parallel_ranking_stats
+    ranking_stats: dict[str, float] = {}
     if stats_before is not None:
         after = stats_before.as_dict()
         ranking_stats = {
@@ -551,67 +499,3 @@ def discover_facts(
         ranking_stats=ranking_stats,
         trace=trace,
     )
-
-
-def _discover_parallel(
-    model: KGEModel,
-    graph: KnowledgeGraph,
-    strategy: SamplingStrategy,
-    relations: list[int],
-    seed: int,
-    top_n: int,
-    max_candidates: int,
-    sample_size: int,
-    drop_self_loops: bool,
-    rule_filter,
-    procs: int,
-    workers: int,
-    cache_size: int,
-    cell_deadline: float | None = None,
-) -> list[tuple["RelationDiscovery", dict]]:
-    """Dispatch relations across the process fabric; merged in order.
-
-    The model is republished to shared memory for the pool's lifetime;
-    the prepared strategy and graph ship once per worker process through
-    the scheduler context.  Worker span subtrees are folded back into
-    the active registry (under ``discover/parallel.cell``) so the run's
-    trace still covers the work done off-process.
-    """
-    from ..parallel import Cell, ParallelScheduler, SharedEmbeddingStore
-    from ..parallel.workers import DiscoveryContext, discover_relation_worker
-
-    registry = get_registry()
-    with SharedEmbeddingStore.publish(model) as store:
-        context = DiscoveryContext(
-            handle=store.handle,
-            graph=graph,
-            strategy=strategy,
-            seed=seed,
-            top_n=top_n,
-            max_candidates=max_candidates,
-            sample_size=sample_size,
-            drop_self_loops=drop_self_loops,
-            rule_filter=rule_filter,
-            workers=workers,
-            cache_size=cache_size,
-        )
-        scheduler = ParallelScheduler(
-            discover_relation_worker, procs, context=context, seed=seed,
-            cell_deadline=cell_deadline,
-        )
-        outcomes = scheduler.run(
-            [Cell(key=f"relation/{relation}", payload=int(relation))
-             for relation in relations]
-        )
-    merged: list[tuple[RelationDiscovery, dict]] = []
-    for outcome in outcomes:
-        if registry.enabled:
-            for path, node in outcome.trace.items():
-                registry.record_span(
-                    ("discover",) + tuple(path.split("/")),
-                    node["wall_seconds"],
-                    node["cpu_seconds"],
-                    count=node["count"],
-                )
-        merged.append((outcome.value["outcome"], outcome.value["ranking_stats"]))
-    return merged

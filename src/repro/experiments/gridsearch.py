@@ -69,7 +69,6 @@ def hyperparameter_grid(
     max_candidates_values: tuple[int, ...] = PAPER_MAX_CANDIDATES_GRID,
     seed: int = 0,
     stats: GraphStatistics | None = None,
-    procs: int = 1,
     cell_deadline: float | None = None,
 ) -> list[GridPoint]:
     """Run discovery at every (top_n, max_candidates) grid point.
@@ -78,28 +77,16 @@ def hyperparameter_grid(
     the variable under study here), matching how the paper holds one
     configuration fixed while sweeping the hyperparameters.
 
-    ``procs > 1`` dispatches grid points across a spawn-based process
-    pool (:mod:`repro.parallel`) scoring against a shared-memory copy of
-    the model.  Each worker computes its own (deterministic) graph
-    statistics, so the deterministic fields of every point are identical
-    to the serial sweep; only ``*_seconds`` timings differ.
-
-    ``cell_deadline`` bounds one grid point's wall clock in seconds:
-    serially via a cooperative per-point
-    :class:`~repro.resilience.Deadline` checked between relations inside
-    discovery, in parallel via the scheduler watchdog.
+    ``cell_deadline`` bounds one grid point's wall clock in seconds via a
+    cooperative per-point :class:`~repro.resilience.Deadline` checked
+    between relations inside discovery; an overrun raises
+    :class:`~repro.resilience.DeadlineExceededError`.
     """
-    if procs < 1:
-        raise ValueError(f"procs must be >= 1, got {procs}")
     grid = [
         (top_n, max_candidates)
         for max_candidates in max_candidates_values
         for top_n in top_n_values
     ]
-    if procs > 1:
-        return _grid_parallel(
-            model, graph, strategy, grid, seed, procs, cell_deadline
-        )
     if stats is None:
         stats = GraphStatistics(graph.train)
     points: list[GridPoint] = []
@@ -129,33 +116,3 @@ def hyperparameter_grid(
             )
         )
     return points
-
-
-def _grid_parallel(
-    model: KGEModel,
-    graph: KnowledgeGraph,
-    strategy: str,
-    grid: list[tuple[int, int]],
-    seed: int,
-    procs: int,
-    cell_deadline: float | None = None,
-) -> list[GridPoint]:
-    """Sweep the grid across worker processes; merged in grid order."""
-    from ..parallel import Cell, ParallelScheduler, SharedEmbeddingStore
-    from ..parallel.workers import GridContext, grid_point_worker
-
-    with SharedEmbeddingStore.publish(model) as store:
-        context = GridContext(
-            handle=store.handle, graph=graph, strategy=strategy, seed=seed
-        )
-        scheduler = ParallelScheduler(
-            grid_point_worker, procs, context=context, seed=seed,
-            cell_deadline=cell_deadline,
-        )
-        outcomes = scheduler.run(
-            [
-                Cell(key=f"grid/{top_n}/{max_candidates}", payload=(top_n, max_candidates))
-                for top_n, max_candidates in grid
-            ]
-        )
-    return [GridPoint(**outcome.value) for outcome in outcomes]

@@ -424,7 +424,6 @@ def run_matrix(
     journal_path: Path | str | None = None,
     max_cell_attempts: int = 3,
     on_error: str = "raise",
-    procs: int = 1,
     cell_deadline: float | None = None,
 ) -> list[MatrixRow]:
     """Run discovery for every (dataset, model, strategy) combination.
@@ -444,54 +443,21 @@ def run_matrix(
     and emits a partial :class:`MatrixRow` (``status="failed"`` with the
     error fingerprint) once the attempt budget is spent.
 
-    ``procs > 1`` dispatches cells across a spawn-based process pool
-    (:mod:`repro.parallel`): models are trained (or loaded from cache)
-    in this process, published to shared memory, and scored by workers
-    against zero-copy views.  Rows, journal semantics and degradation
-    are identical to the serial path — only wall-clock ``*_seconds``
-    fields and span traces differ.  One deviation, by design: a
-    training failure under ``on_error="degrade"`` consumes a single
-    journalled attempt per dependent cell per campaign run (serially
-    each cell retrains up to its whole budget within one run); resuming
-    the campaign retries them.
-
-    ``cell_deadline`` bounds each cell's wall clock in seconds.  The
-    serial path enforces it cooperatively — a fresh
-    :class:`~repro.resilience.Deadline` per cell is threaded into the
+    ``cell_deadline`` bounds each cell attempt's wall clock in seconds.
+    It is enforced cooperatively: a fresh
+    :class:`~repro.resilience.Deadline` per attempt is threaded into the
     training retry loop and checked between discovery relations, and an
     overrun journals a ``cell_timeout`` event charged against the cell's
-    attempt budget.  The parallel path enforces it preemptively: the
-    scheduler watchdog kills overdue workers (size the budget above the
-    ~1-2s pool spawn cost).
+    attempt budget.
     """
     if on_error not in ("raise", "degrade"):
         raise ValueError(f"on_error must be 'raise' or 'degrade', got {on_error!r}")
-    if procs < 1:
-        raise ValueError(f"procs must be >= 1, got {procs}")
     journal = RunJournal(journal_path) if journal_path is not None else None
     state = (
         CampaignState.from_journal(journal)
         if journal is not None
         else CampaignState(completed={}, attempts={}, last_error={})
     )
-    if procs > 1:
-        return _run_matrix_parallel(
-            datasets,
-            models,
-            strategies,
-            top_n=top_n,
-            max_candidates=max_candidates,
-            seed=seed,
-            evaluate_models=evaluate_models,
-            share_statistics=share_statistics,
-            journal=journal,
-            state=state,
-            max_cell_attempts=max_cell_attempts,
-            on_error=on_error,
-            procs=procs,
-            cell_deadline=cell_deadline,
-        )
-
     rows: list[MatrixRow] = []
     registry = get_registry()
     with span("matrix"):
@@ -598,6 +564,7 @@ def run_matrix(
                                     max_candidates,
                                     seed,
                                     max_cell_attempts,
+                                    cell_deadline,
                                 )
                             )
                         continue
@@ -622,162 +589,6 @@ def run_matrix(
     return rows
 
 
-def _run_matrix_parallel(
-    datasets: tuple[str, ...],
-    models: tuple[str, ...],
-    strategies: tuple[str, ...],
-    top_n: int,
-    max_candidates: int,
-    seed: int,
-    evaluate_models: bool,
-    share_statistics: bool,
-    journal: RunJournal | None,
-    state: CampaignState,
-    max_cell_attempts: int,
-    on_error: str,
-    procs: int,
-    cell_deadline: float | None = None,
-) -> list[MatrixRow]:
-    """Dispatch the matrix across the process fabric (``procs > 1``).
-
-    The parent keeps everything stateful: it replays completed cells
-    from the journal, trains (or cache-loads) every needed model,
-    publishes each to shared memory, and evaluates test MRR.  Workers
-    only load graphs, attach models and run discovery.  Returned rows
-    carry the worker-side span trace when observability is enabled; the
-    journalled ``cell_succeeded`` records hold the row as the worker
-    produced it (without the trace).
-    """
-    from ..parallel import Cell, ParallelScheduler, SharedEmbeddingStore
-    from ..parallel.workers import MatrixContext, matrix_cell_worker
-
-    registry = get_registry()
-    rows_by_key: dict[str, MatrixRow] = {}
-    order: list[str] = []
-    runnable: list[tuple[str, str, str]] = []
-    with span("matrix"):
-        for dataset_name in datasets:
-            for model_name in models:
-                for strategy_name in strategies:
-                    key = _cell_key(dataset_name, model_name, strategy_name)
-                    order.append(key)
-                    if key in state.completed:
-                        rows_by_key[key] = MatrixRow.from_dict(state.completed[key])
-                    elif state.attempts.get(key, 0) >= max_cell_attempts:
-                        rows_by_key[key] = MatrixRow.failed(
-                            dataset_name,
-                            model_name,
-                            strategy_name,
-                            state.last_error.get(key, "interrupted"),
-                        )
-                    else:
-                        runnable.append((dataset_name, model_name, strategy_name))
-
-        pairs: list[tuple[str, str]] = []
-        for dataset_name, model_name, _ in runnable:
-            if (dataset_name, model_name) not in pairs:
-                pairs.append((dataset_name, model_name))
-
-        stores: dict[tuple[str, str], SharedEmbeddingStore] = {}
-        handles: dict[tuple[str, str], object] = {}
-        test_mrrs: dict[tuple[str, str], float] = {}
-        failed_pairs: dict[tuple[str, str], str] = {}
-        graphs: dict[str, KnowledgeGraph] = {}
-        outcomes = []
-        try:
-            for dataset_name, model_name in pairs:
-                if dataset_name not in graphs:
-                    graphs[dataset_name] = load_dataset(dataset_name)
-                graph = graphs[dataset_name]
-                try:
-                    model = get_trained_model(dataset_name, model_name, graph=graph)
-                    store = SharedEmbeddingStore.publish(model)
-                    stores[(dataset_name, model_name)] = store
-                    handles[(dataset_name, model_name)] = store.handle
-                    if evaluate_models:
-                        test_mrrs[(dataset_name, model_name)] = evaluate_ranking(
-                            model, graph, split="test"
-                        ).mrr
-                except Exception as error:
-                    if on_error == "raise":
-                        raise
-                    fingerprint = error_fingerprint(error)
-                    failed_pairs[(dataset_name, model_name)] = fingerprint
-                    logger.warning(
-                        "training %s/%s failed, degrading its cells: %s",
-                        dataset_name, model_name, fingerprint,
-                    )
-
-            cells: list[Cell] = []
-            for dataset_name, model_name, strategy_name in runnable:
-                key = _cell_key(dataset_name, model_name, strategy_name)
-                fingerprint = failed_pairs.get((dataset_name, model_name))
-                if fingerprint is not None:
-                    attempt = state.attempts.get(key, 0) + 1
-                    if journal is not None:
-                        journal.append("cell_started", cell=key, attempt=attempt)
-                        journal.append(
-                            "cell_failed", cell=key, attempt=attempt, error=fingerprint
-                        )
-                    state.attempts[key] = attempt
-                    registry.counter("matrix.cell_failures_count").inc()
-                    rows_by_key[key] = MatrixRow.failed(
-                        dataset_name, model_name, strategy_name, fingerprint
-                    )
-                else:
-                    cells.append(
-                        Cell(
-                            key=key,
-                            payload=(
-                                dataset_name,
-                                model_name,
-                                strategy_name,
-                                test_mrrs.get(
-                                    (dataset_name, model_name), float("nan")
-                                ),
-                            ),
-                        )
-                    )
-
-            if cells:
-                context = MatrixContext(
-                    handles=handles,
-                    top_n=top_n,
-                    max_candidates=max_candidates,
-                    seed=seed,
-                    share_statistics=share_statistics,
-                    fault_plan=faults.active_plan(),
-                )
-                scheduler = ParallelScheduler(
-                    matrix_cell_worker,
-                    procs,
-                    context=context,
-                    seed=seed,
-                    journal=journal,
-                    max_attempts=max_cell_attempts,
-                    on_error=on_error,
-                    cell_deadline=cell_deadline,
-                )
-                outcomes = scheduler.run(cells, attempts=dict(state.attempts))
-        finally:
-            for store in stores.values():
-                store.close(unlink=True)
-
-        for outcome in outcomes:
-            if outcome.status == "ok":
-                registry.counter("matrix.cells_count").inc()
-                row = MatrixRow.from_dict(outcome.value)
-                row.trace = dict(outcome.trace)
-            else:
-                registry.counter("matrix.cell_failures_count").inc()
-                dataset_name, model_name, strategy_name = outcome.key.split("/")
-                row = MatrixRow.failed(
-                    dataset_name, model_name, strategy_name, outcome.error
-                )
-            rows_by_key[outcome.key] = row
-    return [rows_by_key[key] for key in order]
-
-
 def _record_cell_failure(
     journal: RunJournal | None,
     state: CampaignState,
@@ -790,7 +601,14 @@ def _record_cell_failure(
     fingerprint = error_fingerprint(error)
     state.last_error[key] = fingerprint
     if journal is not None:
-        journal.append("cell_failed", cell=key, attempt=attempt, error=fingerprint)
+        journal.append(
+            "cell_timeout"
+            if isinstance(error, DeadlineExceededError)
+            else "cell_failed",
+            cell=key,
+            attempt=attempt,
+            error=fingerprint,
+        )
     logger.warning(
         "cell %s failed on attempt %d%s: %s",
         key,
@@ -812,17 +630,27 @@ def _rerun_cell(
     max_candidates: int,
     seed: int,
     max_cell_attempts: int,
+    cell_deadline: float | None,
 ) -> MatrixRow:
-    """Degrading-mode in-process re-attempts of one failed cell."""
+    """Degrading-mode in-process re-attempts of one failed cell.
+
+    Every re-attempt gets a fresh ``cell_deadline`` budget, like the
+    first attempt in :func:`run_matrix`.
+    """
     key = _cell_key(dataset_name, model_name, strategy_name)
     while state.attempts.get(key, 0) < max_cell_attempts:
         attempt = state.attempts.get(key, 0) + 1
         if journal is not None:
             journal.append("cell_started", cell=key, attempt=attempt)
         state.attempts[key] = attempt
+        deadline = (
+            Deadline.after(cell_deadline) if cell_deadline is not None else None
+        )
         try:
             faults.trigger("matrix_cell", key)
-            model = get_trained_model(dataset_name, model_name, graph=graph)
+            model = get_trained_model(
+                dataset_name, model_name, graph=graph, deadline=deadline
+            )
             stats = shared_stats or GraphStatistics(graph.train)
             result = discover_facts(
                 model,
@@ -832,6 +660,7 @@ def _rerun_cell(
                 max_candidates=max_candidates,
                 seed=seed,
                 stats=stats,
+                deadline=deadline,
             )
         except ResilienceError as error:
             # Typed failures (fault injection, corrupt checkpoints,

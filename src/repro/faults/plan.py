@@ -1,30 +1,21 @@
-"""Fault plans: scripted failure schedules with a process-spanning wire format.
+"""Fault plans: scripted failure schedules.
 
 A :class:`FaultPlan` is an ordered list of faults, each matching a
 ``(kind, site, token)`` triple by :func:`fnmatch` patterns and firing a
 bounded number of times.  Plans are pure data: building one never arms
 anything — :func:`repro.faults.install` (or the :func:`repro.faults.inject`
-context manager) activates a plan for the current process, and
-:meth:`FaultPlan.to_payload` / :meth:`FaultPlan.from_payload` serialize
-one through the spawn boundary so worker processes fire the same
-schedule (see :data:`repro.faults.FAULT_PLAN_ENV`).
+context manager) activates a plan for the current process.
 
 Fault kinds
 -----------
 
 ``fail``
     Raise an exception when the site triggers — a crashed training
-    epoch, a failed dispatch, a poisoned journal append.
-``kill``
-    SIGKILL the *current process* when the site triggers: the
-    high-fidelity stand-in for a segfaulted or OOM-killed worker.  The
-    parent sees a dead process, never an exception.
+    epoch, a failed matrix cell, a poisoned journal append.
 ``stall``
-    Two flavours share the builder.  A *virtual* stall (default) is
-    reported through :func:`repro.faults.stall_seconds` so retry
-    deadlines can be exercised without real waiting; a *wall* stall
-    (``wall=True``) really sleeps at the trigger site, which is what
-    watchdog/deadline tests need.
+    A *virtual* stall, reported through
+    :func:`repro.faults.stall_seconds` so retry deadlines can be
+    exercised without real waiting.
 ``corrupt``
     Damage a just-published file (byte flip or truncation) — a torn
     write the checksum layer must catch.
@@ -32,25 +23,14 @@ Fault kinds
     Tear the next matching journal append: the record is half-written
     with no trailing newline and the append raises, leaving exactly the
     truncated-tail state a crash mid-``write`` produces.
-
-Counters are per-process: a worker installing a serialized plan starts
-from fresh ``times`` budgets, so a ``times=1`` fault at a worker-side
-site fires once *per worker process that reaches it* — scope worker
-faults with precise ``match`` patterns (and clear the environment
-payload for recovery passes) when a single firing is required.
 """
 
 from __future__ import annotations
 
-import importlib
-import json
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 
-__all__ = ["FaultPlan", "PAYLOAD_VERSION"]
-
-#: Wire-format version of :meth:`FaultPlan.to_payload`.
-PAYLOAD_VERSION = 1
+__all__ = ["FaultPlan"]
 
 
 def _default_exception() -> type[Exception]:
@@ -62,42 +42,15 @@ def _default_exception() -> type[Exception]:
     return FaultInjectedError
 
 
-def _exception_path(exc: type[Exception] | None) -> str | None:
-    if exc is None:
-        return None
-    return f"{exc.__module__}:{exc.__qualname__}"
-
-
-def _resolve_exception(path: str | None) -> type[Exception] | None:
-    """Importable exception type behind a ``module:qualname`` path.
-
-    Unresolvable paths degrade to ``None`` (= :class:`FaultInjectedError`
-    at fire time) instead of failing plan installation inside a worker.
-    """
-    if path is None:
-        return None
-    module_name, _, qualname = path.partition(":")
-    try:
-        obj: object = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            obj = getattr(obj, part)
-    except (ImportError, AttributeError):
-        return None
-    if isinstance(obj, type) and issubclass(obj, Exception):
-        return obj
-    return None
-
-
 @dataclass
 class _Fault:
-    kind: str  # "fail" | "corrupt" | "stall" | "kill" | "torn"
+    kind: str  # "fail" | "corrupt" | "stall" | "torn"
     site: str
     pattern: str
     times: int  # remaining firings; < 0 means unlimited
     exc: type[Exception] | None = None  # None = FaultInjectedError
     seconds: float = 0.0
     mode: str = "flip"  # corrupt mode: "flip" | "truncate"
-    wall: bool = False  # stall flavour: real sleep vs virtual report
     fired: int = 0
 
     def matches(self, kind: str, site: str, token: str) -> bool:
@@ -115,31 +68,6 @@ class _Fault:
 
     def exception(self) -> type[Exception]:
         return self.exc if self.exc is not None else _default_exception()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "site": self.site,
-            "pattern": self.pattern,
-            "times": self.times,
-            "exc": _exception_path(self.exc),
-            "seconds": self.seconds,
-            "mode": self.mode,
-            "wall": self.wall,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "_Fault":
-        return cls(
-            kind=str(data["kind"]),
-            site=str(data["site"]),
-            pattern=str(data["pattern"]),
-            times=int(data["times"]),
-            exc=_resolve_exception(data.get("exc")),
-            seconds=float(data.get("seconds", 0.0)),
-            mode=str(data.get("mode", "flip")),
-            wall=bool(data.get("wall", False)),
-        )
 
 
 @dataclass
@@ -162,16 +90,6 @@ class FaultPlan:
         self.faults.append(_Fault("fail", site, match, times, exc=exc))
         return self
 
-    def kill(self, site: str, match: str = "*", times: int = 1) -> "FaultPlan":
-        """SIGKILL the triggering process — a worker death, not an exception.
-
-        Remember that fault counters are per-process: at worker-side
-        sites every fresh worker re-arms the budget, so scope ``match``
-        to the exact cell whose death is under test.
-        """
-        self.faults.append(_Fault("kill", site, match, times))
-        return self
-
     def corrupt(
         self, match: str = "*", times: int = 1, mode: str = "flip"
     ) -> "FaultPlan":
@@ -186,25 +104,15 @@ class FaultPlan:
         return self
 
     def stall(
-        self,
-        site: str,
-        seconds: float,
-        match: str = "*",
-        times: int = 1,
-        wall: bool = False,
+        self, site: str, seconds: float, match: str = "*", times: int = 1
     ) -> "FaultPlan":
-        """Stall at ``site``: virtually (default) or for real (``wall=True``).
+        """Report a virtual stall of ``seconds`` at ``site``.
 
-        Virtual stalls are reported through
-        :func:`repro.faults.stall_seconds` — the retry executor adds them
-        to its measured attempt time so deadline logic can be tested
-        without waiting.  Wall stalls sleep inside
-        :func:`repro.faults.trigger`, which is how a hung worker is
-        simulated for the scheduler watchdog.
+        Stalls are reported through :func:`repro.faults.stall_seconds` —
+        the retry executor adds them to its measured attempt time so
+        deadline logic can be tested without waiting.
         """
-        self.faults.append(
-            _Fault("stall", site, match, times, seconds=seconds, wall=wall)
-        )
+        self.faults.append(_Fault("stall", site, match, times, seconds=seconds))
         return self
 
     def torn(self, match: str = "*", times: int = 1) -> "FaultPlan":
@@ -227,24 +135,3 @@ class FaultPlan:
                 fault.consume()
                 return fault
         return None
-
-    def to_payload(self) -> str:
-        """Serialize for the spawn boundary (fresh counters on arrival)."""
-        return json.dumps(
-            {
-                "version": PAYLOAD_VERSION,
-                "faults": [fault.to_dict() for fault in self.faults],
-            }
-        )
-
-    @classmethod
-    def from_payload(cls, payload: str) -> "FaultPlan":
-        """Rebuild a plan serialized by :meth:`to_payload`."""
-        data = json.loads(payload)
-        version = data.get("version")
-        if version != PAYLOAD_VERSION:
-            raise ValueError(
-                f"unsupported fault-plan payload version {version!r} "
-                f"(this build speaks {PAYLOAD_VERSION})"
-            )
-        return cls(faults=[_Fault.from_dict(item) for item in data["faults"]])

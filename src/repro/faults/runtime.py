@@ -15,31 +15,14 @@ site                 token
 ===================  ====================================================
 ``train_epoch``      epoch index
 ``matrix_cell``      ``dataset/model/strategy``
-``worker_dispatch``  cell key, fired inside the worker process
-``shared_attach``    shared-memory segment name
 ``journal_append``   event name of the record being appended
-``heartbeat_emit``   heartbeat slot index
 any retry label      attempt index (via :func:`stall_seconds`)
 ``save``             every path published through ``atomic_write``
 ===================  ====================================================
-
-Cross-process transport
------------------------
-
-Spawned workers inherit the parent's environment, so an active plan is
-shipped as a JSON payload in :data:`FAULT_PLAN_ENV`
-(:func:`export_to_env` / :func:`install_from_env`).  The scheduler sets
-the variable for the lifetime of its pool and the pool initializer
-installs from it, which makes every fault site live inside workers too.
-Counters restart per process — see :mod:`repro.faults.plan`.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import signal
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -47,7 +30,6 @@ from typing import Iterator
 from .plan import FaultPlan
 
 __all__ = [
-    "FAULT_PLAN_ENV",
     "install",
     "clear",
     "active_plan",
@@ -56,14 +38,7 @@ __all__ = [
     "corrupt_file",
     "stall_seconds",
     "torn_append",
-    "export_to_env",
-    "install_from_env",
 ]
-
-logger = logging.getLogger(__name__)
-
-#: Environment variable carrying a serialized plan across spawn.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 _ACTIVE: FaultPlan | None = None
 
@@ -94,68 +69,11 @@ def inject(plan: FaultPlan) -> Iterator[FaultPlan]:
         clear()
 
 
-@contextmanager
-def export_to_env(plan: FaultPlan | None) -> Iterator[None]:
-    """Publish ``plan`` in :data:`FAULT_PLAN_ENV` for child processes.
-
-    A ``None`` plan is a no-op context.  The previous value is restored
-    on exit, so nested schedulers and recovery passes (which must run
-    fault-free) see exactly the transport state they expect.
-    """
-    if plan is None:
-        yield
-        return
-    previous = os.environ.get(FAULT_PLAN_ENV)
-    os.environ[FAULT_PLAN_ENV] = plan.to_payload()
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(FAULT_PLAN_ENV, None)
-        else:
-            os.environ[FAULT_PLAN_ENV] = previous
-
-
-def install_from_env() -> FaultPlan | None:
-    """Install the plan serialized in :data:`FAULT_PLAN_ENV`, if any.
-
-    Called from worker bootstrap (pool initializers).  A process that
-    already installed a plan keeps it — the environment never overrides
-    an explicit :func:`install`.  A malformed payload is logged and
-    ignored: fault injection must never take down a production worker.
-    """
-    global _ACTIVE
-    payload = os.environ.get(FAULT_PLAN_ENV)
-    if payload is None or _ACTIVE is not None:
-        return _ACTIVE
-    try:
-        _ACTIVE = FaultPlan.from_payload(payload)
-    except (ValueError, KeyError, TypeError) as error:
-        logger.warning("ignoring malformed %s payload: %s", FAULT_PLAN_ENV, error)
-        return None
-    return _ACTIVE
-
-
 def trigger(site: str, token: str = "") -> None:
-    """Fire any scheduled fail / kill / wall-stall fault at this point."""
+    """Raise any scheduled ``fail`` fault at this point."""
     if _ACTIVE is None:
         return
-    token = str(token)
-    fault = _ACTIVE._consume("kill", site, token)
-    if fault is not None:
-        logger.warning("injected kill at %s:%s (pid %d)", site, token, os.getpid())
-        os.kill(os.getpid(), signal.SIGKILL)
-    for fault in _ACTIVE.faults:
-        # Virtual stalls belong to stall_seconds(); only wall stalls
-        # sleep at the trigger site.
-        if fault.wall and fault.matches("stall", site, token):
-            fault.consume()
-            logger.warning(
-                "injected wall stall of %.2fs at %s:%s", fault.seconds, site, token
-            )
-            time.sleep(fault.seconds)
-            break
-    fault = _ACTIVE._consume("fail", site, token)
+    fault = _ACTIVE._consume("fail", site, str(token))
     if fault is not None:
         raise fault.exception()(f"injected fault at {site}:{token}")
 
@@ -184,11 +102,8 @@ def stall_seconds(site: str, token: str = "") -> float:
     """Virtual seconds an attempt at ``site`` should appear to take."""
     if _ACTIVE is None:
         return 0.0
-    for fault in _ACTIVE.faults:
-        if not fault.wall and fault.matches("stall", site, str(token)):
-            fault.consume()
-            return fault.seconds
-    return 0.0
+    fault = _ACTIVE._consume("stall", site, str(token))
+    return fault.seconds if fault is not None else 0.0
 
 
 def torn_append(token: str = "") -> bool:

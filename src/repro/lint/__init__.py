@@ -41,13 +41,10 @@ RPR013    export integrity — unresolved project imports, broken
           ``__all__`` re-export chains, shadowed bindings (whole-program)
 RPR014    exception contracts — broad excepts that swallow typed
           project errors raised in the try body (whole-program)
-RPR015    process-pool safety — spawned workers must be module-level
-          picklable functions, re-seed via rng/seed or spawn_stream,
-          and not read module-global RNG streams or file handles
 RPR016    unbounded waits — blocking primitives in
-          ``repro.parallel``/``repro.experiments`` (``future.result``,
-          ``Queue.get``, ``lock.acquire``, ``Process.join``) must carry
-          a timeout so a dead counterpart cannot hang the supervisor
+          ``repro.experiments`` (``future.result``, ``Queue.get``,
+          ``lock.acquire``, ``Process.join``) must carry a timeout so a
+          dead counterpart cannot hang the campaign
 RPR017    dense materialisation — ``.toarray()``/``.todense()`` and
           square ``(x, x)`` numpy allocations in ``repro.kg``/
           ``repro.discovery`` (outside the backend-internal
@@ -96,7 +93,6 @@ from . import (
     rules_exports,
     rules_hygiene,
     rules_obs,
-    rules_parallel,
     rules_reportable,
     rules_resilience,
     rules_rng,
@@ -144,7 +140,6 @@ __all__ = [
     "rules_exports",
     "rules_hygiene",
     "rules_obs",
-    "rules_parallel",
     "rules_reportable",
     "rules_resilience",
     "rules_rng",

@@ -49,7 +49,7 @@ _SPARSE_CONSTRUCTORS = frozenset(
     }
 )
 
-_EXECUTOR_NAMES = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor"})
+_EXECUTOR_NAMES = frozenset({"ThreadPoolExecutor"})
 
 #: Method names that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(

@@ -1,22 +1,19 @@
-"""RPR016 — unbounded waits in the execution fabric.
+"""RPR016 — unbounded waits in the campaign layer.
 
-The chaos contract of :mod:`repro.parallel` is that no failure mode can
-hang the campaign: worker deaths surface as :class:`WorkerCrashError`,
-overdue cells are killed by the watchdog, and stalls are detected
-through heartbeats.  All of that supervision runs in the dispatch loop —
-and an *unbounded* blocking call in that loop (or anywhere in the
-experiment layers above it) suspends the supervisor itself, turning a
-single lost worker into a silently hung process that no deadline can
-reach.
+The contract of :mod:`repro.experiments` is that no failure mode can
+hang a campaign: a failed cell is journalled and retried or degraded,
+and an overdue cell is charged a ``cell_timeout``.  All of that runs in
+the campaign loop itself — an *unbounded* blocking call there suspends
+the very code that records and recovers from failures, turning one lost
+counterpart into a silently hung process that no deadline can reach.
 
-Inside ``repro.parallel`` and ``repro.experiments`` this rule flags the
-four blocking primitives whose defaults wait forever when their owner
-never delivers:
+Inside ``repro.experiments`` this rule flags the four blocking
+primitives whose defaults wait forever when their owner never
+delivers:
 
-- ``future.result()`` / ``future.exception()`` on a pool future without
-  a ``timeout`` — a future whose worker was SIGKILLed may never resolve
-  until the executor notices, and the dispatch loop must stay free to
-  poll the watchdog (use ``result(timeout=0)`` after ``wait()``);
+- ``future.result()`` / ``future.exception()`` without a ``timeout`` —
+  the task behind the future may never finish (use
+  ``result(timeout=0)`` after ``wait()``);
 - ``queue.get()`` without ``timeout=`` (or ``block=False``) — the
   producer may be dead;
 - ``lock.acquire()`` without ``timeout=`` (or ``blocking=False``) — the
@@ -49,9 +46,8 @@ from .rules import (
 
 __all__ = ["UnboundedWaitRule"]
 
-#: Packages whose blocking calls must carry timeouts (the dispatch loop
-#: and everything that drives it).
-_SCOPES = ("repro.parallel", "repro.experiments")
+#: Packages whose blocking calls must carry timeouts (the campaign loop).
+_SCOPES = ("repro.experiments",)
 
 #: Constructor name -> kind of waitable the binding becomes.
 _WAITABLE_FACTORIES = {
@@ -86,21 +82,21 @@ class UnboundedWaitRule(Rule):
     rule_id = "RPR016"
     name = "unbounded-wait"
     description = (
-        "blocking waits in repro.parallel/repro.experiments — "
+        "blocking waits in repro.experiments — "
         "future.result()/exception(), Queue.get, lock.acquire and "
         "Process/Thread.join — must carry a timeout (or opt out of "
-        "blocking), so a dead counterpart cannot hang the supervisor"
+        "blocking), so a dead counterpart cannot hang the campaign"
     )
     rationale = (
-        "The dispatch loop is also the watchdog: an unbounded wait on a "
-        "future whose worker was SIGKILLed, a queue whose producer died, "
-        "or a lock whose holder crashed suspends the very code that is "
-        "supposed to detect and recover from those failures, turning a "
-        "single lost process into a hung campaign no deadline can reach."
+        "The campaign loop is also the recovery path: an unbounded wait "
+        "on a future whose task never finishes, a queue whose producer "
+        "died, or a lock whose holder crashed suspends the very code that "
+        "journals, retries and degrades failed cells, turning a single "
+        "lost counterpart into a hung campaign no deadline can reach."
     )
     example = (
         "future = pool.submit(cell_worker, payload)\n"
-        "value = future.result()      # RPR016: waits forever on a dead worker\n"
+        "value = future.result()      # RPR016: may wait forever\n"
         "value = future.result(timeout=0)   # ok: poll after wait()\n"
         "item = inbox.get()           # RPR016: producer may be gone\n"
         "item = inbox.get(timeout=5)  # ok\n"

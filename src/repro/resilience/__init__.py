@@ -18,8 +18,8 @@ restarting from zero:
 * :mod:`~repro.resilience.rng` — seed-sequence spawning so retried work
   is deterministic without replaying the identical failing draw;
 * :mod:`~repro.resilience.deadline` — the unified wall-clock
-  :class:`Deadline` threaded from CLI flags down to retry loops and the
-  scheduler watchdog.
+  :class:`Deadline` threaded from CLI flags down to retry loops and
+  discovery's relation loop.
 
 Layering: this package sits below :mod:`repro.kge` and
 :mod:`repro.experiments` (and above only :mod:`repro.faults`) and must
@@ -34,7 +34,6 @@ from .errors import (
     FaultInjectedError,
     ResilienceError,
     RetryBudgetExceededError,
-    SegmentLostError,
     TrainingDivergedError,
 )
 from ..faults import FaultPlan, inject
@@ -49,7 +48,6 @@ __all__ = [
     "TrainingDivergedError",
     "RetryBudgetExceededError",
     "DeadlineExceededError",
-    "SegmentLostError",
     "FaultInjectedError",
     "Deadline",
     "atomic_write",

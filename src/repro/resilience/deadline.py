@@ -1,22 +1,15 @@
 """A unified wall-clock deadline threaded through the execution stack.
 
 Before this type existed every layer spelled time budgets differently:
-:class:`~repro.resilience.retry.RetryPolicy` had two float fields, the
-scheduler had none (a hung worker blocked ``future.result()`` forever),
-and campaign loops had no way to say "give each cell at most N
-seconds".  A :class:`Deadline` is one immutable budget created at a
+:class:`~repro.resilience.retry.RetryPolicy` had two float fields, and
+campaign loops had no way to say "give each cell at most N seconds".  A :class:`Deadline` is one immutable budget created at a
 boundary (CLI flag, campaign start, cell dispatch) and *checked* at
 every cooperative point below it.
 
-Enforcement is layered by what each layer can actually do:
-
-* serial code cannot preempt a running attempt, so it checks
-  cooperatively — :func:`~repro.resilience.retry.with_retries` refuses
-  to start an attempt past the deadline, and
-  :func:`repro.discovery.discover_facts` checks between relations;
-* the parallel scheduler holds a real kill switch — its watchdog
-  (:mod:`repro.parallel.watchdog`) SIGKILLs workers that overshoot and
-  charges the cell's attempt budget.
+Everything runs in-process, so nothing can preempt a running attempt:
+enforcement is cooperative.  :func:`~repro.resilience.retry.with_retries`
+refuses to start an attempt (or a backoff sleep) past the deadline,
+and :func:`repro.discovery.discover_facts` checks between relations.
 
 The clock is injectable (same contract as ``with_retries``) so deadline
 logic is testable without waiting.

@@ -13,7 +13,6 @@ __all__ = [
     "TrainingDivergedError",
     "RetryBudgetExceededError",
     "DeadlineExceededError",
-    "SegmentLostError",
     "FaultInjectedError",
 ]
 
@@ -68,15 +67,6 @@ class DeadlineExceededError(ResilienceError, TimeoutError):
         super().__init__(message)
         self.budget = budget
         self.overdue = overdue
-
-
-class SegmentLostError(ResilienceError, FileNotFoundError):
-    """A shared-memory segment vanished before a worker could attach.
-
-    Subclasses :class:`FileNotFoundError` because that is what
-    ``SharedMemory(name=...)`` raises and what pre-existing recovery
-    code catches; the typed subclass lets new code be precise.
-    """
 
 
 class FaultInjectedError(ResilienceError, RuntimeError):

@@ -10,6 +10,7 @@ from repro.experiments import (
     hyperparameter_grid,
 )
 from repro.kg import GraphStatistics
+from repro.resilience import DeadlineExceededError
 
 
 class TestPaperGrids:
@@ -49,3 +50,14 @@ class TestGrid:
     def test_to_dict(self, points):
         data = points[0].to_dict()
         assert {"strategy", "top_n", "max_candidates", "mrr"} <= set(data)
+
+
+def test_cell_deadline_overrun_raises(trained_distmult, tiny_graph):
+    with pytest.raises(DeadlineExceededError):
+        hyperparameter_grid(
+            trained_distmult,
+            tiny_graph,
+            top_n_values=(5,),
+            max_candidates_values=(25,),
+            cell_deadline=1e-9,
+        )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -302,3 +303,128 @@ class TestResilientCampaigns:
     def test_invalid_on_error_rejected(self):
         with pytest.raises(ValueError, match="on_error"):
             run_matrix(on_error="ignore", **_CAMPAIGN)
+
+
+def _deterministic_fields(rows):
+    """The deterministic comparison tuple (repr makes NaN comparable)."""
+    return [
+        (r.dataset, r.model, r.strategy, r.status, r.num_facts, repr(r.mrr),
+         repr(r.test_mrr))
+        for r in rows
+    ]
+
+
+class TestChaosRecovery:
+    """The serial schedule ``repro chaos`` runs: faults at the runner's own
+    sites, each followed by a recovery that is bit-identical to a
+    fault-free baseline on every deterministic field."""
+
+    CAMPAIGN = dict(_CAMPAIGN, seed=0)
+
+    @pytest.fixture(scope="class", autouse=True)
+    def model_cache(self, tmp_path_factory):
+        """One on-disk model cache for the class: train once, reuse."""
+        import os
+
+        previous = os.environ.get("REPRO_MODEL_CACHE")
+        os.environ["REPRO_MODEL_CACHE"] = str(tmp_path_factory.mktemp("cache"))
+        clear_model_cache()
+        yield
+        if previous is None:
+            os.environ.pop("REPRO_MODEL_CACHE", None)
+        else:
+            os.environ["REPRO_MODEL_CACHE"] = previous
+        clear_model_cache()
+
+    @pytest.fixture(scope="class")
+    def baseline_rows(self, model_cache):
+        return run_matrix(**self.CAMPAIGN)
+
+    def test_torn_success_record_heals_on_resume(self, baseline_rows, tmp_path):
+        journal_path = tmp_path / "run.jsonl"
+        with inject(FaultPlan().torn(match="cell_succeeded")):
+            with pytest.raises(FaultInjectedError):
+                run_matrix(
+                    **self.CAMPAIGN, journal_path=journal_path,
+                    max_cell_attempts=3,
+                )
+        journal = RunJournal(journal_path)
+        assert journal.read().corrupt_lines == 1  # the torn tail, untouched
+        recovered = run_matrix(
+            **self.CAMPAIGN, journal_path=journal_path, max_cell_attempts=3
+        )
+        assert _deterministic_fields(recovered) == _deterministic_fields(
+            baseline_rows
+        )
+        view = journal.read()
+        assert view.corrupt_lines == 0  # resume quarantined the torn tail
+        assert journal.quarantine_path.is_file()
+
+    def test_parent_side_cell_fault_reruns_within_one_pass(
+        self, baseline_rows, tmp_path
+    ):
+        journal_path = tmp_path / "run.jsonl"
+        with inject(FaultPlan().fail("matrix_cell", match="*entity_frequency*")):
+            rows = run_matrix(
+                **self.CAMPAIGN,
+                journal_path=journal_path,
+                max_cell_attempts=3,
+                on_error="degrade",
+            )
+        assert _deterministic_fields(rows) == _deterministic_fields(baseline_rows)
+        failed = RunJournal(journal_path).read().by_event("cell_failed")
+        assert len(failed) == 1
+        assert failed[0]["cell"] == "wn18rr-like/distmult/entity_frequency"
+
+    def test_v1_journal_resumes_under_the_v2_writer(self, baseline_rows, tmp_path):
+        # A campaign journalled by the pre-envelope format: bare records,
+        # no header, no checksums.  Resume must replay its completed cell
+        # bit-identically and append v2 envelopes after it.
+        journal_path = tmp_path / "run.jsonl"
+        key = "wn18rr-like/distmult/uniform_random"
+        done = next(r for r in baseline_rows if r.strategy == "uniform_random")
+        v1_records = [
+            {"event": "cell_started", "cell": key, "attempt": 1},
+            {"event": "cell_succeeded", "cell": key, "row": done.to_dict()},
+        ]
+        journal_path.write_text(
+            "".join(json.dumps(record) + "\n" for record in v1_records),
+            encoding="utf-8",
+        )
+        rows = run_matrix(
+            **self.CAMPAIGN, journal_path=journal_path, max_cell_attempts=3
+        )
+        assert _deterministic_fields(rows) == _deterministic_fields(baseline_rows)
+        view = RunJournal(journal_path).read()
+        assert view.corrupt_lines == 0
+        assert view.version == 1  # headerless file keeps its v1 identity
+        # The replayed cell was not re-run; only the other cell started.
+        started = view.by_event("cell_started")
+        assert [r["cell"] for r in started].count(key) == 1
+        # New appends are enveloped even inside a v1 file.
+        tail = journal_path.read_text(encoding="utf-8").strip().splitlines()[-1]
+        assert set(json.loads(tail)) == {"crc", "record"}
+
+    def test_cell_deadline_overrun_is_charged_and_degrades(self, tmp_path):
+        journal_path = tmp_path / "run.jsonl"
+        rows = run_matrix(
+            **self.CAMPAIGN,
+            journal_path=journal_path,
+            max_cell_attempts=2,
+            on_error="degrade",
+            cell_deadline=1e-9,
+        )
+        assert [row.status for row in rows] == ["failed", "failed"]
+        assert all(
+            row.error.startswith("DeadlineExceededError") for row in rows
+        )
+        journal = RunJournal(journal_path)
+        view = journal.read()
+        assert view.by_event("cell_failed") == []
+        timeouts = view.by_event("cell_timeout")
+        # Every attempt, the in-process re-run included, gets its own
+        # budget and is charged when it overruns.
+        assert len(timeouts) == 4
+        state = CampaignState.from_journal(journal)
+        assert set(state.attempts.values()) == {2}
+        assert not state.completed

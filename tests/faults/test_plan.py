@@ -1,77 +1,8 @@
-"""FaultPlan wire format: payload round-trips, versioning, exception paths."""
+"""FaultPlan matching: budgets, unlimited faults, kind/site/token gating."""
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
-from repro.faults import PAYLOAD_VERSION, FaultPlan
-from repro.faults.plan import _resolve_exception
-from repro.resilience import FaultInjectedError
-
-
-class TestPayloadRoundTrip:
-    def test_every_fault_kind_survives(self):
-        plan = (
-            FaultPlan()
-            .fail("train_epoch", match="3", times=2, exc=MemoryError)
-            .kill("worker_dispatch", match="*distmult*")
-            .corrupt(match="*.npz", mode="truncate", times=-1)
-            .stall("matrix_cell", 7.5, match="*transe*", wall=True)
-            .torn(match="cell_succeeded")
-        )
-        rebuilt = FaultPlan.from_payload(plan.to_payload())
-        assert [f.to_dict() for f in rebuilt.faults] == [
-            f.to_dict() for f in plan.faults
-        ]
-
-    def test_counters_arrive_fresh(self):
-        plan = FaultPlan().fail("site", times=1)
-        payload = plan.to_payload()
-        plan._consume("fail", "site", "x")
-        assert plan.fired() == 1
-        rebuilt = FaultPlan.from_payload(payload)
-        assert rebuilt.fired() == 0
-        assert rebuilt.faults[0].times == 1
-
-    def test_payload_is_json(self):
-        payload = FaultPlan().fail("site").to_payload()
-        data = json.loads(payload)
-        assert data["version"] == PAYLOAD_VERSION
-        assert len(data["faults"]) == 1
-
-    def test_unknown_version_rejected(self):
-        payload = json.dumps({"version": PAYLOAD_VERSION + 1, "faults": []})
-        with pytest.raises(ValueError, match="payload version"):
-            FaultPlan.from_payload(payload)
-
-    def test_missing_version_rejected(self):
-        with pytest.raises(ValueError, match="payload version"):
-            FaultPlan.from_payload(json.dumps({"faults": []}))
-
-
-class TestExceptionPaths:
-    def test_custom_exception_round_trips(self):
-        plan = FaultPlan().fail("site", exc=MemoryError)
-        rebuilt = FaultPlan.from_payload(plan.to_payload())
-        assert rebuilt.faults[0].exception() is MemoryError
-
-    def test_default_exception_is_fault_injected(self):
-        rebuilt = FaultPlan.from_payload(FaultPlan().fail("site").to_payload())
-        assert rebuilt.faults[0].exc is None
-        assert rebuilt.faults[0].exception() is FaultInjectedError
-
-    def test_unresolvable_path_degrades_to_default(self):
-        # A worker whose environment lacks the exception module must not
-        # fail plan installation — the fault degrades to the default type.
-        assert _resolve_exception("no.such.module:Boom") is None
-        assert _resolve_exception("os.path:join") is None  # not an Exception
-        assert _resolve_exception(None) is None
-
-    def test_nested_qualname_resolves(self):
-        path = f"{FaultInjectedError.__module__}:{FaultInjectedError.__qualname__}"
-        assert _resolve_exception(path) is FaultInjectedError
+from repro.faults import FaultPlan
 
 
 class TestMatching:
@@ -88,8 +19,8 @@ class TestMatching:
         assert plan.fired() == 10
 
     def test_kind_site_and_token_all_gate(self):
-        plan = FaultPlan().kill("worker_dispatch", match="*distmult*")
-        assert plan._consume("fail", "worker_dispatch", "a/distmult/b") is None
-        assert plan._consume("kill", "matrix_cell", "a/distmult/b") is None
-        assert plan._consume("kill", "worker_dispatch", "a/transe/b") is None
-        assert plan._consume("kill", "worker_dispatch", "a/distmult/b") is not None
+        plan = FaultPlan().fail("matrix_cell", match="*distmult*")
+        assert plan._consume("torn", "matrix_cell", "a/distmult/b") is None
+        assert plan._consume("fail", "train_epoch", "a/distmult/b") is None
+        assert plan._consume("fail", "matrix_cell", "a/transe/b") is None
+        assert plan._consume("fail", "matrix_cell", "a/distmult/b") is not None

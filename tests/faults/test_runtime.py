@@ -1,79 +1,20 @@
-"""Process-spanning fault activation: env transport, kills, stalls, torn appends.
-
-The kill test spawns a real child process (the module-level target is
-importable from the spawn bootstrap) and asserts the parent observes a
-SIGKILL death, never an exception — the contract the scheduler's crash
-path is built on.
-"""
+"""Fault activation hooks: torn journal appends and virtual stalls."""
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
 import time
 
 import pytest
 
 from repro import faults
-from repro.faults import FAULT_PLAN_ENV, FaultPlan
-from repro.resilience import FaultInjectedError
+from repro.faults import FaultPlan
 
 
 @pytest.fixture(autouse=True)
-def _pristine_runtime(monkeypatch):
-    monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+def _pristine_runtime():
     faults.clear()
     yield
     faults.clear()
-
-
-class TestEnvTransport:
-    def test_export_sets_and_removes_variable(self):
-        plan = FaultPlan().fail("site")
-        assert FAULT_PLAN_ENV not in os.environ
-        with faults.export_to_env(plan):
-            payload = os.environ[FAULT_PLAN_ENV]
-            assert FaultPlan.from_payload(payload).faults[0].site == "site"
-        assert FAULT_PLAN_ENV not in os.environ
-
-    def test_export_restores_previous_payload(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "previous-payload")
-        with faults.export_to_env(FaultPlan().fail("site")):
-            assert os.environ[FAULT_PLAN_ENV] != "previous-payload"
-        assert os.environ[FAULT_PLAN_ENV] == "previous-payload"
-
-    def test_export_none_is_a_noop(self):
-        with faults.export_to_env(None):
-            assert FAULT_PLAN_ENV not in os.environ
-
-    def test_install_from_env_round_trips(self, monkeypatch):
-        monkeypatch.setenv(
-            FAULT_PLAN_ENV, FaultPlan().fail("train_epoch", match="2").to_payload()
-        )
-        plan = faults.install_from_env()
-        assert plan is not None
-        assert faults.active_plan() is plan
-        with pytest.raises(FaultInjectedError):
-            faults.trigger("train_epoch", 2)
-
-    def test_install_from_env_without_payload_is_noop(self):
-        assert faults.install_from_env() is None
-        assert faults.active_plan() is None
-
-    def test_env_never_overrides_explicit_install(self, monkeypatch):
-        explicit = FaultPlan().fail("explicit")
-        faults.install(explicit)
-        monkeypatch.setenv(FAULT_PLAN_ENV, FaultPlan().fail("env").to_payload())
-        assert faults.install_from_env() is explicit
-        assert faults.active_plan() is explicit
-
-    def test_malformed_payload_ignored(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "{not json")
-        assert faults.install_from_env() is None
-        monkeypatch.setenv(FAULT_PLAN_ENV, '{"version": 999, "faults": []}')
-        assert faults.install_from_env() is None
-        assert faults.active_plan() is None
 
 
 class TestTornAppend:
@@ -88,44 +29,10 @@ class TestTornAppend:
         assert faults.torn_append("anything") is False
 
 
-class TestStallFlavours:
+class TestStall:
     def test_virtual_stall_does_not_sleep(self):
         with faults.inject(FaultPlan().stall("site", 900.0)):
             started = time.monotonic()
             assert faults.stall_seconds("site") == 900.0
-            faults.trigger("site")  # virtual stalls never sleep at trigger
+            faults.trigger("site")  # stalls never sleep at trigger
             assert time.monotonic() - started < 5.0
-
-    def test_wall_stall_sleeps_at_trigger(self):
-        with faults.inject(FaultPlan().stall("site", 0.2, wall=True)) as plan:
-            assert faults.stall_seconds("site") == 0.0  # wall ≠ virtual
-            started = time.monotonic()
-            faults.trigger("site")
-            assert time.monotonic() - started >= 0.2
-            assert plan.fired() == 1
-
-
-def _doomed_child() -> None:
-    faults.install_from_env()
-    faults.trigger("worker_dispatch", "wn18rr-like/distmult/uniform_random")
-    os._exit(0)  # unreachable when the kill fires
-
-
-class TestKill:
-    def test_kill_fault_sigkills_a_spawned_child(self):
-        plan = FaultPlan().kill("worker_dispatch", match="*distmult*")
-        ctx = multiprocessing.get_context("spawn")
-        with faults.export_to_env(plan):
-            child = ctx.Process(target=_doomed_child)
-            child.start()
-            child.join(timeout=60.0)
-        assert child.exitcode == -signal.SIGKILL
-
-    def test_unmatched_child_exits_cleanly(self):
-        plan = FaultPlan().kill("worker_dispatch", match="*transe*")
-        ctx = multiprocessing.get_context("spawn")
-        with faults.export_to_env(plan):
-            child = ctx.Process(target=_doomed_child)
-            child.start()
-            child.join(timeout=60.0)
-        assert child.exitcode == 0

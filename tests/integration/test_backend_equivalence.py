@@ -3,8 +3,8 @@
 The substrate PR's contract is *bit-identity everywhere*: a graph served
 from mmap views must produce the same statistics, the same strategy
 weight vectors, and the same discovered facts as the in-memory path; the
-sparse blocked kernels must agree with networkx; and ``procs=2``
-discovery must agree with serial.  These tests pin all of it.
+sparse blocked kernels must agree with networkx.  These tests pin all
+of it.
 """
 
 from __future__ import annotations
@@ -137,15 +137,3 @@ class TestDiscoveryEquivalence:
             np.testing.assert_array_equal(
                 baseline.ranks, results[kind].ranks
             )
-
-    def test_serial_vs_two_procs_identical(self, trained, stored_graph):
-        serial = discover_facts(
-            trained, stored_graph["mmap"], strategy="entity_frequency",
-            top_n=30, max_candidates=150, seed=3, procs=1,
-        )
-        parallel = discover_facts(
-            trained, stored_graph["mmap"], strategy="entity_frequency",
-            top_n=30, max_candidates=150, seed=3, procs=2,
-        )
-        np.testing.assert_array_equal(serial.facts, parallel.facts)
-        np.testing.assert_array_equal(serial.ranks, parallel.ranks)

@@ -1,6 +1,6 @@
-"""RPR016 bad fixture: unbounded waits on the fabric's primitives, five ways."""
+"""RPR016 bad fixture: unbounded waits on blocking primitives, five ways."""
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import Lock, Process, Queue
 
 
@@ -38,5 +38,5 @@ def run_sidecar(target):
 
 
 def run_batches(jobs):
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    with ThreadPoolExecutor(max_workers=2) as pool:
         return [collect(pool, job) for job in jobs]

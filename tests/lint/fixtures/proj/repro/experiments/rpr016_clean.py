@@ -1,6 +1,6 @@
 """RPR016 clean fixture: every blocking wait is bounded or non-blocking."""
 
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from multiprocessing import Lock, Process, Queue
 from queue import Empty
 
@@ -49,5 +49,5 @@ def run_sidecar(target):
 
 
 def run_batches(jobs):
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    with ThreadPoolExecutor(max_workers=2) as pool:
         return [collect(pool, job) for job in jobs]

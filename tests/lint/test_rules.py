@@ -70,11 +70,10 @@ CASES = [
     ),
     ("RPR013", "rpr013_bad.py", "rpr013_clean.py", 2),
     ("RPR014", "rpr014_bad.py", "rpr014_clean.py", 1),
-    ("RPR015", "rpr015_bad.py", "rpr015_clean.py", 6),
     (
         "RPR016",
-        "proj/repro/parallel/rpr016_bad.py",
-        "proj/repro/parallel/rpr016_clean.py",
+        "proj/repro/experiments/rpr016_bad.py",
+        "proj/repro/experiments/rpr016_clean.py",
         5,
     ),
     (

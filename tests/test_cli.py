@@ -216,3 +216,53 @@ class TestGridCommand:
         assert "max_candidates" in out
         # 2 × 2 grid rows plus header material.
         assert len([l for l in out.splitlines() if l and l[0].isdigit()]) == 4
+
+
+class TestJournalCommand:
+    def test_reports_progress_and_torn_tail(self, tmp_path, capsys):
+        from repro.resilience import RunJournal
+
+        path = tmp_path / "run.jsonl"
+        journal = RunJournal(path)
+        journal.append("cell_started", cell="ds/m/done", attempt=1)
+        journal.append("cell_succeeded", cell="ds/m/done", row={"num_facts": 3})
+        journal.append("cell_started", cell="ds/m/open", attempt=1)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"crc": 1, "record": {"event": "cell_suc')  # torn
+        assert main(["journal", str(path)]) == 0
+        out = capsys.readouterr().out
+        rows = {
+            line.rsplit(None, 1)[0].strip(): line.rsplit(None, 1)[1]
+            for line in out.splitlines()
+            if line.startswith(("torn", "cells"))
+        }
+        assert rows == {
+            "torn/corrupt lines": "1",
+            "cells completed": "1",
+            "cells started, unfinished": "1",
+        }
+        assert "ds/m/open" in out and "ds/m/done" not in out
+
+    def test_missing_journal_exits(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["journal", str(tmp_path / "absent.jsonl")])
+
+
+class TestChaosCommand:
+    def test_every_invariant_holds(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "cache"))
+        from repro.experiments import clear_model_cache
+
+        clear_model_cache()
+        try:
+            assert main(["chaos"]) == 0
+        finally:
+            clear_model_cache()
+        out = capsys.readouterr().out
+        invariants = [
+            line for line in out.splitlines()
+            if line.startswith(("journal", "all cells", "recovery"))
+        ]
+        assert len(invariants) == 3
+        assert all(line.split()[-1] == "ok" for line in invariants)
+        assert "all chaos invariants hold" in out

@@ -180,3 +180,27 @@ class TestSchedulers:
             batch_candidates=2000, seed=0, max_pulls=200,
         )
         assert result.elapsed_seconds < 30.0
+
+
+def test_summary_uses_canonical_keys():
+    from repro.discovery.anytime import AnytimeResult
+
+    result = AnytimeResult(
+        facts=np.asarray([[0, 0, 1], [2, 0, 3]]),
+        ranks=np.asarray([1.0, 4.0]),
+        scheduler="ucb",
+        budget_seconds=2.0,
+        elapsed_seconds=0.0,
+        pulls={0: 3, 1: 2},
+        exhausted={0: True, 1: False},
+        ranking_stats={"rows_scored": 7},
+    )
+    summary = result.summary()
+    assert summary["facts_count"] == 2
+    assert summary["mrr"] == pytest.approx(0.625)
+    assert summary["pulls_count"] == 5
+    assert summary["exhausted_count"] == 1
+    # No elapsed time yet: efficiency is 0, not a division error.
+    assert summary["efficiency_facts_per_hour"] == 0.0
+    assert summary["rows_scored_count"] == 7
+    assert "rows_scored" not in summary

@@ -12,6 +12,23 @@ from repro.discovery import (
     theoretical_mrr_floor,
 )
 from repro.kg import GraphStatistics
+from repro.obs import MetricsRegistry, use_registry
+from repro.resilience import Deadline, DeadlineExceededError
+
+
+def _rows(facts: np.ndarray) -> set[tuple[int, int, int]]:
+    return {tuple(int(x) for x in row) for row in facts}
+
+
+class _TickingClock:
+    """A clock that advances one second per reading."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +148,85 @@ class TestDeterminism:
         a = discover_facts(trained_distmult, tiny_graph, seed=1, **kwargs)
         b = discover_facts(trained_distmult, tiny_graph, seed=2, **kwargs)
         assert a.facts.shape != b.facts.shape or not np.array_equal(a.facts, b.facts)
+
+
+    def test_relation_order_does_not_change_results(
+        self, trained_distmult, tiny_graph
+    ):
+        """Every relation draws from spawn_stream(seed, relation), so the
+        order relations run in cannot move any of them."""
+        kwargs = dict(strategy="uniform_random", top_n=15, max_candidates=36, seed=9)
+        forward = discover_facts(
+            trained_distmult, tiny_graph, relations=[1, 3], **kwargs
+        )
+        backward = discover_facts(
+            trained_distmult, tiny_graph, relations=[3, 1], **kwargs
+        )
+        assert forward.per_relation == backward.per_relation
+        assert _rows(forward.facts) == _rows(backward.facts)
+        assert sorted(forward.ranks) == sorted(backward.ranks)
+
+    def test_relation_subset_matches_full_run(self, trained_distmult, tiny_graph):
+        kwargs = dict(strategy="entity_frequency", top_n=20, max_candidates=50, seed=3)
+        full = discover_facts(trained_distmult, tiny_graph, **kwargs)
+        subset = discover_facts(
+            trained_distmult, tiny_graph, relations=[1, 3], **kwargs
+        )
+        keep = np.isin(full.facts[:, 1], [1, 3])
+        np.testing.assert_array_equal(subset.facts, full.facts[keep])
+        np.testing.assert_array_equal(subset.ranks, full.ranks[keep])
+        assert subset.per_relation == {
+            r: full.per_relation[r] for r in (1, 3)
+        }
+
+
+class TestDeadline:
+    KWARGS = dict(strategy="entity_frequency", top_n=20, max_candidates=50, seed=3)
+
+    def test_expired_deadline_raises_before_the_first_relation(
+        self, trained_distmult, tiny_graph
+    ):
+        expired = Deadline(at=0.0, seconds=1.0, clock=lambda: 5.0)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with pytest.raises(
+                DeadlineExceededError, match="discover_facts:relation/"
+            ):
+                discover_facts(
+                    trained_distmult, tiny_graph, deadline=expired, **self.KWARGS
+                )
+        assert "discover.relations_count" not in registry.snapshot()["counters"]
+
+    def test_deadline_is_checked_between_relations(
+        self, trained_distmult, tiny_graph
+    ):
+        """A relation in progress finishes; the next one does not start."""
+        clock = _TickingClock()
+        deadline = Deadline.after(2.5, clock=clock)  # reads 1; expires at 3.5
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with pytest.raises(DeadlineExceededError, match="relation/2"):
+                discover_facts(
+                    trained_distmult,
+                    tiny_graph,
+                    relations=[0, 1, 2, 3],
+                    deadline=deadline,
+                    **self.KWARGS,
+                )
+        assert registry.snapshot()["counters"]["discover.relations_count"] == 2
+
+    def test_unexpired_deadline_leaves_results_unchanged(
+        self, trained_distmult, tiny_graph
+    ):
+        plain = discover_facts(trained_distmult, tiny_graph, **self.KWARGS)
+        bounded = discover_facts(
+            trained_distmult,
+            tiny_graph,
+            deadline=Deadline.after(600.0),
+            **self.KWARGS,
+        )
+        np.testing.assert_array_equal(bounded.facts, plain.facts)
+        np.testing.assert_array_equal(bounded.ranks, plain.ranks)
 
 
 class TestParameters:
@@ -316,3 +412,14 @@ class TestEdgeCases:
         )
         assert result.efficiency_facts_per_hour() == 0.0
         assert result.mrr() == 0.0
+
+
+def test_summary_flattens_the_trace_when_observed(trained_distmult, tiny_graph):
+    with use_registry(MetricsRegistry()):
+        result = discover_facts(
+            trained_distmult, tiny_graph, top_n=10, max_candidates=25, seed=0
+        )
+    summary = result.summary()
+    for path, node in result.trace.items():
+        assert summary[f"span.{path}.wall_seconds"] == node["wall_seconds"]
+    assert "span.discover/discover.weights.wall_seconds" in summary

@@ -86,3 +86,33 @@ class TestCap:
         a = exhaustive_discover_facts(trained_distmult, tiny_graph, **kwargs)
         b = exhaustive_discover_facts(trained_distmult, tiny_graph, **kwargs)
         np.testing.assert_array_equal(a.facts, b.facts)
+
+
+class TestDefaultsAndTracing:
+    def test_all_training_relations_by_default(self, trained_distmult, tiny_graph):
+        kwargs = dict(top_n=10, max_candidates_per_relation=60, seed=1)
+        everything = exhaustive_discover_facts(
+            trained_distmult, tiny_graph, **kwargs
+        )
+        relations = [int(r) for r in tiny_graph.train.unique_relations()]
+        assert list(everything.per_relation) == relations
+        explicit = exhaustive_discover_facts(
+            trained_distmult, tiny_graph, relations=relations, **kwargs
+        )
+        np.testing.assert_array_equal(everything.facts, explicit.facts)
+        np.testing.assert_array_equal(everything.ranks, explicit.ranks)
+
+    def test_trace_recorded_when_observed(self, trained_distmult, tiny_graph):
+        from repro.obs import MetricsRegistry, use_registry
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = exhaustive_discover_facts(
+                trained_distmult, tiny_graph, top_n=10, relations=[0, 1],
+                max_candidates_per_relation=40,
+            )
+        assert result.trace["discover"]["count"] == 1
+        assert result.trace["discover/discover.generate"]["count"] == 2
+        counters = registry.snapshot()["counters"]
+        assert counters["discover.relations_count"] == 2
+        assert counters["discover.candidates_count"] == result.candidates_generated

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.discovery import DiscoveryResult
 from repro.experiments import (
     PAPER_DATASETS,
     PAPER_MODELS,
@@ -20,7 +21,17 @@ from repro.experiments import (
     get_trained_model,
     run_matrix,
 )
-from repro.resilience import FaultInjectedError, FaultPlan, RunJournal, inject
+from repro.kg import load_dataset
+from repro.kge import create_model, load_model, save_model
+from repro.obs import MetricsRegistry, use_registry
+from repro.resilience import (
+    FaultInjectedError,
+    FaultPlan,
+    RetryBudgetExceededError,
+    RetryPolicy,
+    RunJournal,
+    inject,
+)
 
 
 def assert_rows_equal(a: MatrixRow, b: MatrixRow) -> None:
@@ -55,6 +66,10 @@ class TestDefaults:
     def test_unknown_model(self):
         with pytest.raises(KeyError):
             default_model_config("gnn")
+
+    def test_unknown_model_has_no_train_config(self):
+        with pytest.raises(KeyError, match="gnn"):
+            default_train_config("gnn")
 
 
 class TestModelCache:
@@ -110,6 +125,64 @@ class TestModelCache:
         cached = get_trained_model("wn18rr-like", "distmult")
         assert not cached.training
 
+    def test_cached_model_of_another_shape_is_retrained(
+        self, tmp_path, monkeypatch
+    ):
+        """A readable archive whose shape no longer matches the tuned
+        config (e.g. an older ``dim``) is replaced, not returned."""
+        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path))
+        clear_model_cache()
+        graph = load_dataset("wn18rr-like")
+        tuned_dim = default_model_config("distmult").dim
+        stale = create_model(
+            "distmult",
+            num_entities=graph.num_entities,
+            num_relations=graph.num_relations,
+            dim=tuned_dim // 2,
+            seed=0,
+        )
+        path = tmp_path / "wn18rr-like__distmult.npz"
+        save_model(stale, path)
+        model = get_trained_model("wn18rr-like", "distmult")
+        assert model.dim == tuned_dim
+        assert load_model(path).dim == tuned_dim  # the cache was rewritten
+
+    def test_failed_training_retrains_under_a_spawned_seed(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path))
+        clear_model_cache()
+        first = get_trained_model("wn18rr-like", "distmult", use_disk_cache=False)
+        clear_model_cache()
+        with inject(FaultPlan().fail("train_epoch", match="0")) as plan:
+            retried = get_trained_model(
+                "wn18rr-like", "distmult", use_disk_cache=False
+            )
+        assert plan.fired() == 1
+        # Attempt 1 trains under spawn_seed(seed, 1), not a replay of the
+        # failed attempt's draws.
+        assert not np.array_equal(first.entity_matrix(), retried.entity_matrix())
+        assert not retried.training
+
+    def test_exhausted_training_retries_raise_and_cache_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path))
+        clear_model_cache()
+        with inject(FaultPlan().fail("train_epoch", times=-1)) as plan:
+            with pytest.raises(RetryBudgetExceededError) as info:
+                get_trained_model(
+                    "wn18rr-like",
+                    "distmult",
+                    retry_policy=RetryPolicy(max_attempts=2),
+                )
+        assert plan.fired() == 2
+        assert isinstance(info.value.__cause__, FaultInjectedError)
+        assert not (tmp_path / "wn18rr-like__distmult.npz").exists()
+        model = get_trained_model("wn18rr-like", "distmult")  # trains afresh
+        assert (tmp_path / "wn18rr-like__distmult.npz").is_file()
+        assert not model.training
+
 
 class TestRunMatrix:
     @pytest.fixture(scope="class")
@@ -144,6 +217,90 @@ class TestRunMatrix:
         assert {row.strategy for row in rows} == {
             "uniform_random", "entity_frequency",
         }
+
+
+def _result(**overrides) -> DiscoveryResult:
+    fields = dict(
+        facts=np.asarray([[0, 1, 2], [3, 1, 4]]),
+        ranks=np.asarray([1.0, 2.0]),
+        strategy="graph_degree",
+        top_n=10,
+        max_candidates=50,
+        candidates_generated=40,
+        generation_seconds=0.5,
+        ranking_seconds=1.0,
+        weight_seconds=0.3,
+    )
+    fields.update(overrides)
+    return DiscoveryResult(**fields)
+
+
+class TestMatrixRow:
+    def test_from_result_copies_the_discovery_metrics(self):
+        result = _result()
+        row = MatrixRow.from_result("ds", "transe", result, test_mrr=0.4)
+        assert (row.dataset, row.model, row.strategy) == (
+            "ds", "transe", "graph_degree",
+        )
+        assert row.num_facts == 2
+        assert row.mrr == result.mrr() == 0.75
+        assert row.runtime_seconds == result.runtime_seconds
+        assert row.weight_seconds == 0.3
+        assert row.efficiency_facts_per_hour == result.efficiency_facts_per_hour()
+        assert (row.test_mrr, row.status, row.error, row.trace) == (
+            0.4, "ok", "", {},
+        )
+
+    def test_json_round_trip_is_bit_exact(self):
+        trace = {"matrix.cell": {"count": 1, "wall_seconds": 0.1, "cpu_seconds": 0.2}}
+        row = MatrixRow.from_result(
+            "ds", "transe", _result(generation_seconds=1 / 3), trace=trace
+        )
+        for original in (row, MatrixRow.failed("ds", "m", "s", "Boom: x")):
+            clone = MatrixRow.from_dict(json.loads(json.dumps(original.to_dict())))
+            assert_rows_equal(clone, original)
+
+    def test_failed_row_carries_nan_metrics_and_the_error(self):
+        row = MatrixRow.failed("ds", "m", "s", "FaultInjectedError: boom")
+        assert row.status == "failed"
+        assert row.error == "FaultInjectedError: boom"
+        assert row.num_facts == 0
+        for value in (
+            row.mrr, row.runtime_seconds, row.weight_seconds,
+            row.efficiency_facts_per_hour, row.test_mrr,
+        ):
+            assert math.isnan(value)
+
+    def test_summary_flattens_the_cell_trace(self):
+        trace = {
+            "matrix.cell": {"count": 1, "wall_seconds": 0.1, "cpu_seconds": 0.2},
+            "matrix.cell/discover": {
+                "count": 1, "wall_seconds": 0.05, "cpu_seconds": 0.05,
+            },
+        }
+        traced = MatrixRow.from_result("ds", "m", _result(), trace=trace).summary()
+        assert traced["span.matrix.cell.wall_seconds"] == 0.1
+        assert traced["span.matrix.cell/discover.wall_seconds"] == 0.05
+        plain = MatrixRow.from_result("ds", "m", _result()).summary()
+        assert set(traced) - set(plain) == {
+            "span.matrix.cell.wall_seconds",
+            "span.matrix.cell/discover.wall_seconds",
+        }
+
+
+def test_campaign_state_reads_starts_rows_and_last_errors(tmp_path):
+    journal = RunJournal(tmp_path / "run.jsonl")
+    journal.append("cell_started", cell="a", attempt=1)
+    journal.append("cell_failed", cell="a", attempt=1, error="ValueError: one")
+    journal.append("cell_started", cell="a", attempt=2)
+    journal.append("cell_timeout", cell="a", attempt=2, error="Deadline: two")
+    journal.append("cell_started", cell="b", attempt=1)
+    journal.append("cell_succeeded", cell="b", row={"num_facts": 3})
+    journal.append("cell_succeeded", cell="c", row="not a row")
+    state = CampaignState.from_journal(journal)
+    assert state.attempts == {"a": 2, "b": 1}
+    assert state.completed == {"b": {"num_facts": 3}}
+    assert state.last_error == {"a": "Deadline: two"}
 
 
 _CAMPAIGN = dict(
@@ -314,6 +471,23 @@ def _deterministic_fields(rows):
     ]
 
 
+@pytest.fixture(scope="class")
+def class_model_cache(tmp_path_factory):
+    """One on-disk model cache per test class: train once, reuse."""
+    import os
+
+    previous = os.environ.get("REPRO_MODEL_CACHE")
+    os.environ["REPRO_MODEL_CACHE"] = str(tmp_path_factory.mktemp("cache"))
+    clear_model_cache()
+    yield
+    if previous is None:
+        os.environ.pop("REPRO_MODEL_CACHE", None)
+    else:
+        os.environ["REPRO_MODEL_CACHE"] = previous
+    clear_model_cache()
+
+
+@pytest.mark.usefixtures("class_model_cache")
 class TestChaosRecovery:
     """The serial schedule ``repro chaos`` runs: faults at the runner's own
     sites, each followed by a recovery that is bit-identical to a
@@ -321,23 +495,8 @@ class TestChaosRecovery:
 
     CAMPAIGN = dict(_CAMPAIGN, seed=0)
 
-    @pytest.fixture(scope="class", autouse=True)
-    def model_cache(self, tmp_path_factory):
-        """One on-disk model cache for the class: train once, reuse."""
-        import os
-
-        previous = os.environ.get("REPRO_MODEL_CACHE")
-        os.environ["REPRO_MODEL_CACHE"] = str(tmp_path_factory.mktemp("cache"))
-        clear_model_cache()
-        yield
-        if previous is None:
-            os.environ.pop("REPRO_MODEL_CACHE", None)
-        else:
-            os.environ["REPRO_MODEL_CACHE"] = previous
-        clear_model_cache()
-
     @pytest.fixture(scope="class")
-    def baseline_rows(self, model_cache):
+    def baseline_rows(self, class_model_cache):
         return run_matrix(**self.CAMPAIGN)
 
     def test_torn_success_record_heals_on_resume(self, baseline_rows, tmp_path):
@@ -428,3 +587,197 @@ class TestChaosRecovery:
         state = CampaignState.from_journal(journal)
         assert set(state.attempts.values()) == {2}
         assert not state.completed
+
+
+@pytest.mark.usefixtures("class_model_cache")
+class TestCampaignJournal:
+    """How a journalled campaign records, orders and budgets its cells
+    across restarts."""
+
+    CAMPAIGN = dict(_CAMPAIGN, seed=0)
+    FAILING = "wn18rr-like/distmult/entity_frequency"
+
+    def test_every_cell_is_started_once_and_records_its_row(self, tmp_path):
+        journal_path = tmp_path / "run.jsonl"
+        rows = run_matrix(**self.CAMPAIGN, journal_path=journal_path)
+        view = RunJournal(journal_path).read()
+        keys = [f"{r.dataset}/{r.model}/{r.strategy}" for r in rows]
+        started = view.by_event("cell_started")
+        assert [record["cell"] for record in started] == keys
+        assert all(record["attempt"] == 1 for record in started)
+        succeeded = view.by_event("cell_succeeded")
+        assert [record["cell"] for record in succeeded] == keys
+        for record, row in zip(succeeded, rows):
+            assert_rows_equal(MatrixRow.from_dict(record["row"]), row)
+        assert view.by_event("cell_failed") == []
+
+    def test_rows_follow_the_requested_order_on_replay(self, tmp_path):
+        journal_path = tmp_path / "run.jsonl"
+        forward = run_matrix(**self.CAMPAIGN, journal_path=journal_path)
+        reversed_campaign = dict(
+            self.CAMPAIGN, strategies=tuple(reversed(_CAMPAIGN["strategies"]))
+        )
+        replayed = run_matrix(**reversed_campaign, journal_path=journal_path)
+        assert [row.strategy for row in replayed] == list(
+            reversed_campaign["strategies"]
+        )
+        for row, original in zip(replayed, reversed(forward)):
+            assert_rows_equal(row, original)
+        # Every cell was replayed from the journal, none re-run.
+        view = RunJournal(journal_path).read()
+        assert len(view.by_event("cell_started")) == len(forward)
+
+    def test_attempt_budget_spans_restarts(self, tmp_path):
+        journal_path = tmp_path / "run.jsonl"
+        plan = FaultPlan().fail(
+            "matrix_cell", match="*entity_frequency*", times=-1
+        )
+        with inject(plan):
+            first = run_matrix(
+                **self.CAMPAIGN,
+                journal_path=journal_path,
+                max_cell_attempts=1,
+                on_error="degrade",
+            )
+            # A larger budget on restart buys exactly the difference.
+            second = run_matrix(
+                **self.CAMPAIGN,
+                journal_path=journal_path,
+                max_cell_attempts=2,
+                on_error="degrade",
+            )
+        assert [row.status for row in first] == ["ok", "failed"]
+        assert [row.status for row in second] == ["ok", "failed"]
+        assert plan.fired() == 2
+        started = RunJournal(journal_path).read().by_event("cell_started")
+        assert [r["attempt"] for r in started if r["cell"] == self.FAILING] == [
+            1, 2,
+        ]
+
+    def test_failed_cell_recovers_when_resumed_with_more_budget(self, tmp_path):
+        journal_path = tmp_path / "run.jsonl"
+        with inject(FaultPlan().fail("matrix_cell", match="*entity_frequency*")):
+            first = run_matrix(
+                **self.CAMPAIGN,
+                journal_path=journal_path,
+                max_cell_attempts=1,
+                on_error="degrade",
+            )
+        assert first[1].status == "failed"
+        resumed = run_matrix(
+            **self.CAMPAIGN,
+            journal_path=journal_path,
+            max_cell_attempts=2,
+            on_error="degrade",
+        )
+        assert [row.status for row in resumed] == ["ok", "ok"]
+        assert_rows_equal(resumed[0], first[0])
+        timeline = [
+            record["event"]
+            for record in RunJournal(journal_path).read().records
+            if record.get("cell") == self.FAILING
+        ]
+        assert timeline == [
+            "cell_started", "cell_failed", "cell_started", "cell_succeeded",
+        ]
+
+    def test_single_attempt_budget_degrades_without_a_rerun(self, tmp_path):
+        journal_path = tmp_path / "run.jsonl"
+        with inject(
+            FaultPlan().fail("matrix_cell", match="*entity_frequency*", times=-1)
+        ) as plan:
+            rows = run_matrix(
+                **self.CAMPAIGN,
+                journal_path=journal_path,
+                max_cell_attempts=1,
+                on_error="degrade",
+            )
+        assert plan.fired() == 1
+        assert [row.status for row in rows] == ["ok", "failed"]
+        assert rows[1].error.startswith("FaultInjectedError")
+
+    def test_untyped_rerun_failures_are_journalled(self, tmp_path):
+        """In-process re-attempts record plain exceptions too, not only
+        the typed resilience errors."""
+        journal_path = tmp_path / "run.jsonl"
+        with inject(
+            FaultPlan().fail(
+                "matrix_cell", match="*entity_frequency*", times=-1,
+                exc=RuntimeError,
+            )
+        ):
+            rows = run_matrix(
+                **self.CAMPAIGN,
+                journal_path=journal_path,
+                max_cell_attempts=3,
+                on_error="degrade",
+            )
+        assert rows[1].status == "failed"
+        assert rows[1].error.startswith("RuntimeError")
+        failed = RunJournal(journal_path).read().by_event("cell_failed")
+        assert [r["attempt"] for r in failed] == [1, 2, 3]
+        assert all(r["error"].startswith("RuntimeError") for r in failed)
+
+    def test_raise_mode_journals_the_failure_fingerprint(self, tmp_path):
+        journal_path = tmp_path / "run.jsonl"
+        with inject(FaultPlan().fail("matrix_cell", match="*entity_frequency*")):
+            with pytest.raises(FaultInjectedError, match="matrix_cell"):
+                run_matrix(**self.CAMPAIGN, journal_path=journal_path)
+        failed = RunJournal(journal_path).read().by_event("cell_failed")
+        assert [(r["cell"], r["attempt"]) for r in failed] == [(self.FAILING, 1)]
+        assert failed[0]["error"].startswith("FaultInjectedError")
+
+    def test_interrupted_cell_without_a_failure_record_reports_interrupted(
+        self, tmp_path
+    ):
+        journal_path = tmp_path / "run.jsonl"
+        with inject(
+            FaultPlan().fail(
+                "matrix_cell", match="*entity_frequency*", exc=KeyboardInterrupt
+            )
+        ):
+            with pytest.raises(KeyboardInterrupt):
+                run_matrix(**self.CAMPAIGN, journal_path=journal_path)
+        rows = run_matrix(
+            **self.CAMPAIGN,
+            journal_path=journal_path,
+            max_cell_attempts=1,
+            on_error="degrade",
+        )
+        assert [row.status for row in rows] == ["ok", "failed"]
+        assert rows[1].error == "interrupted"
+
+
+@pytest.mark.usefixtures("class_model_cache")
+class TestRunMatrixOptions:
+    CAMPAIGN = dict(_CAMPAIGN, seed=0)
+
+    def test_shared_statistics_do_not_change_results(self):
+        per_cell = run_matrix(**self.CAMPAIGN)
+        shared = run_matrix(**self.CAMPAIGN, share_statistics=True)
+        assert _deterministic_fields(shared) == _deterministic_fields(per_cell)
+
+    def test_evaluate_models_fills_test_mrr_per_model(self):
+        rows = run_matrix(**self.CAMPAIGN, evaluate_models=True)
+        assert [row.status for row in rows] == ["ok", "ok"]
+        assert 0.0 < rows[0].test_mrr <= 1.0
+        # One evaluation per model, shared by all of its strategies.
+        assert rows[0].test_mrr == rows[1].test_mrr
+
+    def test_rows_carry_cell_traces_when_observed(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            rows = run_matrix(**self.CAMPAIGN)
+        for row in rows:
+            # Each row holds its own cell's spans only: one cell, one
+            # discovery run.
+            assert row.trace["matrix/matrix.cell"]["count"] == 1
+            assert row.trace["matrix/matrix.cell/discover"]["count"] == 1
+            summary = row.summary()
+            assert (
+                summary["span.matrix/matrix.cell.wall_seconds"]
+                == row.trace["matrix/matrix.cell"]["wall_seconds"]
+            )
+        assert registry.snapshot()["counters"]["matrix.cells_count"] == 2
+        # Unobserved runs stay trace-free.
+        assert all(row.trace == {} for row in run_matrix(**self.CAMPAIGN))

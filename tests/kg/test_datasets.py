@@ -102,3 +102,45 @@ class TestShapeFidelity:
 
     def test_wn18rr_like_matches_paper_relations_exactly(self, graphs):
         assert graphs["wn18rr-like"].num_relations == 11
+
+
+class TestResolveDataset:
+    """One resolution order for CLI and serving: registry name, KG store
+    (``store:``-prefixed or bare), then a TSV dataset directory."""
+
+    @pytest.fixture(scope="class")
+    def store_dir(self, tmp_path_factory):
+        from repro.kg import generate_kg_streaming, scale_profile
+
+        directory = tmp_path_factory.mktemp("kg-store") / "store"
+        generate_kg_streaming(
+            scale_profile(DATASET_PROFILES["wn18rr-like"], 0.1), directory
+        )
+        return directory
+
+    def test_registry_name_returns_the_cached_replica(self):
+        from repro.kg import resolve_dataset
+
+        assert resolve_dataset("wn18rr-like") is load_dataset("wn18rr-like")
+
+    @pytest.mark.parametrize("prefix", ["store:", ""])
+    def test_store_directory_with_or_without_prefix(self, store_dir, prefix):
+        from repro.kg import load_kg_store, resolve_dataset
+
+        graph = resolve_dataset(f"{prefix}{store_dir}")
+        assert graph.name == "wn18rr-like-x0.1"
+        assert graph.train == load_kg_store(store_dir).train
+
+    def test_tsv_directory(self, tmp_path, tiny_graph):
+        from repro.kg import resolve_dataset, save_dataset_dir
+
+        save_dataset_dir(tiny_graph, tmp_path / "tiny")
+        graph = resolve_dataset(str(tmp_path / "tiny"))
+        assert graph.num_entities == tiny_graph.num_entities
+        assert len(graph.train) == len(tiny_graph.train)
+
+    def test_unknown_name_raises_key_error(self, tmp_path):
+        from repro.kg import resolve_dataset
+
+        with pytest.raises(KeyError, match="not a registry name"):
+            resolve_dataset(str(tmp_path / "absent"))

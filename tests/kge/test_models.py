@@ -148,3 +148,31 @@ class TestModelSpecifics:
         m = create_model("transe", num_entities=6, num_relations=2, dim=8)
         scores = m.scores_sp(np.asarray([0]), np.asarray([0]))
         assert (scores <= 0).all()
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        ("transe", {"norm": "l1"}),
+        ("transe", {"norm": "l2"}),
+        ("rotate", {}),
+    ],
+    ids=["transe-l1", "transe-l2", "rotate"],
+)
+def test_tape_scores_match_the_numpy_inference_path(name, options):
+    """Models with a numpy fast path for ranking keep the tape-based
+    score_sp/score_po (used for gradients) numerically identical to it."""
+    model = create_model(
+        name, num_entities=N_ENTITIES, num_relations=N_RELATIONS, dim=DIM,
+        seed=1, **options,
+    )
+    model.eval()
+    s = np.asarray([0, 3, 7])
+    r = np.asarray([0, 1, 2])
+    o = np.asarray([5, 9, 1])
+    np.testing.assert_allclose(
+        model.score_sp(s, r).data, model.scores_sp(s, r), rtol=1e-9, atol=1e-9
+    )
+    np.testing.assert_allclose(
+        model.score_po(r, o).data, model.scores_po(r, o), rtol=1e-9, atol=1e-9
+    )

@@ -233,6 +233,23 @@ class TestInstrumentation:
             "filter_seconds",
         }
 
+    def test_merge_adds_every_counter(self):
+        from repro.kge.ranking import RankingStats
+
+        total = RankingStats(candidates_ranked=3, rows_scored=2, score_seconds=0.5)
+        total.merge(
+            RankingStats(candidates_ranked=4, cache_hits=1, score_seconds=0.25)
+        )
+        assert total.to_dict() == {
+            "candidates_ranked": 7,
+            "unique_queries": 0,
+            "rows_scored": 2,
+            "rows_reused": 0,
+            "cache_hits": 1,
+            "score_seconds": 0.75,
+            "filter_seconds": 0.0,
+        }
+
 
 class TestScoreRowCache:
     def test_lru_eviction(self):

@@ -37,6 +37,22 @@ class TestConstruction:
         wrapper.train()
         assert wrapper.inner.training
 
+    def test_modules_list_the_wrapper_then_the_inner_tree(self, wrapper):
+        modules = list(wrapper.modules())
+        assert modules[0] is wrapper
+        assert modules[1:] == list(wrapper.inner.modules())
+        assert repr(wrapper).startswith("ReciprocalWrapper(")
+
+    def test_post_batch_hook_reaches_the_inner_model(self):
+        wrapper = ReciprocalWrapper.create(
+            "transe", num_entities=12, num_relations=3, dim=8, seed=1,
+            normalize_entities=True,
+        )
+        wrapper.inner.entity_embeddings.weight.data *= 5.0
+        wrapper.post_batch_hook()
+        norms = np.linalg.norm(wrapper.entity_matrix(), axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-9)
+
 
 class TestScoring:
     def test_forward_scores_delegate(self, wrapper):
@@ -58,6 +74,29 @@ class TestScoring:
     def test_score_po_shape(self, wrapper):
         out = wrapper.scores_po(np.asarray([0]), np.asarray([4]))
         assert out.shape == (1, 12)
+
+    def test_tape_score_po_uses_reciprocal_relation(self, wrapper):
+        """The gradient path answers subject queries the same way as the
+        ranking path: object-side scoring under relation r + K."""
+        r = np.asarray([0, 2])
+        o = np.asarray([1, 7])
+        tape = wrapper.score_po(r, o).data
+        np.testing.assert_array_equal(tape, wrapper.inner.score_sp(o, r + 3).data)
+        np.testing.assert_allclose(tape, wrapper.scores_po(r, o), rtol=1e-12)
+
+    def test_tape_score_sp_delegates(self, wrapper):
+        s = np.asarray([0, 5])
+        r = np.asarray([0, 2])
+        np.testing.assert_array_equal(
+            wrapper.score_sp(s, r).data, wrapper.inner.score_sp(s, r).data
+        )
+
+    def test_embedding_matrices_are_the_inner_ones(self, wrapper):
+        np.testing.assert_array_equal(
+            wrapper.entity_matrix(), wrapper.inner.entity_matrix()
+        )
+        # The relation matrix keeps both directions: 2·K rows.
+        assert wrapper.relation_matrix().shape[0] == 6
 
 
 class TestAugmentation:

@@ -55,6 +55,13 @@ class TestHistograms:
         assert payload["count"] == 3
         assert payload["sum"] == pytest.approx(5.55)
 
+    def test_count_and_sum_track_observations(self):
+        hist = MetricsRegistry().histogram("h", buckets=(1.0,))
+        assert (hist.count, hist.sum) == (0, 0.0)
+        hist.observe(0.5)
+        hist.observe(4.0)
+        assert (hist.count, hist.sum) == (2, 4.5)
+
     def test_default_buckets_are_ascending(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 
@@ -121,6 +128,16 @@ class TestNullRegistry:
     def test_metric_objects_are_shared_noops(self):
         null = NullRegistry()
         assert null.counter("x") is null.counter("y") is null.gauge("z")
+
+    def test_null_metrics_read_as_empty(self):
+        null = NullRegistry()
+        gauge = null.gauge("g")
+        gauge.add(3.0)
+        hist = null.histogram("h")
+        hist.observe(2.0)
+        assert gauge.value == 0
+        assert (hist.count, hist.sum) == (0, 0.0)
+        assert gauge.as_dict() == hist.as_dict() == {}
 
 
 class TestGlobalRegistry:

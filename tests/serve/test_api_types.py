@@ -75,6 +75,27 @@ class TestRoundTrip:
         for value in SAMPLES:
             assert isinstance(value, Reportable)
 
+    def test_summaries_count_what_each_payload_carries(self):
+        rank, discover, classify, info, health = (
+            SAMPLES[3], SAMPLES[4], SAMPLES[5], SAMPLES[6], SAMPLES[7],
+        )
+        assert rank.summary() == {"ranks_count": 2, "mrr": 0.7}
+        assert discover.summary() == {
+            "strategy": "entity_frequency",
+            "facts_count": 2,
+            "candidates_generated_count": 40,
+        }
+        assert classify.summary() == {"labels_count": 2, "positives_count": 1}
+        assert info.summary() == {
+            "dim": 16, "entities_count": 40, "relations_count": 4,
+        }
+        assert ModelsResponse(models=(info,)).summary() == {
+            "models_count": 1, "loaded_count": 1,
+        }
+        assert health.summary() == {"status": "ok", "models_count": 2}
+        # Requests report only the schema they speak.
+        assert SAMPLES[0].summary() == {"schema_version": SCHEMA_VERSION}
+
 
 class TestRejection:
     def test_unknown_keys_rejected(self):
@@ -132,6 +153,12 @@ class TestModelRef:
         bare = ModelRef.parse("wn/distmult")
         assert bare.digest == ""
         assert bare.model_id == "wn/distmult"
+
+    def test_to_dict_carries_the_parsed_parts(self):
+        assert ModelRef.parse("wn/distmult@abc123").to_dict() == {
+            "dataset": "wn", "model": "distmult", "digest": "abc123",
+        }
+        assert ModelRef.parse("wn/distmult").to_dict()["digest"] == ""
 
     @pytest.mark.parametrize("bad", ["", "nodataset", "/m", "d/", "d"])
     def test_parse_rejects_malformed_ids(self, bad):

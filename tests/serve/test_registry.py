@@ -24,6 +24,14 @@ class TestCatalogue:
         assert first == second
         assert len(registry) == 1
 
+    def test_iteration_yields_ids_in_registration_order(
+        self, make_registry, alt_checkpoints
+    ):
+        registry = make_registry()
+        refs = [registry.register("tiny", path) for path in alt_checkpoints]
+        assert list(registry) == [ref.model_id for ref in refs]
+        assert registry.loaded_ids() == ()  # iterating loads nothing
+
     def test_register_conflicting_path_is_an_error(
         self, make_registry, checkpoint_path, tmp_path
     ):

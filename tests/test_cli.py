@@ -78,6 +78,31 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "leakage" in out
 
+    def test_inverse_pairs_are_tabulated(self, tmp_path, capsys):
+        from repro.kg import KnowledgeGraph
+
+        forward = np.array([[s, 0, s + 1] for s in range(0, 20, 2)])
+        inverse = forward[:, [2, 1, 0]].copy()
+        inverse[:, 1] = 1
+        graph = KnowledgeGraph.from_arrays(
+            "leaky", 21, 2, np.concatenate([forward, inverse]),
+            forward[:2], forward[2:4],
+            relation_labels=["parent_of", "child_of"],
+        )
+        save_dataset_dir(graph, tmp_path / "leaky")
+        code = main(
+            ["analyze", str(tmp_path / "leaky"), "--leak-threshold", "0.9"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Inverse-relation leakage (threshold 0.9)" in out
+        pairs = {
+            tuple(line.split()[:2])
+            for line in out.splitlines()
+            if line.startswith(("parent_of", "child_of"))
+        }
+        assert {("parent_of", "child_of"), ("child_of", "parent_of")} <= pairs
+
 
 class TestProtocolCommand:
     def test_runs_and_reports(self, dataset_dir, capsys):
@@ -200,6 +225,100 @@ class TestReproduceCommand:
                      "summary"):
             assert (tmp_path / "out" / f"{name}.txt").is_file()
         clear_model_cache()
+
+
+    def test_journal_degrades_failed_cells_and_still_writes_tables(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments import clear_model_cache
+        from repro.faults import FaultPlan, inject
+        from repro.resilience import RunJournal
+
+        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "cache"))
+        clear_model_cache()
+        journal = tmp_path / "run.jsonl"
+        argv = [
+            "reproduce", "--quick", "--datasets", "wn18rr-like",
+            "--output", str(tmp_path / "out"), "--journal", str(journal),
+            "--max-cell-attempts", "1",
+        ]
+        try:
+            with inject(
+                FaultPlan().fail("matrix_cell", match="*/transe/graph_degree")
+            ):
+                assert main(argv) == 0
+            first = capsys.readouterr().out
+            started = len(RunJournal(journal).read().by_event("cell_started"))
+            # A rerun resumes from the journal: nothing is started again
+            # and the spent cell is still reported as degraded.
+            assert main(argv) == 0
+            second = capsys.readouterr().out
+        finally:
+            clear_model_cache()
+        for out in (first, second):
+            assert f"journalling cells to {journal}" in out
+            assert "1 cell(s) failed and were degraded to partial rows:" in out
+            assert "wn18rr-like/transe/graph_degree: FaultInjectedError" in out
+        assert (tmp_path / "out" / "fig4_mrr.txt").is_file()
+        assert len(RunJournal(journal).read().by_event("cell_started")) == started
+
+
+class TestStoreCommand:
+    def _generate(self, out, *extra):
+        return main(
+            ["store", "generate", "wn18rr-like", "-o", str(out), "--scale", "0.2",
+             *extra]
+        )
+
+    def test_generate_then_info(self, tmp_path, capsys):
+        out = tmp_path / "store"
+        assert self._generate(out) == 0
+        generated = capsys.readouterr().out
+        assert "wrote wn18rr-like-x0.2" in generated
+        assert f"store:{out}" in generated
+        assert main(["store", "info", str(out)]) == 0
+        info = capsys.readouterr().out
+        assert f"KG store at {out}" in info
+        assert "wn18rr-like-x0.2" in info
+        assert "checksums: OK" in info
+
+    def test_info_without_verification_skips_the_checksum_line(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "store"
+        self._generate(out)
+        capsys.readouterr()
+        assert main(["store", "info", str(out), "--no-verify"]) == 0
+        info = capsys.readouterr().out
+        assert "wn18rr-like-x0.2" in info
+        assert "checksums" not in info
+
+    def test_existing_store_needs_force(self, tmp_path, capsys):
+        out = tmp_path / "store"
+        self._generate(out)
+        with pytest.raises(SystemExit, match="--force"):
+            self._generate(out)
+        assert main(
+            ["store", "generate", "wn18rr-like", "-o", str(out), "--scale", "0.1",
+             "--force"]
+        ) == 0
+        assert "wrote wn18rr-like-x0.1" in capsys.readouterr().out
+
+    def test_unknown_profile_exits(self, tmp_path):
+        with pytest.raises(SystemExit, match="unknown profile 'nope'"):
+            main(["store", "generate", "nope", "-o", str(tmp_path / "s")])
+        assert not (tmp_path / "s").exists()
+
+    def test_info_on_a_plain_directory_exits(self, tmp_path):
+        with pytest.raises(SystemExit, match="not a complete KG store"):
+            main(["store", "info", str(tmp_path)])
+
+    def test_generated_store_is_a_dataset_argument(self, tmp_path, capsys):
+        out = tmp_path / "store"
+        self._generate(out)
+        capsys.readouterr()
+        assert main(["analyze", f"store:{out}"]) == 0
+        assert "Dataset report: wn18rr-like-x0.2" in capsys.readouterr().out
 
 
 class TestGridCommand:

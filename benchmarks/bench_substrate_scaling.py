@@ -16,9 +16,12 @@ The sharded substrate makes two performance claims this benchmark pins:
    would be ~121 GiB; the 50× gate (``SCALED_RSS_LIMIT_MIB``) sits two
    orders of magnitude below the dense footprint.
 
-Every stats measurement runs in a fresh *spawned* subprocess so its
-``ru_maxrss`` is a per-measurement high-water mark, not contaminated by
-whatever the pytest process allocated before.
+Every stats measurement runs in a fresh *spawned* subprocess that
+reports its own ``VmHWM`` from ``/proc/self/status`` (Linux only), so
+each row is a per-measurement high-water mark, not contaminated by
+whatever the pytest process allocated before.  ``ru_maxrss`` would not
+do: Linux carries it across ``exec``, so a spawned child reports its
+parent's peak when that is higher.
 
 Results: ``benchmarks/results/BENCH_substrate.json`` plus the rendered
 table in ``benchmarks/results/substrate_scaling.txt``.
@@ -60,10 +63,17 @@ SCALED_RSS_LIMIT_MIB = 1024.0
 FULL_SCALE_RSS_LIMIT_MIB = 1024.0
 
 
+def _peak_rss_mib() -> float:
+    """This process's own resident high-water mark (``VmHWM``), in MiB."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("/proc/self/status has no VmHWM line")
+
+
 def _generate_worker(profile_name, factor, store_dir, conn):
     """Child: stream a scaled replica into a store, report time + RSS."""
-    import resource
-
     from repro.kg import (
         DATASET_PROFILES,
         FULL_SCALE_PROFILES,
@@ -84,8 +94,7 @@ def _generate_worker(profile_name, factor, store_dir, conn):
     conn.send(
         {
             "seconds": seconds,
-            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            / 1024.0,
+            "peak_rss_mib": _peak_rss_mib(),
             "num_entities": graph.num_entities,
             "num_triples": graph.num_triples,
         }
@@ -95,8 +104,6 @@ def _generate_worker(profile_name, factor, store_dir, conn):
 
 def _stats_worker(store_dir, mmap, conn):
     """Child: run the full statistics suite, report time + RSS + sums."""
-    import resource
-
     from repro.kg import GraphStatistics, load_kg_store
 
     graph = load_kg_store(store_dir, mmap=mmap)
@@ -112,8 +119,7 @@ def _stats_worker(store_dir, mmap, conn):
     conn.send(
         {
             "seconds": seconds,
-            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            / 1024.0,
+            "peak_rss_mib": _peak_rss_mib(),
             "fingerprint": fingerprint,
         }
     )

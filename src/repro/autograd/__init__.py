@@ -5,7 +5,8 @@ RESCAL, HolE and ConvE without torch.  Public surface:
 
 * :class:`Tensor` — numpy array with gradient tape, :func:`no_grad`.
 * :class:`SparseGrad` — row-sparse gradient for opt-in embedding tables.
-* :mod:`repro.autograd.ops` — conv2d, circular correlation, dropout.
+* :mod:`repro.autograd.ops` — conv2d, circular correlation, dropout,
+  fused BCE-with-logits.
 * :mod:`repro.autograd.modules` — Module/Parameter/Embedding/Linear/
   Conv2d/BatchNorm/Dropout.
 * :mod:`repro.autograd.optim` — SGD/Adagrad/Adam.
@@ -20,7 +21,13 @@ from .modules import (
     Module,
     Parameter,
 )
-from .ops import circular_convolution, circular_correlation, conv2d, dropout
+from .ops import (
+    bce_with_logits,
+    circular_convolution,
+    circular_correlation,
+    conv2d,
+    dropout,
+)
 from .optim import SGD, Adagrad, Adam, Optimizer
 from .sparse import SparseGrad
 from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack
@@ -41,6 +48,7 @@ __all__ = [
     "Dropout",
     "conv2d",
     "dropout",
+    "bce_with_logits",
     "circular_correlation",
     "circular_convolution",
     "Optimizer",

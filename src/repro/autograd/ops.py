@@ -5,16 +5,18 @@ primitives on :class:`~repro.autograd.tensor.Tensor`:
 
 * batched circular correlation / convolution (HolE scoring, via FFT),
 * 2-D convolution (ConvE, via im2col),
-* dropout.
+* dropout,
+* mean binary cross-entropy on logits (the BCE loss as one tape node).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, _sigmoid, _softplus, is_grad_enabled
 
 __all__ = [
+    "bce_with_logits",
     "circular_correlation",
     "circular_convolution",
     "conv2d",
@@ -169,3 +171,43 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     if not is_grad_enabled():
         return Tensor(out_data)
     return Tensor._make(out_data, (x,), backward)
+
+
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of ``logits`` against ``targets``, one node.
+
+    Hard targets (all 0 or 1) use ``softplus(−s·x)`` with signs
+    ``s = 2t − 1``; any other targets use ``softplus(x) − t·x``.  The
+    forward pass runs the same ufunc sequence as the chained composition
+    ``(logits.softplus() - logits * targets).mean()`` (or
+    ``(logits * -s).softplus().mean()``), and the backward pass
+    recomputes ``σ`` from the logits with ``Tensor.softplus``'s own
+    helper rather than reusing the forward's ``exp(−|x|)``.  The chain
+    adds exactly two terms into ``logits.grad`` (one for hard targets),
+    so both give the same bits; this node replaces the chain's six tape
+    nodes (softplus, mul, neg, add, sum, scalar mul) and their ``B×N``
+    gradients.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != logits.shape:
+        raise ValueError(
+            f"targets shape {targets.shape} does not match logits {logits.shape}"
+        )
+    x = logits.data
+    inv_size = 1.0 / x.size
+    if np.all((targets == 0.0) | (targets == 1.0)):
+        neg_signs = -(2.0 * targets - 1.0)
+        y = x * neg_signs
+        out_data = _softplus(y).sum() * inv_size
+
+        def backward(grad: np.ndarray) -> None:
+            logits._accumulate(_sigmoid(y) * (grad * inv_size) * neg_signs)
+
+    else:
+        out_data = (_softplus(x) - x * targets).sum() * inv_size
+
+        def backward(grad: np.ndarray) -> None:
+            c = grad * inv_size
+            logits._accumulate(_sigmoid(x) * c - c * targets)
+
+    return Tensor._make(out_data, (logits,), backward)

@@ -62,6 +62,16 @@ def is_grad_enabled() -> bool:
     return _GRAD_MODE.enabled
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, clipped so ``exp`` cannot overflow."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """Numerically stable ``log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|))``."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` over axes that were broadcast to reach ``grad.shape``.
 
@@ -187,25 +197,53 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray | SparseGrad) -> None:
+        """Add one gradient contribution into :attr:`grad`.
+
+        Ownership rule: the first dense contribution is stored as-is when
+        it already has the layout ``np.zeros_like(self.data)`` would give
+        (same shape and dtype, both C-contiguous), and copied into that
+        layout otherwise.  A stored array may be shared — ``__add__``
+        hands one array to both parents, ``reshape`` passes a view — so
+        it is never written in place: later contributions are summed
+        into a fresh ``np.empty_like`` array.  The bits equal the old
+        ``zeros_like``-then-``+=`` accumulation; only the sign of a zero
+        first contribution can differ, which :mod:`.sparse` already
+        tolerates.
+        """
         if not self.requires_grad:
             return
+        current = self.grad
         if isinstance(grad, SparseGrad):
             # Row-sparse contribution (from a sparse-flagged row lookup).
-            if self.grad is None:
+            if current is None:
                 self.grad = grad
-            elif isinstance(self.grad, SparseGrad):
-                self.grad = self.grad.merged_with(grad)
+            elif isinstance(current, SparseGrad):
+                self.grad = current.merged_with(grad)
             else:
-                grad.add_into_dense(self.grad)
+                dense = np.empty_like(current)
+                dense[...] = current
+                grad.add_into_dense(dense)
+                self.grad = dense
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        elif isinstance(self.grad, SparseGrad):
+        if current is None:
+            if (
+                grad.shape == self.data.shape
+                and grad.dtype == self.data.dtype
+                and grad.flags.c_contiguous
+                and self.data.flags.c_contiguous
+            ):
+                self.grad = grad
+            else:
+                owned = np.empty_like(self.data)
+                owned[...] = grad
+                self.grad = owned
+            return
+        if isinstance(current, SparseGrad):
             # Densify on mixed accumulation: a dense gradient reaches a
             # parameter that already holds a sparse one (e.g. the entity
             # table used both through a lookup and as a matmul operand).
-            self.grad = self.grad.to_dense()
-        self.grad += grad
+            current = current.to_dense()
+        self.grad = np.add(current, grad, out=np.empty_like(current))
 
     def zero_grad(self) -> None:
         """Drop any accumulated gradient."""
@@ -220,9 +258,8 @@ class Tensor:
             Upstream gradient.  Defaults to ones, which for a scalar loss is
             the conventional seed of 1.0.
         """
-        if grad is None:
-            grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        # A copy: the seed becomes this node's owned gradient.
+        grad = np.ones_like(self.data) if grad is None else np.array(grad, dtype=np.float64)
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -489,7 +526,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500)))
+        out_data = _sigmoid(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
@@ -505,12 +542,10 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def softplus(self) -> "Tensor":
-        # Numerically stable: log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|))
-        out_data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
+        out_data = _softplus(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            sig = 1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500)))
-            self._accumulate(grad * sig)
+            self._accumulate(grad * _sigmoid(self.data))
 
         return Tensor._make(out_data, (self,), backward)
 

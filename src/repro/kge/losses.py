@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor
+from ..autograd.ops import bce_with_logits
 
 __all__ = [
     "MarginRankingLoss",
@@ -52,7 +53,9 @@ class BCEWithLogitsLoss:
     Uses ``softplus(-y·x)`` with targets mapped to ±1 internally, which is
     the stable form of ``-t log σ(x) − (1−t) log σ(−x)`` for hard targets.
     Label smoothing interpolates targets toward 0.5 before the loss, in
-    which case the general two-term form is used.
+    which case the general form ``softplus(x) − t·x`` is used.  Both are
+    computed by one fused tape node,
+    :func:`~repro.autograd.ops.bce_with_logits`.
     """
 
     def __init__(self, label_smoothing: float = 0.0) -> None:
@@ -69,11 +72,7 @@ class BCEWithLogitsLoss:
                 targets * (1.0 - self.label_smoothing)
                 + self.label_smoothing / 2.0
             )
-        if np.all((targets == 0.0) | (targets == 1.0)):
-            signs = 2.0 * targets - 1.0
-            return (logits * (-signs)).softplus().mean()
-        # General form: softplus(x) − t·x  ==  −t·log σ(x) − (1−t)·log σ(−x)
-        return (logits.softplus() - logits * targets).mean()
+        return bce_with_logits(logits, targets)
 
 
 class SelfAdversarialLoss:

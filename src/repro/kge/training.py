@@ -176,26 +176,51 @@ def _negative_sampling_epoch(
     return total / max(batches, 1)
 
 
-def _kvsall_queries(graph: KnowledgeGraph) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Unique (s, r) and (o, r+K) queries with their true-answer id lists.
+def _kvsall_queries(
+    graph: KnowledgeGraph,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Unique (s, r) queries with their true-answer ids in CSR form.
 
-    Subject-side queries are folded in through reciprocal relation ids
-    ``r + K`` — but only models trained with ``2·K`` relation rows use
-    them; here we instead emit object-side queries only, matching the
-    paper's object-corruption evaluation protocol.
+    Subject-side queries could be folded in through reciprocal relation
+    ids ``r + K`` — but only models trained with ``2·K`` relation rows
+    use them; here we instead emit object-side queries only, matching the
+    paper's object-corruption evaluation protocol.  Queries keep their
+    first-occurrence order; the answers of query ``q`` are
+    ``ids[indptr[q]:indptr[q + 1]]``, returned as ``(indptr, ids)``.
     """
-    index: dict[tuple[int, int], list[int]] = {}
-    for s, r, o in graph.train.array:
-        index.setdefault((int(s), int(r)), []).append(int(o))
-    queries = np.asarray(list(index.keys()), dtype=np.int64)
-    answers = [np.asarray(v, dtype=np.int64) for v in index.values()]
-    return queries, answers
+    triples = graph.train.array
+    keys = triples[:, 0] * graph.num_relations + triples[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # Renumber the unique queries by first occurrence; a stable sort then
+    # groups each query's answers in occurrence order.
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.shape[0])
+    query_of = rank[inverse]
+    counts = np.bincount(query_of, minlength=first.shape[0])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    ids = triples[np.argsort(query_of, kind="stable"), 2]
+    return triples[np.sort(first), :2], (indptr, ids)
+
+
+def _kvsall_targets(
+    rows: np.ndarray, answers: tuple[np.ndarray, np.ndarray], num_entities: int
+) -> np.ndarray:
+    """Multi-hot ``(len(rows), num_entities)`` targets of the given queries."""
+    indptr, ids = answers
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), counts)
+    # Position of each answer inside its query's CSR slice.
+    within = np.arange(owner.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    targets = np.zeros((len(rows), num_entities))
+    targets[owner, ids[starts[owner] + within]] = 1.0
+    return targets
 
 
 def _kvsall_epoch(
     model: KGEModel,
     queries: np.ndarray,
-    answers: list[np.ndarray],
+    answers: tuple[np.ndarray, np.ndarray],
     loss_fn: BCEWithLogitsLoss,
     optimizer: Optimizer,
     config: TrainConfig,
@@ -210,9 +235,7 @@ def _kvsall_epoch(
     for start in range(0, len(order), config.batch_size):
         rows = order[start : start + config.batch_size]
         batch = queries[rows]
-        targets = np.zeros((len(rows), n))
-        for i, row in enumerate(rows):
-            targets[i, answers[row]] = 1.0
+        targets = _kvsall_targets(rows, answers, n)
 
         optimizer.zero_grad()
         logits = model.score_sp(batch[:, 0], batch[:, 1])

@@ -1,4 +1,4 @@
-"""Tests for the compound ops: conv2d, circular correlation, dropout."""
+"""Tests for the compound ops: conv2d, circular correlation, dropout, BCE."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro.autograd import (
     Tensor,
+    bce_with_logits,
     circular_convolution,
     circular_correlation,
     conv2d,
@@ -184,3 +185,60 @@ class TestDropout:
         dropped = out.data == 0
         np.testing.assert_array_equal(x.grad[dropped], 0.0)
         np.testing.assert_allclose(x.grad[~dropped], 2.0)
+
+
+def _bits(array) -> np.ndarray:
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def _chained_bce(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """The BCE tape chain the fused node replaces."""
+    if np.all((targets == 0.0) | (targets == 1.0)):
+        return (logits * (-(2.0 * targets - 1.0))).softplus().mean()
+    return (logits.softplus() - logits * targets).mean()
+
+
+class TestBCEWithLogits:
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "view",
+        [lambda a: a, lambda a: a.T, lambda a: a[:, ::2]],
+        ids=["contiguous", "transposed", "strided"],
+    )
+    def test_bitwise_equal_to_chained_composition(self, smoothing, view):
+        base = RNG.normal(scale=4.0, size=(12, 18))
+        base[0, :3] = [600.0, -600.0, 0.0]
+        targets = (RNG.random(view(base).shape) < 0.2).astype(np.float64)
+        targets = targets * (1.0 - smoothing) + smoothing / 2.0
+        fused_x = Tensor(view(base), requires_grad=True)
+        chained_x = Tensor(view(base), requires_grad=True)
+        fused = bce_with_logits(fused_x, targets)
+        chained = _chained_bce(chained_x, targets)
+        fused.backward()
+        chained.backward()
+        assert _bits(fused.data) == _bits(chained.data)
+        np.testing.assert_array_equal(_bits(fused_x.grad), _bits(chained_x.grad))
+        assert fused_x.grad.strides == chained_x.grad.strides
+
+    def test_soft_targets_use_general_form(self):
+        x = Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
+        y = Tensor(x.data, requires_grad=True)
+        targets = RNG.random((4, 5))
+        bce_with_logits(x, targets).backward()
+        _chained_bce(y, targets).backward()
+        np.testing.assert_array_equal(_bits(x.grad), _bits(y.grad))
+
+    def test_gradient_matches_finite_differences(self):
+        targets = np.asarray([[1.0, 0.0, 0.3], [0.0, 1.0, 0.9]])
+        check_gradients(
+            lambda x: bce_with_logits(x, targets), RNG.normal(size=(2, 3))
+        )
+
+    def test_one_tape_node(self):
+        x = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+        loss = bce_with_logits(x, np.zeros((3, 3)))
+        assert loss._parents == (x,)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            bce_with_logits(Tensor(np.zeros((2, 3))), np.zeros(3))

@@ -257,3 +257,78 @@ class TestBackwardSeed:
         x = Tensor(4.0, requires_grad=True)
         (x * x).backward()
         np.testing.assert_allclose(x.grad, 8.0)
+
+
+class TestGradientOwnership:
+    """``_accumulate`` keeps the first gradient and never writes a stored one."""
+
+    def test_second_contribution_leaves_shared_sibling_alone(self):
+        a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        g = RNG.normal(size=(3, 4))
+        h = RNG.normal(size=(3, 4))
+        (a + b).backward(g)
+        a._accumulate(h)
+        np.testing.assert_array_equal(b.grad, g)
+        np.testing.assert_array_equal(a.grad, g + h)
+
+    def test_tape_contribution_leaves_shared_sibling_alone(self):
+        a = Tensor(RNG.normal(size=(5,)), requires_grad=True)
+        b = Tensor(RNG.normal(size=(5,)), requires_grad=True)
+        c = a + b
+        g = RNG.normal(size=(5,))
+        (c * 1.0 + a * 3.0).backward(g)
+        np.testing.assert_array_equal(b.grad, g)
+        np.testing.assert_array_equal(a.grad, g + g * 3.0)
+        np.testing.assert_array_equal(c.grad, g)
+
+    def test_self_addition_doubles(self):
+        x = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+        g = RNG.normal(size=(4, 2))
+        y = x + x
+        y.backward(g)
+        np.testing.assert_array_equal(x.grad, 2.0 * g)
+        np.testing.assert_array_equal(y.grad, g)
+
+    def test_seed_is_copied(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        seed = np.asarray([1.0, 1.0])
+        y = x * 1.0
+        y.backward(seed)
+        y.grad[0] = 5.0
+        np.testing.assert_array_equal(seed, [1.0, 1.0])
+
+    def test_sparse_then_dense_densifies(self):
+        table = RNG.normal(size=(6, 3))
+        p = Tensor(table.copy(), requires_grad=True)
+        p.sparse_grad = True
+        idx = np.asarray([1, 4, 1])
+        (p.gather_rows(idx).sum() + (p * 2.0).sum()).backward()
+        expected = np.full((6, 3), 2.0)
+        np.add.at(expected, idx, 1.0)
+        np.testing.assert_array_equal(p.grad, expected)
+
+    def test_dense_then_sparse_adds_into_a_copy(self):
+        p = Tensor(RNG.normal(size=(6, 3)), requires_grad=True)
+        p.sparse_grad = True
+        q = Tensor(RNG.normal(size=(6, 3)), requires_grad=True)
+        g = RNG.normal(size=(6, 3))
+        (p + q).backward(g)  # p.grad and q.grad share one array
+        p.gather_rows(np.asarray([0, 2])).backward(np.ones((2, 3)))
+        np.testing.assert_array_equal(q.grad, g)
+        expected = g.copy()
+        expected[[0, 2]] += 1.0
+        np.testing.assert_array_equal(p.grad, expected)
+
+    @pytest.mark.parametrize(
+        "view",
+        [lambda a: a.T, lambda a: a[:, ::2], lambda a: np.asfortranarray(a)],
+        ids=["transposed", "strided", "fortran"],
+    )
+    def test_strided_data_keeps_zeros_like_layout(self, view):
+        x = Tensor(view(RNG.normal(size=(6, 8))), requires_grad=True)
+        assert not x.data.flags.c_contiguous
+        g = np.ascontiguousarray(RNG.normal(size=x.shape))
+        (x * 1.0).backward(g)
+        assert x.grad.strides == np.zeros_like(x.data).strides
+        np.testing.assert_array_equal(x.grad, g)

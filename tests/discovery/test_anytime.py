@@ -161,14 +161,19 @@ class TestSchedulers:
         assert ucb_rate > rr_rate
 
     def test_anytime_monotone_in_budget(self, trained_distmult, tiny_graph):
-        small = anytime_discover(
-            trained_distmult, tiny_graph, budget_seconds=0.2,
-            scheduler="ucb", top_n=15, batch_candidates=50, seed=0,
+        """A larger pull budget never finds fewer facts.
+
+        Budgets are pull counts under a generous wall budget, so the
+        comparison does not depend on machine speed.
+        """
+        kwargs = dict(
+            budget_seconds=30.0, scheduler="ucb", top_n=15,
+            batch_candidates=50, seed=0,
         )
-        large = anytime_discover(
-            trained_distmult, tiny_graph, budget_seconds=1.5,
-            scheduler="ucb", top_n=15, batch_candidates=50, seed=0,
-        )
+        small = anytime_discover(trained_distmult, tiny_graph, max_pulls=3, **kwargs)
+        large = anytime_discover(trained_distmult, tiny_graph, max_pulls=20, **kwargs)
+        assert sum(small.pulls.values()) == 3
+        assert sum(large.pulls.values()) > 3
         assert large.num_facts >= small.num_facts
 
     def test_exhausted_arms_terminate_early(self, trained_distmult, tiny_graph):

@@ -111,8 +111,7 @@ class SGD(Optimizer):
         # count per parameter, and per-row caught-up-through markers.
         self._pt = [0] * len(self.params)
         self._last: list[np.ndarray | None] = [None] * len(self.params)
-        # Scratch for the fused one-step replay.  Held in a dict so the
-        # guard snapshotter ignores it — it carries no state.
+        # Scratch for the fused one-step replay; it carries no state.
         self._scratch: dict[int, np.ndarray] = {}
 
     def step(self) -> None:
@@ -310,8 +309,7 @@ class Adam(Optimizer):
         self._base = [0] * len(self.params)
         self._bias1: list[list[float]] = [[] for _ in self.params]
         self._bias2: list[list[float]] = [[] for _ in self.params]
-        # Scratch buffers for the fused dense step.  Held in a dict so
-        # the guard snapshotter ignores them — they carry no state.
+        # Scratch buffers for the fused dense step; they carry no state.
         self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self) -> None:

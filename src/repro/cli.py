@@ -13,22 +13,11 @@ Commands
 * ``discover`` — run fact discovery with a checkpointed model;
 * ``compare`` — compare sampling strategies on one dataset/model;
 * ``grid`` — sweep the ``top_n`` × ``max_candidates`` hyperparameter grid;
-* ``journal`` — summarise a campaign run-journal (completed / failed /
-  in-flight cells with failure fingerprints);
-* ``chaos`` — run a seeded fault schedule (torn journal write, failed
-  matrix cell) against a small campaign and assert the recovery
-  invariants: a replayable journal and post-recovery results
-  bit-identical to a fault-free run;
 * ``serve`` — serve checkpoints over HTTP: a long-lived query server with
   a model registry, request coalescing and live ``/metrics``;
 * ``query`` — one-shot typed client against a running ``repro serve``;
 * ``lint`` — run the domain-aware static analyser (``repro.lint``) over
   the codebase; all arguments are forwarded to ``repro-lint``.
-
-Long campaigns are resumable: ``repro reproduce --journal run.jsonl``
-journals every matrix cell, and re-running the same command after a
-crash skips completed cells and re-attempts failed ones (see
-:mod:`repro.resilience`).
 
 Any ``DATASET`` argument accepts either a registry name
 (``fb15k237-like``, …) or a path to a directory of
@@ -201,9 +190,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     print("running the dataset × model × strategy matrix "
           "(first run trains the models; later runs reuse .model_cache/)...")
-    if args.journal:
-        print(f"  journalling cells to {args.journal} (resumable; rerun the "
-              "same command after a crash to continue)")
     rows = run_matrix(
         datasets=datasets or PAPER_DATASETS,
         models=PAPER_MODELS if not args.quick else ("distmult", "transe"),
@@ -211,18 +197,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         top_n=args.top_n,
         max_candidates=args.max_candidates,
         seed=args.seed,
-        journal_path=args.journal,
-        max_cell_attempts=args.max_cell_attempts,
-        on_error="degrade" if args.journal else "raise",
-        cell_deadline=args.cell_deadline,
     )
-    failed = [r for r in rows if r.status != "ok"]
-    if failed:
-        print(f"  {len(failed)} cell(s) failed and were degraded to "
-              "partial rows:")
-        for row in failed:
-            print(f"    {row.dataset}/{row.model}/{row.strategy}: {row.error}")
-        rows = [r for r in rows if r.status == "ok"]
 
     def write(name: str, text: str) -> None:
         (out_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
@@ -358,8 +333,6 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from .resilience import GuardConfig
-
     graph = _load_graph(args.dataset)
     job = args.job
     if job == "auto":
@@ -375,21 +348,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         verbose=args.verbose,
     )
-    guard = (
-        None
-        if args.guard == "off"
-        else GuardConfig(policy=args.guard, max_epoch_retries=args.max_epoch_retries)
-    )
     print(f"training {args.model} (dim={args.dim}) on {graph.name} with {job}...")
-    result = fit(
-        graph, ModelConfig(args.model, dim=args.dim, seed=args.seed), config,
-        guard=guard,
-    )
-    if result.guard_report is not None and not result.guard_report.clean:
-        summary = result.guard_report.summary()
-        print(f"guard: {summary['guard_events_count']} event(s), "
-              f"{summary['guard_epoch_retries_count']} epoch retr(ies), "
-              f"{summary['guard_rollbacks_count']} rollback(s)")
+    result = fit(graph, ModelConfig(args.model, dim=args.dim, seed=args.seed), config)
     print(f"final loss: {result.losses[-1]:.4f} after {result.epochs_run} epochs")
     metrics = evaluate_ranking(result.model, graph, split="valid")
     print(f"validation MRR: {metrics.mrr:.4f}, Hits@10: {metrics.hits[10]:.4f}")
@@ -505,183 +465,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             title=f"Hyperparameter grid: {args.strategy} on {graph.name}",
         )
     )
-    return 0
-
-
-def _cmd_journal(args: argparse.Namespace) -> int:
-    from .experiments import CampaignState
-    from .resilience import RunJournal
-
-    journal = RunJournal(args.journal)
-    if not journal.path.is_file():
-        raise SystemExit(f"error: no journal at {args.journal}")
-    view = journal.read()
-    state = CampaignState.from_journal(journal)
-    in_flight = sorted(
-        key
-        for key, count in state.attempts.items()
-        if key not in state.completed and count > 0
-    )
-    print(
-        format_table(
-            [
-                {"property": "records", "value": len(view.records)},
-                {"property": "torn/corrupt lines", "value": view.corrupt_lines},
-                {"property": "cells completed", "value": len(state.completed)},
-                {"property": "cells started, unfinished", "value": len(in_flight)},
-            ],
-            title=f"Campaign journal: {args.journal}",
-        )
-    )
-    if in_flight:
-        print()
-        print(
-            format_table(
-                [
-                    {
-                        "cell": key,
-                        "attempts": state.attempts[key],
-                        "last_error": state.last_error.get(key, "(interrupted)"),
-                    }
-                    for key in in_flight
-                ],
-                title="Unfinished cells (re-attempted on resume)",
-            )
-        )
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Fault-injection acceptance run: break a campaign, then prove recovery.
-
-    Three passes over one small campaign:
-
-    1. a fault-free baseline;
-    2. a chaos pass under a seeded :class:`~repro.faults.FaultPlan`
-       (a torn ``cell_succeeded`` journal append and a failed matrix
-       cell) that is allowed to crash and restart;
-    3. a recovery pass with faults cleared and a raised attempt budget,
-       resuming the chaos journal.
-
-    The invariants asserted at the end are the ones the campaign runner
-    promises: a replayable journal (torn tails quarantined, every cell
-    completed) and recovery rows bit-identical to the baseline on every
-    deterministic field.
-    """
-    import tempfile
-
-    from .experiments import run_matrix
-    from .faults import FaultPlan, clear, install
-    from .resilience import RunJournal
-
-    def deterministic_fields(rows):
-        # repr() round-trips floats bit-exactly and makes NaN comparable;
-        # *_seconds timings and span traces legitimately differ per run.
-        return [
-            (r.dataset, r.model, r.strategy, r.status, r.num_facts,
-             repr(r.mrr), repr(r.test_mrr))
-            for r in rows
-        ]
-
-    campaign = dict(
-        datasets=("wn18rr-like",),
-        models=("distmult",),
-        strategies=("uniform_random", "entity_frequency"),
-        top_n=args.top_n,
-        max_candidates=args.max_candidates,
-        seed=args.seed,
-    )
-
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
-        journal_path = Path(workdir) / "chaos.jsonl"
-
-        print("pass 1/3: fault-free baseline...")
-        baseline = run_matrix(**campaign)
-
-        plan = (
-            FaultPlan()
-            .torn(match="cell_succeeded", times=1)
-            .fail("matrix_cell", match="*entity_frequency*", times=1)
-        )
-        print(f"pass 2/3: chaos pass ({len(plan.faults)} faults armed, "
-              f"journal {journal_path.name})...")
-        install(plan)
-        restarts = 0
-        try:
-            while True:
-                try:
-                    run_matrix(
-                        journal_path=journal_path,
-                        max_cell_attempts=args.max_cell_attempts,
-                        on_error="degrade",
-                        **campaign,
-                    )
-                    break
-                except Exception as error:
-                    restarts += 1
-                    if restarts > 5:
-                        raise SystemExit(
-                            f"error: chaos campaign did not survive 5 "
-                            f"restarts (last: {error})"
-                        )
-                    print(f"  campaign crashed ({type(error).__name__}: "
-                          f"{error}); restarting from the journal")
-        finally:
-            clear()
-        print(f"  {plan.fired()} fault(s) fired, "
-              f"{restarts} restart(s)")
-
-        print("pass 3/3: recovery pass (faults cleared, attempt budget "
-              f"raised to {args.max_cell_attempts + 3})...")
-        recovered = run_matrix(
-            journal_path=journal_path,
-            max_cell_attempts=args.max_cell_attempts + 3,
-            on_error="degrade",
-            **campaign,
-        )
-
-        view = RunJournal(journal_path).read()
-        failures: list[str] = []
-        bad_rows = [
-            f"{r.dataset}/{r.model}/{r.strategy}"
-            for r in recovered
-            if r.status != "ok"
-        ]
-        if bad_rows:
-            failures.append(f"cells still failed after recovery: {bad_rows}")
-        if view.corrupt_lines:
-            failures.append(
-                f"journal replay skipped {view.corrupt_lines} corrupt "
-                f"line(s) — torn tails must be quarantined, not skipped"
-            )
-        if deterministic_fields(recovered) != deterministic_fields(baseline):
-            failures.append(
-                "recovered rows differ from the fault-free baseline on "
-                "deterministic fields"
-            )
-
-        checks = [
-            {"invariant": "journal replayable (no corrupt lines)",
-             "status": "FAIL" if view.corrupt_lines else "ok"},
-            {"invariant": "all cells recovered",
-             "status": "FAIL" if bad_rows else "ok"},
-            {"invariant": "recovery bit-identical to baseline",
-             "status": "FAIL"
-             if deterministic_fields(recovered) != deterministic_fields(baseline)
-             else "ok"},
-        ]
-        print()
-        print(format_table(
-            checks,
-            title=f"Chaos invariants ({len(view.records)} journal records, "
-                  f"journal v{view.version})",
-        ))
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print("all chaos invariants hold")
     return 0
 
 
@@ -847,19 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--top-n", type=int, default=50)
     reproduce.add_argument("--max-candidates", type=int, default=500)
     reproduce.add_argument("--seed", type=int, default=0)
-    reproduce.add_argument("--journal", default=None,
-                           help="JSONL run-journal path; makes the campaign "
-                                "resumable and degrades failed cells instead "
-                                "of aborting")
-    reproduce.add_argument("--max-cell-attempts", type=int, default=3,
-                           help="times a cell may be started (crashes count) "
-                                "before it is reported as failed")
-    reproduce.add_argument("--cell-deadline", type=float, default=None,
-                           metavar="SECONDS",
-                           help="wall-clock budget per matrix cell attempt, "
-                                "checked cooperatively; overruns are "
-                                "journalled as cell_timeout and charged "
-                                "against the attempt budget")
     reproduce.add_argument("--metrics-out", default=None, metavar="PATH",
                            help="write a JSON metrics/span snapshot of the "
                                 "run (re-render with `repro obs`)")
@@ -905,11 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--label-smoothing", type=float, default=0.1)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--verbose", action="store_true")
-    train.add_argument("--guard", choices=["off", "halt", "rollback", "retry"],
-                       default="retry",
-                       help="divergence-guard policy (default: retry the "
-                            "epoch with re-seeded negatives)")
-    train.add_argument("--max-epoch-retries", type=int, default=2)
     train.add_argument("-o", "--output", default="model.npz")
     train.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write a JSON metrics/span snapshot of the "
@@ -967,28 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="wall-clock budget per grid point, checked "
                            "cooperatively between relations")
     grid.set_defaults(func=_cmd_grid)
-
-    journal = sub.add_parser(
-        "journal", help="summarise a campaign run-journal"
-    )
-    journal.add_argument("journal", help="path to a JSONL run-journal")
-    journal.set_defaults(func=_cmd_journal)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="fault-injection acceptance run against a small campaign",
-        description="Runs a fault-free baseline, a chaos pass under a "
-        "seeded fault schedule (torn journal write, failed matrix cell), "
-        "and a recovery pass resuming the same journal — then asserts a "
-        "replayable journal and bit-identical recovered results.",
-    )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--top-n", type=int, default=50)
-    chaos.add_argument("--max-candidates", type=int, default=100)
-    chaos.add_argument("--max-cell-attempts", type=int, default=2,
-                       help="attempt budget during the chaos pass (the "
-                            "recovery pass raises it by 3)")
-    chaos.set_defaults(func=_cmd_chaos)
 
     obs = sub.add_parser(
         "obs", help="re-render a --metrics-out snapshot"

@@ -2,8 +2,7 @@
 
 Mirrors :class:`repro.kge.config.TrainConfig`: a frozen, keyword-only
 dataclass with a lossless ``to_dict``/``from_dict`` round trip, so a
-discovery run can be described in a journal or config file and replayed
-exactly.
+discovery run can be described in a config file and replayed exactly.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from .runner import (
     PAPER_DATASETS,
     PAPER_MODELS,
     PAPER_STRATEGIES,
-    CampaignState,
     MatrixRow,
     clear_model_cache,
     default_model_config,
@@ -47,7 +46,6 @@ __all__ = [
     "SignTestResult",
     "paired_sign_test",
     "MatrixRow",
-    "CampaignState",
     "run_matrix",
     "get_trained_model",
     "clear_model_cache",

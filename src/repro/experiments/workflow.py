@@ -22,7 +22,6 @@ from ..kge.base import KGEModel
 from ..kge.evaluation import RankingMetrics, evaluate_ranking
 from ..kge.training import fit
 from ..obs import ReportableMixin
-from ..resilience import GuardConfig, RetryPolicy
 from .runner import default_model_config, default_train_config, get_trained_model
 
 __all__ = ["WorkflowReport", "WorkflowResult", "FactDiscoveryWorkflow"]
@@ -75,13 +74,6 @@ class FactDiscoveryWorkflow:
     use_cached_model:
         Reuse the shared trained-model cache; set ``False`` to train a
         fresh model with the default (or provided) configs.
-    guard:
-        Divergence-guard policy for the training step (see
-        :class:`repro.resilience.GuardConfig`).  ``None`` keeps the
-        runner's default (epoch retry with spawned RNG streams).
-    retry_policy:
-        Whole-training retry budget applied when the cached-model path
-        has to (re)train (see :class:`repro.resilience.RetryPolicy`).
     """
 
     def __init__(
@@ -95,8 +87,6 @@ class FactDiscoveryWorkflow:
         use_cached_model: bool = True,
         model_config=None,
         train_config=None,
-        guard: GuardConfig | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.dataset = dataset
         self.model_name = model
@@ -107,24 +97,14 @@ class FactDiscoveryWorkflow:
         self.use_cached_model = use_cached_model
         self.model_config = model_config or default_model_config(model)
         self.train_config = train_config or default_train_config(model)
-        self.guard = guard
-        self.retry_policy = retry_policy
 
     def run(self) -> WorkflowReport:
         """Execute all workflow steps and return the bundled report."""
         graph = load_dataset(self.dataset)
         if self.use_cached_model:
-            model = get_trained_model(
-                self.dataset,
-                self.model_name,
-                graph=graph,
-                guard=self.guard,
-                retry_policy=self.retry_policy,
-            )
+            model = get_trained_model(self.dataset, self.model_name, graph=graph)
         else:
-            model = fit(
-                graph, self.model_config, self.train_config, guard=self.guard
-            ).model
+            model = fit(graph, self.model_config, self.train_config).model
 
         link_prediction = evaluate_ranking(model, graph, split="test")
         discovery = discover_facts(

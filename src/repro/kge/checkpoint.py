@@ -26,6 +26,52 @@ from .base import KGEModel, create_model
 __all__ = ["checkpoint_header", "save_model", "load_model"]
 
 _HEADER_KEY = "__repro_header__"
+_ZIP_MAGIC = b"PK\x03\x04"
+
+
+def _read_archive(path: Path, with_state: bool) -> tuple[dict, dict]:
+    """Decode a checkpoint's JSON header and, if asked, its parameters.
+
+    Raises :class:`FileNotFoundError` for a missing file, plain
+    :class:`ValueError` for a readable ``.npz`` without a repro header,
+    and :class:`~repro.resilience.CheckpointCorruptError` for anything
+    that is not an intact archive with a decodable header.
+    """
+    try:
+        with open(path, "rb") as handle:
+            magic = handle.read(len(_ZIP_MAGIC))
+        if magic != _ZIP_MAGIC:
+            # np.load would take a short or foreign file for a pickle and
+            # raise an untyped ValueError; a torn write is still corruption.
+            raise CheckpointCorruptError(
+                f"unreadable checkpoint {path}: not a zip archive"
+            )
+        with np.load(path) as stored:
+            if _HEADER_KEY not in stored.files:
+                raise ValueError(
+                    f"{path} is not a repro model checkpoint (missing header)"
+                )
+            # Materialise everything inside the try: zip CRC errors
+            # surface lazily, on member access.
+            header_bytes = bytes(stored[_HEADER_KEY].tobytes())
+            state = {
+                key: stored[key]
+                for key in (stored.files if with_state else ())
+                if key != _HEADER_KEY
+            }
+    except FileNotFoundError:
+        raise
+    except (zipfile.BadZipFile, EOFError, OSError) as error:
+        raise CheckpointCorruptError(
+            f"unreadable checkpoint {path}: {error}"
+        ) from error
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise CheckpointCorruptError(
+            f"corrupt checkpoint header in {path}: {error}"
+        ) from error
+    return header, state
 
 
 def checkpoint_header(path: Path | str) -> dict:
@@ -35,26 +81,7 @@ def checkpoint_header(path: Path | str) -> dict:
     so cataloguing hundreds of checkpoints stays cheap: only the small
     header member of the ``.npz`` archive is decompressed.
     """
-    path = Path(path)
-    try:
-        with np.load(path) as stored:
-            if _HEADER_KEY not in stored.files:
-                raise ValueError(
-                    f"{path} is not a repro model checkpoint (missing header)"
-                )
-            header_bytes = bytes(stored[_HEADER_KEY].tobytes())
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, EOFError, OSError) as error:
-        raise CheckpointCorruptError(
-            f"unreadable checkpoint {path}: {error}"
-        ) from error
-    try:
-        return json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise CheckpointCorruptError(
-            f"corrupt checkpoint header in {path}: {error}"
-        ) from error
+    return _read_archive(Path(path), with_state=False)[0]
 
 
 def save_model(model: KGEModel, path: Path | str, optimizer=None) -> None:
@@ -93,38 +120,17 @@ def load_model(path: Path | str, verify: bool = True) -> KGEModel:
     """Rebuild a model saved with :func:`save_model` (evaluation mode).
 
     Raises :class:`~repro.resilience.CheckpointCorruptError` when the
-    archive is unreadable (truncated zip, torn write) or when the stored
-    parameter content no longer matches the header checksum; plain
-    :class:`ValueError` when the file is a readable ``.npz`` that simply
-    is not a repro checkpoint.  ``verify=False`` skips the digest check
-    (trusted input on a hot path).
+    archive is unreadable (truncated zip, torn write), when the header
+    carries no checksum, or when the stored parameter content no longer
+    matches it; plain :class:`ValueError` when the file is a readable
+    ``.npz`` that simply is not a repro checkpoint.  ``verify=False``
+    skips the digest check (trusted input on a hot path).
     """
-    path = Path(path)
-    try:
-        with np.load(path) as stored:
-            if _HEADER_KEY not in stored.files:
-                raise ValueError(
-                    f"{path} is not a repro model checkpoint (missing header)"
-                )
-            # Materialise everything inside the try: zip CRC errors
-            # surface lazily, on member access.
-            header_bytes = bytes(stored[_HEADER_KEY].tobytes())
-            state = {key: stored[key] for key in stored.files if key != _HEADER_KEY}
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, EOFError, OSError) as error:
-        raise CheckpointCorruptError(
-            f"unreadable checkpoint {path}: {error}"
-        ) from error
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise CheckpointCorruptError(
-            f"corrupt checkpoint header in {path}: {error}"
-        ) from error
-
-    expected = header.get("checksum")  # absent in pre-checksum checkpoints
-    if verify and expected is not None:
+    header, state = _read_archive(Path(path), with_state=True)
+    expected = header.get("checksum")
+    if expected is None:
+        raise CheckpointCorruptError(f"checkpoint header in {path} has no checksum")
+    if verify:
         actual = digest_arrays(state)
         if actual != expected:
             raise CheckpointCorruptError(

@@ -196,7 +196,6 @@ def generate_hard_negatives(
     triples: np.ndarray,
     seed: int = 0,
     max_resample_rounds: int = 16,
-    attempt: int = 0,
 ) -> np.ndarray:
     """Type-consistent false triples, one per input triple.
 
@@ -210,18 +209,11 @@ def generate_hard_negatives(
     per still-unresolved triple (grouped by relation so every group is a
     single vectorised draw) and rejects candidates that equal the true
     object or are known true, up to ``max_resample_rounds`` rounds.  The
-    output is fully determined by ``(seed, attempt)`` — relation groups
-    are visited in sorted order — though the draw sequence differs from
-    the retired per-triple loop, so negatives are not bit-identical
-    across versions.
-
-    ``attempt`` selects a seed-sequence spawn of the base seed:
-    ``attempt=0`` reproduces the historical draws exactly, while a
-    retried caller (e.g. a training epoch re-run after a divergence
-    guard tripped) passes its retry index to get a stream that is
-    deterministic yet not a replay of the identical failing draw.
+    output is fully determined by ``seed`` — relation groups are visited
+    in sorted order — though the draw sequence differs from the retired
+    per-triple loop, so negatives are not bit-identical across versions.
     """
-    rng = spawn_stream(seed, attempt) if attempt else spawn_stream(seed)
+    rng = spawn_stream(seed)
     triples = np.asarray(triples, dtype=np.int64)
     known = graph.all_triples()
     fallback_pool = np.arange(graph.num_entities, dtype=np.int64)

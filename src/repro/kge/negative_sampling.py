@@ -8,8 +8,6 @@ libraries).
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from ..kg.triples import TripleSet
@@ -81,19 +79,6 @@ class NegativeSampler:
             hpt = len(rel) / max(len(np.unique(rel[:, 2])), 1)
             probs[relation] = hpt / (tph + hpt)
         return probs
-
-    def reseeded(self, rng: np.random.Generator) -> "NegativeSampler":
-        """A clone drawing from ``rng`` instead of the original stream.
-
-        Used by the training guard's epoch-retry policy: the clone shares
-        the (immutable) triple index and precomputed Bernoulli
-        probabilities, so a retried epoch redraws its negatives from a
-        spawned stream without replaying the failing draw or perturbing
-        the primary sampler's stream for subsequent epochs.
-        """
-        clone = copy.copy(self)
-        clone.rng = rng
-        return clone
 
     def sample(self, positives: np.ndarray) -> np.ndarray:
         """Corrupt a ``(B, 3)`` positive batch into ``(B, num_negatives, 3)``."""

@@ -18,39 +18,27 @@ flips the entity tables named by ``model.sparse_entity_parameters()``
 into row-sparse gradient accumulation for the negative-sampling job,
 where a batch touches a few hundred of thousands of rows.  Lazy
 optimizers (SGD with momentum, Adam) are flushed at every epoch
-boundary — before guard inspection, lr decay, evaluation, and early
+boundary — before the loss check, lr decay, evaluation, and early
 stopping — and after every batch for models whose ``post_batch_hook``
 mutates parameters directly (TransE's row renormalisation).  The sparse
 and dense paths produce bit-identical models.
 
-Fault tolerance: passing a :class:`~repro.resilience.GuardConfig` arms
-per-epoch divergence guards (NaN/Inf loss, loss explosion,
-gradient-norm and parameter sanity).  Depending on the policy a tripped
-guard halts with a typed :class:`~repro.resilience.TrainingDivergedError`,
-rolls back to the last healthy in-memory snapshot, or retries the epoch
-with RNG streams spawned from the base seed — deterministic, but not a
-replay of the identical failing draw.  On fault-free runs the guard only
-observes, so guarded and unguarded training produce identical models.
+Divergence: an epoch whose mean loss is NaN or infinite stops training
+with a typed :class:`~repro.resilience.TrainingDivergedError`.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import faults
 from ..autograd import Adagrad, Adam, Optimizer, SGD
 from ..kg.graph import KnowledgeGraph
 from ..obs import get_registry, span
-from ..resilience import (
-    GuardConfig,
-    GuardReport,
-    TrainingDivergedError,
-    TrainingGuard,
-    spawn_stream,
-)
+from ..resilience import TrainingDivergedError
 from .base import KGEModel, create_model
 from .config import ModelConfig, TrainConfig
 from .evaluation import evaluate_ranking
@@ -76,12 +64,6 @@ class TrainingResult:
     valid_mrr_history: list[float] = field(default_factory=list)
     best_valid_mrr: float = 0.0
     epochs_run: int = 0
-    #: Guard observations (events, per-epoch gradient norms, rollback and
-    #: retry counters); ``None`` when training ran unguarded.
-    guard_report: GuardReport | None = None
-    #: True when the rollback policy restored the last healthy snapshot
-    #: and stopped early.
-    rolled_back: bool = False
 
 
 def _make_optimizer(model: KGEModel, config: TrainConfig) -> Optimizer:
@@ -290,14 +272,13 @@ def train_model(
     model: KGEModel,
     graph: KnowledgeGraph,
     config: TrainConfig,
-    guard: GuardConfig | None = None,
 ) -> TrainingResult:
     """Train ``model`` on ``graph.train`` according to ``config``.
 
     Supports optional periodic validation (``eval_every``) with early
-    stopping on validation MRR (``early_stopping_patience``), and
-    optional per-epoch divergence guards (``guard``; see the module
-    docstring for the halt / rollback / retry policies).
+    stopping on validation MRR (``early_stopping_patience``).  Raises
+    :class:`~repro.resilience.TrainingDivergedError` when an epoch's mean
+    loss is not finite.
     """
     rng = np.random.default_rng(config.seed)
     result = TrainingResult(model=model)
@@ -306,7 +287,6 @@ def train_model(
     # row renormalisation) need lazy optimizer rows settled every batch.
     batch_flush = type(model).post_batch_hook is not KGEModel.post_batch_hook
 
-    sampler: NegativeSampler | None = None
     if config.job == "negative_sampling":
         sampler = NegativeSampler(
             graph.train,
@@ -325,9 +305,9 @@ def train_model(
         else:
             loss_fn = create_loss(config.loss, label_smoothing=config.label_smoothing)
 
-        def run_epoch(epoch_rng: np.random.Generator, epoch_sampler) -> float:
+        def run_epoch() -> float:
             return _negative_sampling_epoch(
-                model, graph, epoch_sampler, loss_fn, optimizer, config, epoch_rng,
+                model, graph, sampler, loss_fn, optimizer, config, rng,
                 batch_flush=batch_flush,
             )
 
@@ -337,9 +317,9 @@ def train_model(
         queries, answers = _kvsall_queries(graph)
         loss_fn = BCEWithLogitsLoss(label_smoothing=config.label_smoothing)
 
-        def run_epoch(epoch_rng: np.random.Generator, epoch_sampler) -> float:
+        def run_epoch() -> float:
             return _kvsall_epoch(
-                model, queries, answers, loss_fn, optimizer, config, epoch_rng,
+                model, queries, answers, loss_fn, optimizer, config, rng,
                 batch_flush=batch_flush,
             )
 
@@ -350,93 +330,34 @@ def train_model(
 
         loss_fn = SoftmaxCrossEntropyLoss()
 
-        def run_epoch(epoch_rng: np.random.Generator, epoch_sampler) -> float:
+        def run_epoch() -> float:
             return _one_vs_all_epoch(
-                model, graph, loss_fn, optimizer, config, epoch_rng,
+                model, graph, loss_fn, optimizer, config, rng,
                 batch_flush=batch_flush,
             )
 
     optimizer = _make_optimizer(model, config)
-    guard_state: TrainingGuard | None = None
-    if guard is not None and guard.policy != "off":
-        guard_state = TrainingGuard(guard)
-        result.guard_report = guard_state.report
-
     best_mrr = 0.0
     epochs_since_best = 0
     model.train()
-    epoch = 0
-    attempt = 0
     registry = get_registry()
     with span("train"):
-        while epoch < config.epochs:
-            faults.trigger("train_epoch", epoch)
-            if (
-                guard_state is not None
-                and guard_state.wants_snapshots
-                and attempt == 0
-            ):
-                # The state *entering* the epoch is the last-known-good state.
-                guard_state.snapshot(model, optimizer)
-            if attempt == 0:
-                epoch_rng, epoch_sampler = rng, sampler
-            else:
-                epoch_rng = spawn_stream(config.seed, epoch, attempt)
-                epoch_sampler = (
-                    sampler.reseeded(spawn_stream(config.seed, epoch, attempt, 1))
-                    if sampler is not None
-                    else None
-                )
+        for epoch in range(config.epochs):
             with span("train.epoch"):
-                mean_loss = run_epoch(epoch_rng, epoch_sampler)
+                mean_loss = run_epoch()
                 # Settle lazily-deferred sparse rows before anything reads
-                # or perturbs state: guard inspection, lr decay,
-                # evaluation.  The replay is exact, so flushing here
-                # cannot change the final bits.
+                # or perturbs state: lr decay, evaluation.  The replay is
+                # exact, so flushing here cannot change the final bits.
                 optimizer.flush()
-
-            event = (
-                guard_state.inspect(epoch, attempt, mean_loss, model, optimizer)
-                if guard_state is not None
-                else None
-            )
-            if event is not None:
-                registry.counter("train.guard_events_count").inc()
-                policy = guard_state.config.policy
-                if (
-                    policy == "retry"
-                    and attempt < guard_state.config.max_epoch_retries
-                ):
-                    guard_state.restore(model, optimizer)
-                    guard_state.mark(event, "retried")
-                    logger.warning(
-                        "epoch %d %s (%s); retrying with spawned streams "
-                        "(attempt %d)",
-                        epoch + 1, event.kind, event.detail, attempt + 1,
-                    )
-                    attempt += 1
-                    continue
-                if policy == "rollback":
-                    guard_state.restore(model, optimizer)
-                    guard_state.mark(event, "rolled_back")
-                    result.rolled_back = True
-                    logger.warning(
-                        "epoch %d %s (%s); rolled back to last healthy state "
-                        "after %d clean epochs",
-                        epoch + 1, event.kind, event.detail, result.epochs_run,
-                    )
-                    break
-                guard_state.mark(event, "halted")
+            if not math.isfinite(mean_loss):
                 model.eval()
                 raise TrainingDivergedError(
                     f"training diverged at epoch {epoch + 1} "
-                    f"({event.kind}: {event.detail})",
-                    report=guard_state.report,
+                    f"(mean loss {mean_loss})"
                 )
 
             result.losses.append(mean_loss)
             result.epochs_run = epoch + 1
-            attempt = 0
             registry.counter("train.epochs_count").inc()
             registry.gauge("train.loss").set(mean_loss)
             if config.lr_decay < 1.0:
@@ -471,7 +392,6 @@ def train_model(
                         best_mrr,
                     )
                     break
-            epoch += 1
 
     model.eval()
     result.best_valid_mrr = best_mrr
@@ -489,7 +409,6 @@ def fit(
     graph: KnowledgeGraph,
     model_config: ModelConfig,
     train_config: TrainConfig,
-    guard: GuardConfig | None = None,
 ) -> TrainingResult:
     """Build a model from its config and train it — the one-call API."""
     model = create_model(
@@ -500,4 +419,4 @@ def fit(
         seed=model_config.seed,
         **model_config.options,
     )
-    return train_model(model, graph, train_config, guard=guard)
+    return train_model(model, graph, train_config)

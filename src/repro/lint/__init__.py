@@ -41,18 +41,15 @@ RPR013    export integrity — unresolved project imports, broken
           ``__all__`` re-export chains, shadowed bindings (whole-program)
 RPR014    exception contracts — broad excepts that swallow typed
           project errors raised in the try body (whole-program)
-RPR016    unbounded waits — blocking primitives in
-          ``repro.experiments`` (``future.result``, ``Queue.get``,
-          ``lock.acquire``, ``Process.join``) must carry a timeout so a
-          dead counterpart cannot hang the campaign
 RPR017    dense materialisation — ``.toarray()``/``.todense()`` and
           square ``(x, x)`` numpy allocations in ``repro.kg``/
           ``repro.discovery`` (outside the backend-internal
           storage/blocked modules) re-introduce the Θ(N²) footprint
           the out-of-core substrate exists to avoid
 RPR018    serve handler hygiene — in ``repro.serve``, no unbounded
-          blocking waits (``Event``/``Condition``/``Barrier.wait`` and
-          the RPR016 primitives need timeouts), no mutation of
+          blocking waits (``Event``/``Condition``/``Barrier.wait``,
+          ``future.result``, ``Queue.get``, ``lock.acquire`` and
+          ``join`` need timeouts), no mutation of
           module-global state from handler code, and no hand-rolled
           ``json.dumps`` payloads outside the versioned schema types
 ========  ==========================================================
@@ -100,7 +97,6 @@ from . import (
     rules_sparse,
     rules_tape,
     rules_tensor,
-    rules_waits,
 )
 
 __all__ = [
@@ -147,5 +143,4 @@ __all__ = [
     "rules_sparse",
     "rules_tape",
     "rules_tensor",
-    "rules_waits",
 ]

@@ -98,8 +98,7 @@ def _is_false(node: ast.expr) -> bool:
 def is_bounded(method: str, call: ast.Call) -> bool:
     """Does this blocking call carry a timeout or opt out of blocking?
 
-    Shared by the wait rules (RPR016, RPR018); each decides for itself
-    which methods count as blocking.
+    Used by RPR018, which decides which methods count as blocking.
     """
     for keyword in call.keywords:
         if keyword.arg == "timeout":

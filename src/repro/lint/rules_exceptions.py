@@ -1,8 +1,8 @@
 """RPR014 — exception-contract checks across the call graph.
 
 The resilience layer raises *typed* errors (``CheckpointCorruptError``,
-``RetryBudgetExceededError``) precisely so callers can tell corrupt
-state from exhausted retries.  A caller that wraps such a call in a
+``DeadlineExceededError``) precisely so callers can tell corrupt state
+from an overrun budget.  A caller that wraps such a call in a
 broad ``except Exception`` throws that type information away.  The rule
 computes each function's transitive raise set over the call graph and
 flags broad handlers that swallow a project-typed error no earlier
@@ -35,11 +35,11 @@ class ExceptionContractRule(ProjectRule):
         "(transitively) inside the try body"
     )
     rationale = (
-        "Typed errors are an API contract: retry logic, journaling, and "
-        "campaign isolation all branch on them.  A broad handler around "
-        "a call that transitively raises CheckpointCorruptError treats "
-        "a corrupt checkpoint like any hiccup — the caller can no "
-        "longer quarantine the file or stop burning the retry budget.  "
+        "Typed errors are an API contract: cache quarantine and the "
+        "server's typed error responses branch on them.  A broad handler "
+        "around a call that transitively raises CheckpointCorruptError "
+        "treats a corrupt checkpoint like any hiccup — the caller can no "
+        "longer quarantine the file and retrain.  "
         "Knowing what a call can raise requires the whole call graph."
     )
     example = (

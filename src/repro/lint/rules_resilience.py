@@ -4,8 +4,8 @@ Two checks share this id:
 
 * **swallowed exceptions** — ``except Exception:`` / ``except
   BaseException:`` handlers whose body is only ``pass`` (or ``...``)
-  silently discard failures; in a long campaign that converts a real
-  fault into a missing result with no trace.  Applies everywhere.
+  silently discard failures, converting a real fault into a missing
+  result with no trace.  Applies everywhere.
 * **non-atomic binary writes** — inside ``repro.kge`` and
   ``repro.experiments``, direct ``open(..., "wb")`` or numpy
   ``save``/``savez``/``savez_compressed`` calls bypass the
@@ -78,10 +78,10 @@ class ResilienceRule(Rule):
         "kge/experiments go through repro.resilience.atomic"
     )
     rationale = (
-        "In a multi-hour campaign a swallowed exception converts a real "
-        "fault into a missing result with no trace, and a torn "
-        "checkpoint write corrupts the resume path.  Both failure modes "
-        "surface days later, far from their cause."
+        "A swallowed exception converts a real fault into a missing "
+        "result with no trace, and a torn checkpoint write poisons the "
+        "model cache that every later run loads.  Both failure modes "
+        "surface far from their cause."
     )
     example = (
         "try:\n"

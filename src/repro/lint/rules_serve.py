@@ -1,13 +1,13 @@
 """RPR018 — handler hygiene in the ``repro.serve`` query server.
 
-The serving contract is stricter than the fabric's: a request handler
-runs on a bounded worker pool inside a process that must keep answering
-``/healthz`` and draining gracefully.  Three habits break that contract,
-and each is cheap to detect statically:
+A request handler runs on a bounded worker pool inside a process that
+must keep answering ``/healthz`` and draining gracefully.  Three habits
+break that contract, and each is cheap to detect statically:
 
-**Unbounded blocking waits.**  RPR016 bounds the fabric's four blocking
-primitives; handlers add the coordination primitives the server itself
-is built from — ``Event.wait()`` / ``Condition.wait()`` /
+**Unbounded blocking waits.**  ``future.result()``, ``queue.get()``,
+``lock.acquire()`` and ``process``/``thread.join()`` wait forever by
+default, and so do the coordination primitives the server itself is
+built from — ``Event.wait()`` / ``Condition.wait()`` /
 ``Barrier.wait()`` without a timeout.  A follower waiting forever on a
 leader that died holds a pool slot forever, so graceful shutdown can
 never drain.  Every wait in a handler must be a bounded slice inside a
@@ -66,8 +66,7 @@ _WAITABLE_FACTORIES = {
     "BoundedSemaphore": "lock",
 }
 
-#: Method -> kinds it blocks on.  ``wait`` is the serve-specific addition
-#: over RPR016's fabric set.
+#: Method -> kinds it blocks on.
 _BLOCKING_METHODS = {
     "wait": ("event", "condition", "barrier"),
     "result": ("future",),
@@ -117,10 +116,10 @@ class ServeHandlerHygieneRule(Rule):
     name = "serve-handler-hygiene"
     description = (
         "query-server handler hygiene in repro.serve — no unbounded "
-        "blocking waits (Event/Condition/Barrier.wait and the RPR016 "
-        "primitives must carry timeouts), no mutation of module-global "
-        "state from handler code, and no hand-rolled json.dumps payloads "
-        "outside the versioned schema types"
+        "blocking waits (Event/Condition/Barrier.wait, future.result, "
+        "Queue.get, lock.acquire and join must carry timeouts), no "
+        "mutation of module-global state from handler code, and no "
+        "hand-rolled json.dumps payloads outside the versioned schema types"
     )
     rationale = (
         "A handler that waits forever holds a bounded pool slot forever, "
@@ -150,9 +149,9 @@ class ServeHandlerHygieneRule(Rule):
     # -- unbounded waits ------------------------------------------------
 
     def _check_waits(self, ctx: ModuleContext) -> Iterator[Finding]:
-        # Scopes mirror RPR016: each top-level function is one scope;
-        # class bodies form one scope so ``self.<attr>`` waitables bound
-        # in ``__init__`` are visible from every method.
+        # Each top-level function is one scope; class bodies form one
+        # scope so ``self.<attr>`` waitables bound in ``__init__`` are
+        # visible from every method.
         scopes: list[ast.AST] = []
         module_stmts = ast.Module(body=[], type_ignores=[])
         for stmt in ctx.tree.body:

@@ -1,7 +1,7 @@
 """The unified result/telemetry API: the ``Reportable`` protocol.
 
 Every result object in the codebase (``DiscoveryResult``, ``MatrixRow``,
-``GuardReport``, ``RankingStats``, ...) satisfies the :class:`Reportable`
+``RankingStats``, ...) satisfies the :class:`Reportable`
 protocol: ``summary()`` returns a flat dict of scalars under canonical
 names (durations ``*_seconds``, tallies ``*_count``), ``to_dict()``
 returns the full serialisable payload, ``to_json()`` its JSON text.
@@ -45,7 +45,7 @@ class ReportableMixin:
     """Default ``to_dict``/``to_json`` on top of a class's ``summary()``.
 
     Classes whose serialised payload is richer than the summary (e.g.
-    ``MatrixRow``, whose ``to_dict`` feeds the campaign journal) override
+    ``MatrixRow``, whose ``to_dict`` carries every field) override
     ``to_dict`` and keep the derived ``to_json``.
     """
 

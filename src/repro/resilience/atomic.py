@@ -1,6 +1,6 @@
 """Durable file writes: write-temp → flush → fsync → rename.
 
-A crash (or an injected fault) mid-write must never leave a truncated
+A crash mid-write must never leave a truncated
 archive where a reader expects a checkpoint — PR 2 found every committed
 ``.model_cache`` archive corrupt for exactly this reason.  All binary
 artefact writes in :mod:`repro.kge.checkpoint` and
@@ -21,8 +21,6 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
-
-from .. import faults
 
 __all__ = ["atomic_write", "atomic_write_bytes", "atomic_savez", "digest_arrays"]
 
@@ -61,7 +59,6 @@ def atomic_write(path: Path | str) -> Iterator[Path]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    faults.corrupt_file(path)  # test-only hook; no-op without an active plan
 
 
 def atomic_write_bytes(path: Path | str, data: bytes) -> None:

@@ -1,18 +1,15 @@
-"""A unified wall-clock deadline threaded through the execution stack.
+"""A wall-clock deadline threaded through the execution stack.
 
-Before this type existed every layer spelled time budgets differently:
-:class:`~repro.resilience.retry.RetryPolicy` had two float fields, and
-campaign loops had no way to say "give each cell at most N seconds".  A :class:`Deadline` is one immutable budget created at a
-boundary (CLI flag, campaign start, cell dispatch) and *checked* at
-every cooperative point below it.
+A :class:`Deadline` is one immutable budget created at a boundary (a
+served request, a grid point, a ``discover_facts`` call) and *checked*
+at every cooperative point below it.
 
-Everything runs in-process, so nothing can preempt a running attempt:
-enforcement is cooperative.  :func:`~repro.resilience.retry.with_retries`
-refuses to start an attempt (or a backoff sleep) past the deadline,
-and :func:`repro.discovery.discover_facts` checks between relations.
+Everything runs in-process, so nothing can preempt running work:
+enforcement is cooperative.  :func:`repro.discovery.discover_facts`
+checks between relations, and ``repro serve`` turns an expiry into a
+typed 504.
 
-The clock is injectable (same contract as ``with_retries``) so deadline
-logic is testable without waiting.
+The clock is injectable so deadline logic is testable without waiting.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Typed failure modes of the resilience layer.
 
-Every recoverable fault in the training/campaign stack maps to one of
-these exceptions so callers can write precise ``except`` clauses instead
-of blanket handlers (which :mod:`repro.lint` rule RPR007 rejects).
+Every fault the training, checkpoint and query paths detect maps to one
+of these exceptions so callers can write precise ``except`` clauses
+instead of blanket handlers (which :mod:`repro.lint` rule RPR007 rejects).
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ __all__ = [
     "ResilienceError",
     "CheckpointCorruptError",
     "TrainingDivergedError",
-    "RetryBudgetExceededError",
     "DeadlineExceededError",
-    "FaultInjectedError",
 ]
 
 
@@ -30,29 +28,7 @@ class CheckpointCorruptError(ResilienceError, ValueError):
 
 
 class TrainingDivergedError(ResilienceError, RuntimeError):
-    """Training hit a guard condition (NaN/Inf loss, loss explosion,
-    non-finite parameters or gradients) that the configured policy could
-    not recover from.
-
-    Carries the :class:`~repro.resilience.guards.GuardReport` so callers
-    can inspect what tripped and when.
-    """
-
-    def __init__(self, message: str, report=None) -> None:
-        super().__init__(message)
-        self.report = report
-
-
-class RetryBudgetExceededError(ResilienceError, RuntimeError):
-    """A retried operation exhausted its attempt or deadline budget.
-
-    ``__cause__`` holds the last underlying failure.
-    """
-
-    def __init__(self, message: str, attempts: int = 0, elapsed: float = 0.0) -> None:
-        super().__init__(message)
-        self.attempts = attempts
-        self.elapsed = elapsed
+    """A training epoch ended with a non-finite (NaN/Inf) mean loss."""
 
 
 class DeadlineExceededError(ResilienceError, TimeoutError):
@@ -67,7 +43,3 @@ class DeadlineExceededError(ResilienceError, TimeoutError):
         super().__init__(message)
         self.budget = budget
         self.overdue = overdue
-
-
-class FaultInjectedError(ResilienceError, RuntimeError):
-    """Raised by the fault-injection harness (:mod:`repro.faults`)."""

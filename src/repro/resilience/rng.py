@@ -1,35 +1,24 @@
-"""Deterministic per-retry RNG streams via seed-sequence spawning.
+"""Deterministic per-key RNG streams via seed-sequence spawning.
 
-A retried epoch must not replay the identical failing draw (that would
-re-diverge deterministically) but must stay fully reproducible given the
-same base seed and retry history.  ``spawn_stream(seed, epoch, attempt)``
-gives every (epoch, attempt) pair its own statistically independent
-stream derived from the base seed — the standard
-:class:`numpy.random.SeedSequence` spawn-key construction.
+``spawn_stream(seed, *key)`` gives every key (discovery uses the
+relation id) its own statistically independent stream derived from the
+base seed — the standard :class:`numpy.random.SeedSequence` spawn-key
+construction — so results do not depend on the order keys are visited.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spawn_stream", "spawn_seed"]
+__all__ = ["spawn_stream"]
 
 
 def spawn_stream(seed: int, *spawn_key: int) -> np.random.Generator:
     """A generator for the stream ``spawn_key`` derived from ``seed``.
 
     With an empty ``spawn_key`` this is exactly
-    ``np.random.default_rng(seed)``, so attempt 0 of any retried
-    operation reproduces the historical unretried behaviour bit for bit.
+    ``np.random.default_rng(seed)``.
     """
     if not spawn_key:
         return np.random.default_rng(seed)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
-
-
-def spawn_seed(seed: int, *spawn_key: int) -> int:
-    """A derived integer seed for APIs that only accept plain ints."""
-    if not spawn_key:
-        return seed
-    sequence = np.random.SeedSequence(seed, spawn_key=spawn_key)
-    return int(sequence.generate_state(1, dtype=np.uint64)[0])

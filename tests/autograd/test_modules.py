@@ -31,6 +31,19 @@ class _Net(Module):
 
 
 class TestModule:
+    def test_modules_held_in_lists_are_discovered(self):
+        class Stack(Module):
+            def __init__(self):
+                super().__init__()
+                self.layers = [Linear(2, 2, np.random.default_rng(i)) for i in range(3)]
+                self.head = (Linear(2, 1, np.random.default_rng(9)), "not a module")
+
+        net = Stack()
+        assert len(list(net.parameters())) == 8  # 4 layers × (weight, bias)
+        assert len(list(net.modules())) == 5
+        net.eval()
+        assert not any(module.training for module in net.modules())
+
     def test_parameter_discovery_is_recursive(self):
         net = _Net()
         params = list(net.parameters())

@@ -73,6 +73,24 @@ class TestValidation:
         opt.step()  # no backward yet: must not raise or move x
         np.testing.assert_array_equal(x.data, [1.0])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p: SGD(p, lr=0.1),
+            lambda p: SGD(p, lr=0.1, momentum=0.9),
+            lambda p: Adagrad(p, lr=0.1),
+        ],
+        ids=["sgd", "sgd-momentum", "adagrad"],
+    )
+    def test_every_optimizer_skips_gradless_params(self, make):
+        used = Tensor([1.0], requires_grad=True)
+        unused = Tensor([5.0], requires_grad=True)
+        opt = make([used, unused])
+        (used * used).sum().backward()
+        opt.step()
+        assert used.data[0] < 1.0
+        np.testing.assert_array_equal(unused.data, [5.0])
+
 
 class TestAdamBiasCorrection:
     def test_first_step_size_is_close_to_lr(self):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import SGD, Adagrad, Adam, SparseGrad, Tensor
-from repro.resilience.guards import _optimizer_state, _restore_optimizer
 
 # ----------------------------------------------------------------------
 # SparseGrad container
@@ -78,8 +77,8 @@ class TestSparseGrad:
             rng.standard_normal((30, 5)),
             (10, 5),
         )
-        # Not bit-pinned (the dense sum groups the zero rows differently
-        # under pairwise summation) — it only feeds guard thresholds.
+        # Not bit-pinned: the dense sum groups the zero rows differently
+        # under pairwise summation.
         assert sparse.norm_squared() == pytest.approx(
             float(np.sum(np.square(sparse.to_dense()))), rel=1e-12
         )
@@ -267,56 +266,3 @@ class TestLazyCatchUp:
             return param.data
 
         assert np.array_equal(run(False), run(True))
-
-
-# ----------------------------------------------------------------------
-# Guard snapshot/restore across lazy state
-# ----------------------------------------------------------------------
-
-
-class TestGuardStateRoundTrip:
-    @pytest.mark.parametrize("name", ["sgd-momentum", "adam-wd"])
-    def test_restore_mid_lazy_replays_identically(self, name):
-        make_opt = _OPTIMIZERS[name]
-        param = Tensor(_init_param(), requires_grad=True)
-        param.sparse_grad = True
-        optimizer = make_opt([param])
-
-        def advance(batches):
-            for batch in batches:
-                optimizer.zero_grad()
-                rows = param.gather_rows(np.asarray(batch, dtype=np.int64))
-                ((rows * rows).sum() * 0.5).backward()
-                optimizer.step()
-
-        advance(_BATCHES[:3])  # lazy path engaged, rows stale
-        saved_param = param.data.copy()
-        saved_state = _optimizer_state(optimizer)
-
-        advance(_BATCHES[3:])
-        optimizer.flush()
-        first = param.data.copy()
-
-        # Restore and replay — twice, proving the snapshot stays pristine.
-        for _ in range(2):
-            param.data[...] = saved_param
-            param.zero_grad()
-            _restore_optimizer(optimizer, saved_state)
-            advance(_BATCHES[3:])
-            optimizer.flush()
-            assert np.array_equal(param.data, first)
-
-    def test_snapshot_captures_lazy_bookkeeping(self):
-        param = Tensor(_init_param(), requires_grad=True)
-        param.sparse_grad = True
-        optimizer = Adam([param], lr=0.05)
-        optimizer.zero_grad()
-        rows = param.gather_rows(np.array([0, 1], dtype=np.int64))
-        (rows * rows).sum().backward()
-        optimizer.step()
-
-        state = _optimizer_state(optimizer)
-        assert state["_pt"] == [1]
-        assert isinstance(state["_last"][0], np.ndarray)
-        assert state["_bias1"] == optimizer._bias1
-        assert state["_bias1"][0] is not optimizer._bias1[0]

@@ -13,6 +13,10 @@ RNG = np.random.default_rng(42)
 
 
 class TestConstruction:
+    def test_numpy_exposes_the_data_without_a_copy(self):
+        t = Tensor([1.0, 2.0])
+        assert t.numpy() is t.data
+
     def test_from_list(self):
         t = Tensor([1.0, 2.0, 3.0])
         assert t.shape == (3,)
@@ -110,6 +114,23 @@ class TestGradients:
     def test_batched_matmul(self):
         w = RNG.normal(size=(4, 3, 5))
         check_gradients(lambda x: x @ w, RNG.normal(size=(4, 2, 3)))
+
+    def test_matmul_vector_dot(self):
+        v = RNG.normal(size=(3,))
+        check_gradients(lambda x: x @ v, RNG.normal(size=(3,)))
+        check_gradients(lambda x: Tensor(v) @ x, RNG.normal(size=(3,)))
+
+    def test_matmul_matrix_vector(self):
+        v = RNG.normal(size=(3,))
+        check_gradients(lambda x: x @ v, RNG.normal(size=(2, 3)))
+        m = RNG.normal(size=(2, 3))
+        check_gradients(lambda x: Tensor(m) @ x, RNG.normal(size=(3,)))
+
+    def test_matmul_vector_matrix(self):
+        m = RNG.normal(size=(3, 4))
+        check_gradients(lambda x: x @ m, RNG.normal(size=(3,)))
+        v = RNG.normal(size=(3,))
+        check_gradients(lambda x: Tensor(v) @ x, RNG.normal(size=(3, 4)))
 
     def test_sum_axis(self):
         check_gradients(lambda x: x.sum(axis=1), RNG.normal(size=(3, 4)))

@@ -209,3 +209,17 @@ def test_summary_uses_canonical_keys():
     assert summary["efficiency_facts_per_hour"] == 0.0
     assert summary["rows_scored_count"] == 7
     assert "rows_scored" not in summary
+
+
+def test_empty_result_has_zero_mrr():
+    from repro.discovery.anytime import AnytimeResult
+
+    result = AnytimeResult(
+        facts=np.zeros((0, 3), dtype=np.int64),
+        ranks=np.zeros(0),
+        scheduler="round_robin",
+        budget_seconds=1.0,
+        elapsed_seconds=0.5,
+    )
+    assert result.mrr() == 0.0
+    assert result.summary()["facts_count"] == 0

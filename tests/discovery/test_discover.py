@@ -7,6 +7,7 @@ import pytest
 
 from repro.discovery import (
     MAX_GENERATION_ITERATIONS,
+    DiscoveryResult,
     create_strategy,
     discover_facts,
     theoretical_mrr_floor,
@@ -412,6 +413,22 @@ class TestEdgeCases:
         )
         assert result.efficiency_facts_per_hour() == 0.0
         assert result.mrr() == 0.0
+
+    def test_efficiency_zero_when_no_time_was_charged(self):
+        result = DiscoveryResult(
+            facts=np.asarray([[0, 0, 1]]),
+            ranks=np.asarray([1.0]),
+            strategy="uniform_random",
+            top_n=10,
+            max_candidates=10,
+            candidates_generated=1,
+            generation_seconds=0.0,
+            ranking_seconds=0.0,
+            weight_seconds=0.0,
+        )
+        assert result.runtime_seconds == 0.0
+        assert result.efficiency_facts_per_hour() == 0.0
+        assert result.mrr() == 1.0
 
 
 def test_summary_flattens_the_trace_when_observed(trained_distmult, tiny_graph):

@@ -116,3 +116,18 @@ class TestDefaultsAndTracing:
         counters = registry.snapshot()["counters"]
         assert counters["discover.relations_count"] == 2
         assert counters["discover.candidates_count"] == result.candidates_generated
+
+
+class _PruneEverything:
+    def filter(self, candidates):
+        return candidates[:0]
+
+
+def test_relation_pruned_to_nothing_yields_no_facts(trained_distmult, tiny_graph):
+    result = exhaustive_discover_facts(
+        trained_distmult, tiny_graph, top_n=10, relations=[0, 1],
+        rule_filter=_PruneEverything(),
+    )
+    assert result.facts.shape == (0, 3)
+    assert result.ranks.shape == (0,)
+    assert result.candidates_generated == 0

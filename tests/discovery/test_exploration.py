@@ -115,6 +115,11 @@ class TestMixture:
 
 
 class TestPageRank:
+    def test_empty_graph_has_an_empty_distribution(self):
+        import scipy.sparse as sp
+
+        assert pagerank(sp.csr_matrix((0, 0))).shape == (0,)
+
     def test_matches_networkx(self, small_graph):
         stats = GraphStatistics(small_graph.train, backend="sparse")
         mine = pagerank(stats.adjacency, damping=0.85)
@@ -156,6 +161,10 @@ class TestLongTailCoverage:
 
     def test_empty_facts(self):
         assert long_tail_coverage(np.zeros((0, 3)), np.asarray([1, 2])) == 0.0
+
+    def test_no_connected_entities_means_no_tail(self):
+        facts = np.asarray([[0, 0, 1]])
+        assert long_tail_coverage(facts, np.asarray([0, 0, 0])) == 0.0
 
     def test_invalid_quantile(self):
         with pytest.raises(ValueError):

@@ -41,6 +41,11 @@ class TestHideTriples:
         with pytest.raises(ValueError):
             hide_triples(small_graph, fraction=1.0)
 
+    def test_fraction_too_small_to_hide_a_single_triple(self, small_graph):
+        fraction = 0.5 / len(small_graph.train)
+        with pytest.raises(ValueError, match="nothing would be hidden"):
+            hide_triples(small_graph, fraction=fraction)
+
     def test_valid_test_untouched(self, small_graph):
         reduced, _ = hide_triples(small_graph, fraction=0.2, seed=0)
         assert reduced.valid == small_graph.valid

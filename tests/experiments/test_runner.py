@@ -1,9 +1,8 @@
-"""Tests for the experiment runner, its model cache, and campaign resilience."""
+"""Tests for the experiment runner and its model cache."""
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from repro.experiments import (
     PAPER_DATASETS,
     PAPER_MODELS,
     PAPER_STRATEGIES,
-    CampaignState,
     MatrixRow,
     clear_model_cache,
     default_model_config,
@@ -24,25 +22,6 @@ from repro.experiments import (
 from repro.kg import load_dataset
 from repro.kge import create_model, load_model, save_model
 from repro.obs import MetricsRegistry, use_registry
-from repro.resilience import (
-    FaultInjectedError,
-    FaultPlan,
-    RetryBudgetExceededError,
-    RetryPolicy,
-    RunJournal,
-    inject,
-)
-
-
-def assert_rows_equal(a: MatrixRow, b: MatrixRow) -> None:
-    """Field-by-field equality where NaN == NaN (failed/uneval'd cells)."""
-    da, db = a.to_dict(), b.to_dict()
-    assert da.keys() == db.keys()
-    for key in da:
-        if isinstance(da[key], float) and math.isnan(da[key]):
-            assert math.isnan(db[key]), key
-        else:
-            assert da[key] == db[key], key
 
 
 class TestConstants:
@@ -147,41 +126,58 @@ class TestModelCache:
         assert model.dim == tuned_dim
         assert load_model(path).dim == tuned_dim  # the cache was rewritten
 
-    def test_failed_training_retrains_under_a_spawned_seed(
+    def test_corrupt_checkpoint_is_quarantined_and_retrained(
         self, tmp_path, monkeypatch
     ):
+        """Acceptance: a corrupted cache checkpoint is detected, moved to a
+        *.corrupt sibling, and the model is retrained — never loaded."""
         monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path))
         clear_model_cache()
-        first = get_trained_model("wn18rr-like", "distmult", use_disk_cache=False)
-        clear_model_cache()
-        with inject(FaultPlan().fail("train_epoch", match="0")) as plan:
-            retried = get_trained_model(
-                "wn18rr-like", "distmult", use_disk_cache=False
-            )
-        assert plan.fired() == 1
-        # Attempt 1 trains under spawn_seed(seed, 1), not a replay of the
-        # failed attempt's draws.
-        assert not np.array_equal(first.entity_matrix(), retried.entity_matrix())
-        assert not retried.training
+        original = get_trained_model("wn18rr-like", "distmult")
+        path = tmp_path / "wn18rr-like__distmult.npz"
+        data = bytearray(path.read_bytes())
+        middle = len(data) // 2
+        for offset in range(middle, middle + 32):
+            data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
 
-    def test_exhausted_training_retries_raise_and_cache_nothing(
-        self, tmp_path, monkeypatch
+        clear_model_cache()
+        retrained = get_trained_model("wn18rr-like", "distmult")
+        quarantined = tmp_path / "wn18rr-like__distmult.npz.corrupt"
+        assert quarantined.is_file()
+        # The retrain reproduces the original run bit for bit.
+        np.testing.assert_array_equal(
+            original.entity_matrix(), retrained.entity_matrix()
+        )
+        # The rewritten cache is valid again and clear() removes quarantine.
+        clear_model_cache()
+        reloaded = get_trained_model("wn18rr-like", "distmult")
+        np.testing.assert_array_equal(
+            original.entity_matrix(), reloaded.entity_matrix()
+        )
+        clear_model_cache(disk=True)
+        assert not quarantined.exists()
+
+
+    @pytest.mark.parametrize("keep", ["half", "one byte"])
+    def test_truncated_checkpoint_is_quarantined_and_retrained(
+        self, tmp_path, monkeypatch, keep
     ):
         monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path))
         clear_model_cache()
-        with inject(FaultPlan().fail("train_epoch", times=-1)) as plan:
-            with pytest.raises(RetryBudgetExceededError) as info:
-                get_trained_model(
-                    "wn18rr-like",
-                    "distmult",
-                    retry_policy=RetryPolicy(max_attempts=2),
-                )
-        assert plan.fired() == 2
-        assert isinstance(info.value.__cause__, FaultInjectedError)
-        assert not (tmp_path / "wn18rr-like__distmult.npz").exists()
-        model = get_trained_model("wn18rr-like", "distmult")  # trains afresh
-        assert (tmp_path / "wn18rr-like__distmult.npz").is_file()
-        assert not model.training
+        original = get_trained_model("wn18rr-like", "distmult")
+        path = tmp_path / "wn18rr-like__distmult.npz"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2] if keep == "half" else data[:1])
+
+        clear_model_cache()
+        retrained = get_trained_model("wn18rr-like", "distmult")
+        assert (tmp_path / "wn18rr-like__distmult.npz.corrupt").is_file()
+        np.testing.assert_array_equal(
+            original.entity_matrix(), retrained.entity_matrix()
+        )
+        assert load_model(path).dim == original.dim  # the cache was rewritten
+        clear_model_cache(disk=True)
 
 
 class TestRunMatrix:
@@ -247,29 +243,18 @@ class TestMatrixRow:
         assert row.runtime_seconds == result.runtime_seconds
         assert row.weight_seconds == 0.3
         assert row.efficiency_facts_per_hour == result.efficiency_facts_per_hour()
-        assert (row.test_mrr, row.status, row.error, row.trace) == (
-            0.4, "ok", "", {},
-        )
+        assert (row.test_mrr, row.trace) == (0.4, {})
 
     def test_json_round_trip_is_bit_exact(self):
         trace = {"matrix.cell": {"count": 1, "wall_seconds": 0.1, "cpu_seconds": 0.2}}
         row = MatrixRow.from_result(
             "ds", "transe", _result(generation_seconds=1 / 3), trace=trace
         )
-        for original in (row, MatrixRow.failed("ds", "m", "s", "Boom: x")):
-            clone = MatrixRow.from_dict(json.loads(json.dumps(original.to_dict())))
-            assert_rows_equal(clone, original)
-
-    def test_failed_row_carries_nan_metrics_and_the_error(self):
-        row = MatrixRow.failed("ds", "m", "s", "FaultInjectedError: boom")
-        assert row.status == "failed"
-        assert row.error == "FaultInjectedError: boom"
-        assert row.num_facts == 0
-        for value in (
-            row.mrr, row.runtime_seconds, row.weight_seconds,
-            row.efficiency_facts_per_hour, row.test_mrr,
-        ):
-            assert math.isnan(value)
+        clone = MatrixRow(**json.loads(row.to_json()))
+        # JSON spells every float by its repr, NaN (the unevaluated test
+        # MRR) included, so equal texts mean bit-equal fields.
+        assert clone.to_json() == row.to_json()
+        assert clone.runtime_seconds == row.runtime_seconds
 
     def test_summary_flattens_the_cell_trace(self):
         trace = {
@@ -288,21 +273,6 @@ class TestMatrixRow:
         }
 
 
-def test_campaign_state_reads_starts_rows_and_last_errors(tmp_path):
-    journal = RunJournal(tmp_path / "run.jsonl")
-    journal.append("cell_started", cell="a", attempt=1)
-    journal.append("cell_failed", cell="a", attempt=1, error="ValueError: one")
-    journal.append("cell_started", cell="a", attempt=2)
-    journal.append("cell_timeout", cell="a", attempt=2, error="Deadline: two")
-    journal.append("cell_started", cell="b", attempt=1)
-    journal.append("cell_succeeded", cell="b", row={"num_facts": 3})
-    journal.append("cell_succeeded", cell="c", row="not a row")
-    state = CampaignState.from_journal(journal)
-    assert state.attempts == {"a": 2, "b": 1}
-    assert state.completed == {"b": {"num_facts": 3}}
-    assert state.last_error == {"a": "Deadline: two"}
-
-
 _CAMPAIGN = dict(
     datasets=("wn18rr-like",),
     models=("distmult",),
@@ -312,160 +282,10 @@ _CAMPAIGN = dict(
 )
 
 
-class TestResilientCampaigns:
-    def test_killed_campaign_resumes_bit_identically(self, tmp_path, monkeypatch):
-        """Acceptance: a campaign killed mid-cell and restarted produces the
-        same final report as an uninterrupted run."""
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "cache"))
-        clear_model_cache()
-        reference = run_matrix(journal_path=tmp_path / "ref.jsonl", **_CAMPAIGN)
-
-        # Kill the process mid-second-cell: KeyboardInterrupt is not an
-        # Exception, so — like SIGKILL — no cell_failed record is written.
-        journal_path = tmp_path / "run.jsonl"
-        plan = FaultPlan().fail(
-            "matrix_cell", match="*entity_frequency*", exc=KeyboardInterrupt
-        )
-        with inject(plan):
-            with pytest.raises(KeyboardInterrupt):
-                run_matrix(journal_path=journal_path, **_CAMPAIGN)
-        assert plan.fired() == 1
-
-        state = CampaignState.from_journal(RunJournal(journal_path))
-        completed_key = "wn18rr-like/distmult/uniform_random"
-        assert set(state.completed) == {completed_key}
-        assert state.attempts["wn18rr-like/distmult/entity_frequency"] == 1
-
-        resumed = run_matrix(journal_path=journal_path, **_CAMPAIGN)
-        assert [row.status for row in resumed] == ["ok", "ok"]
-        # The completed cell is replayed bit-identically from the journal,
-        # not recomputed.
-        assert_rows_equal(
-            resumed[0], MatrixRow.from_dict(state.completed[completed_key])
-        )
-        # Every deterministic metric matches the uninterrupted reference
-        # run (wall-clock timing fields legitimately differ).
-        for ref_row, res_row in zip(reference, resumed):
-            assert ref_row.strategy == res_row.strategy
-            assert ref_row.num_facts == res_row.num_facts
-            assert ref_row.mrr == res_row.mrr
-        # A further restart replays the whole report bit-identically.
-        replayed = run_matrix(journal_path=journal_path, **_CAMPAIGN)
-        for resumed_row, replayed_row in zip(resumed, replayed):
-            assert_rows_equal(resumed_row, replayed_row)
-
-    def test_corrupt_checkpoint_is_quarantined_and_retrained(
-        self, tmp_path, monkeypatch
-    ):
-        """Acceptance: a corrupted cache checkpoint is detected, moved to a
-        *.corrupt sibling, and the model is retrained — never loaded."""
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path))
-        clear_model_cache()
-        original = get_trained_model("wn18rr-like", "distmult")
-        path = tmp_path / "wn18rr-like__distmult.npz"
-        data = bytearray(path.read_bytes())
-        middle = len(data) // 2
-        for offset in range(middle, middle + 32):
-            data[offset] ^= 0xFF
-        path.write_bytes(bytes(data))
-
-        clear_model_cache()
-        retrained = get_trained_model("wn18rr-like", "distmult")
-        quarantined = tmp_path / "wn18rr-like__distmult.npz.corrupt"
-        assert quarantined.is_file()
-        # Attempt 0 of the retrain reproduces the original run bit for bit.
-        np.testing.assert_array_equal(
-            original.entity_matrix(), retrained.entity_matrix()
-        )
-        # The rewritten cache is valid again and clear() removes quarantine.
-        clear_model_cache()
-        reloaded = get_trained_model("wn18rr-like", "distmult")
-        np.testing.assert_array_equal(
-            original.entity_matrix(), reloaded.entity_matrix()
-        )
-        clear_model_cache(disk=True)
-        assert not quarantined.exists()
-
-    def test_degrade_mode_emits_partial_failure_rows(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "cache"))
-        clear_model_cache()
-        journal_path = tmp_path / "run.jsonl"
-        with inject(
-            FaultPlan().fail("matrix_cell", match="*entity_frequency*", times=-1)
-        ):
-            rows = run_matrix(
-                journal_path=journal_path,
-                max_cell_attempts=2,
-                on_error="degrade",
-                **_CAMPAIGN,
-            )
-        assert [row.status for row in rows] == ["ok", "failed"]
-        failed = rows[1]
-        assert failed.strategy == "entity_frequency"
-        assert failed.error.startswith("FaultInjectedError")
-        assert math.isnan(failed.mrr) and failed.num_facts == 0
-
-        state = CampaignState.from_journal(RunJournal(journal_path))
-        key = "wn18rr-like/distmult/entity_frequency"
-        assert state.attempts[key] == 2
-        assert state.last_error[key].startswith("FaultInjectedError")
-
-        # The budget is spent: a resume (fault gone) must NOT re-run the
-        # cell but report it failed with the recorded fingerprint.
-        resumed = run_matrix(
-            journal_path=journal_path,
-            max_cell_attempts=2,
-            on_error="degrade",
-            **_CAMPAIGN,
-        )
-        assert [row.status for row in resumed] == ["ok", "failed"]
-        assert resumed[1].error.startswith("FaultInjectedError")
-        assert_rows_equal(resumed[0], rows[0])
-
-    def test_transient_cell_failure_recovers_in_process(
-        self, tmp_path, monkeypatch
-    ):
-        """A cell that fails once and then succeeds is re-run inside the
-        same degrading campaign — no restart needed."""
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "cache"))
-        clear_model_cache()
-        journal_path = tmp_path / "run.jsonl"
-        with inject(
-            FaultPlan().fail("matrix_cell", match="*uniform_random*", times=1)
-        ) as plan:
-            rows = run_matrix(
-                journal_path=journal_path,
-                max_cell_attempts=3,
-                on_error="degrade",
-                **_CAMPAIGN,
-            )
-        assert plan.fired() == 1
-        assert [row.status for row in rows] == ["ok", "ok"]
-        state = CampaignState.from_journal(RunJournal(journal_path))
-        assert state.attempts["wn18rr-like/distmult/uniform_random"] == 2
-
-    def test_raise_mode_propagates_and_preserves_progress(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "cache"))
-        clear_model_cache()
-        journal_path = tmp_path / "run.jsonl"
-        with inject(FaultPlan().fail("matrix_cell", match="*entity_frequency*")):
-            with pytest.raises(FaultInjectedError):
-                run_matrix(journal_path=journal_path, **_CAMPAIGN)
-        view = RunJournal(journal_path).read()
-        assert len(view.by_event("cell_succeeded")) == 1
-        assert len(view.by_event("cell_failed")) == 1
-
-    def test_invalid_on_error_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            run_matrix(on_error="ignore", **_CAMPAIGN)
-
-
 def _deterministic_fields(rows):
     """The deterministic comparison tuple (repr makes NaN comparable)."""
     return [
-        (r.dataset, r.model, r.strategy, r.status, r.num_facts, repr(r.mrr),
+        (r.dataset, r.model, r.strategy, r.num_facts, repr(r.mrr),
          repr(r.test_mrr))
         for r in rows
     ]
@@ -488,267 +308,6 @@ def class_model_cache(tmp_path_factory):
 
 
 @pytest.mark.usefixtures("class_model_cache")
-class TestChaosRecovery:
-    """The serial schedule ``repro chaos`` runs: faults at the runner's own
-    sites, each followed by a recovery that is bit-identical to a
-    fault-free baseline on every deterministic field."""
-
-    CAMPAIGN = dict(_CAMPAIGN, seed=0)
-
-    @pytest.fixture(scope="class")
-    def baseline_rows(self, class_model_cache):
-        return run_matrix(**self.CAMPAIGN)
-
-    def test_torn_success_record_heals_on_resume(self, baseline_rows, tmp_path):
-        journal_path = tmp_path / "run.jsonl"
-        with inject(FaultPlan().torn(match="cell_succeeded")):
-            with pytest.raises(FaultInjectedError):
-                run_matrix(
-                    **self.CAMPAIGN, journal_path=journal_path,
-                    max_cell_attempts=3,
-                )
-        journal = RunJournal(journal_path)
-        assert journal.read().corrupt_lines == 1  # the torn tail, untouched
-        recovered = run_matrix(
-            **self.CAMPAIGN, journal_path=journal_path, max_cell_attempts=3
-        )
-        assert _deterministic_fields(recovered) == _deterministic_fields(
-            baseline_rows
-        )
-        view = journal.read()
-        assert view.corrupt_lines == 0  # resume quarantined the torn tail
-        assert journal.quarantine_path.is_file()
-
-    def test_parent_side_cell_fault_reruns_within_one_pass(
-        self, baseline_rows, tmp_path
-    ):
-        journal_path = tmp_path / "run.jsonl"
-        with inject(FaultPlan().fail("matrix_cell", match="*entity_frequency*")):
-            rows = run_matrix(
-                **self.CAMPAIGN,
-                journal_path=journal_path,
-                max_cell_attempts=3,
-                on_error="degrade",
-            )
-        assert _deterministic_fields(rows) == _deterministic_fields(baseline_rows)
-        failed = RunJournal(journal_path).read().by_event("cell_failed")
-        assert len(failed) == 1
-        assert failed[0]["cell"] == "wn18rr-like/distmult/entity_frequency"
-
-    def test_v1_journal_resumes_under_the_v2_writer(self, baseline_rows, tmp_path):
-        # A campaign journalled by the pre-envelope format: bare records,
-        # no header, no checksums.  Resume must replay its completed cell
-        # bit-identically and append v2 envelopes after it.
-        journal_path = tmp_path / "run.jsonl"
-        key = "wn18rr-like/distmult/uniform_random"
-        done = next(r for r in baseline_rows if r.strategy == "uniform_random")
-        v1_records = [
-            {"event": "cell_started", "cell": key, "attempt": 1},
-            {"event": "cell_succeeded", "cell": key, "row": done.to_dict()},
-        ]
-        journal_path.write_text(
-            "".join(json.dumps(record) + "\n" for record in v1_records),
-            encoding="utf-8",
-        )
-        rows = run_matrix(
-            **self.CAMPAIGN, journal_path=journal_path, max_cell_attempts=3
-        )
-        assert _deterministic_fields(rows) == _deterministic_fields(baseline_rows)
-        view = RunJournal(journal_path).read()
-        assert view.corrupt_lines == 0
-        assert view.version == 1  # headerless file keeps its v1 identity
-        # The replayed cell was not re-run; only the other cell started.
-        started = view.by_event("cell_started")
-        assert [r["cell"] for r in started].count(key) == 1
-        # New appends are enveloped even inside a v1 file.
-        tail = journal_path.read_text(encoding="utf-8").strip().splitlines()[-1]
-        assert set(json.loads(tail)) == {"crc", "record"}
-
-    def test_cell_deadline_overrun_is_charged_and_degrades(self, tmp_path):
-        journal_path = tmp_path / "run.jsonl"
-        rows = run_matrix(
-            **self.CAMPAIGN,
-            journal_path=journal_path,
-            max_cell_attempts=2,
-            on_error="degrade",
-            cell_deadline=1e-9,
-        )
-        assert [row.status for row in rows] == ["failed", "failed"]
-        assert all(
-            row.error.startswith("DeadlineExceededError") for row in rows
-        )
-        journal = RunJournal(journal_path)
-        view = journal.read()
-        assert view.by_event("cell_failed") == []
-        timeouts = view.by_event("cell_timeout")
-        # Every attempt, the in-process re-run included, gets its own
-        # budget and is charged when it overruns.
-        assert len(timeouts) == 4
-        state = CampaignState.from_journal(journal)
-        assert set(state.attempts.values()) == {2}
-        assert not state.completed
-
-
-@pytest.mark.usefixtures("class_model_cache")
-class TestCampaignJournal:
-    """How a journalled campaign records, orders and budgets its cells
-    across restarts."""
-
-    CAMPAIGN = dict(_CAMPAIGN, seed=0)
-    FAILING = "wn18rr-like/distmult/entity_frequency"
-
-    def test_every_cell_is_started_once_and_records_its_row(self, tmp_path):
-        journal_path = tmp_path / "run.jsonl"
-        rows = run_matrix(**self.CAMPAIGN, journal_path=journal_path)
-        view = RunJournal(journal_path).read()
-        keys = [f"{r.dataset}/{r.model}/{r.strategy}" for r in rows]
-        started = view.by_event("cell_started")
-        assert [record["cell"] for record in started] == keys
-        assert all(record["attempt"] == 1 for record in started)
-        succeeded = view.by_event("cell_succeeded")
-        assert [record["cell"] for record in succeeded] == keys
-        for record, row in zip(succeeded, rows):
-            assert_rows_equal(MatrixRow.from_dict(record["row"]), row)
-        assert view.by_event("cell_failed") == []
-
-    def test_rows_follow_the_requested_order_on_replay(self, tmp_path):
-        journal_path = tmp_path / "run.jsonl"
-        forward = run_matrix(**self.CAMPAIGN, journal_path=journal_path)
-        reversed_campaign = dict(
-            self.CAMPAIGN, strategies=tuple(reversed(_CAMPAIGN["strategies"]))
-        )
-        replayed = run_matrix(**reversed_campaign, journal_path=journal_path)
-        assert [row.strategy for row in replayed] == list(
-            reversed_campaign["strategies"]
-        )
-        for row, original in zip(replayed, reversed(forward)):
-            assert_rows_equal(row, original)
-        # Every cell was replayed from the journal, none re-run.
-        view = RunJournal(journal_path).read()
-        assert len(view.by_event("cell_started")) == len(forward)
-
-    def test_attempt_budget_spans_restarts(self, tmp_path):
-        journal_path = tmp_path / "run.jsonl"
-        plan = FaultPlan().fail(
-            "matrix_cell", match="*entity_frequency*", times=-1
-        )
-        with inject(plan):
-            first = run_matrix(
-                **self.CAMPAIGN,
-                journal_path=journal_path,
-                max_cell_attempts=1,
-                on_error="degrade",
-            )
-            # A larger budget on restart buys exactly the difference.
-            second = run_matrix(
-                **self.CAMPAIGN,
-                journal_path=journal_path,
-                max_cell_attempts=2,
-                on_error="degrade",
-            )
-        assert [row.status for row in first] == ["ok", "failed"]
-        assert [row.status for row in second] == ["ok", "failed"]
-        assert plan.fired() == 2
-        started = RunJournal(journal_path).read().by_event("cell_started")
-        assert [r["attempt"] for r in started if r["cell"] == self.FAILING] == [
-            1, 2,
-        ]
-
-    def test_failed_cell_recovers_when_resumed_with_more_budget(self, tmp_path):
-        journal_path = tmp_path / "run.jsonl"
-        with inject(FaultPlan().fail("matrix_cell", match="*entity_frequency*")):
-            first = run_matrix(
-                **self.CAMPAIGN,
-                journal_path=journal_path,
-                max_cell_attempts=1,
-                on_error="degrade",
-            )
-        assert first[1].status == "failed"
-        resumed = run_matrix(
-            **self.CAMPAIGN,
-            journal_path=journal_path,
-            max_cell_attempts=2,
-            on_error="degrade",
-        )
-        assert [row.status for row in resumed] == ["ok", "ok"]
-        assert_rows_equal(resumed[0], first[0])
-        timeline = [
-            record["event"]
-            for record in RunJournal(journal_path).read().records
-            if record.get("cell") == self.FAILING
-        ]
-        assert timeline == [
-            "cell_started", "cell_failed", "cell_started", "cell_succeeded",
-        ]
-
-    def test_single_attempt_budget_degrades_without_a_rerun(self, tmp_path):
-        journal_path = tmp_path / "run.jsonl"
-        with inject(
-            FaultPlan().fail("matrix_cell", match="*entity_frequency*", times=-1)
-        ) as plan:
-            rows = run_matrix(
-                **self.CAMPAIGN,
-                journal_path=journal_path,
-                max_cell_attempts=1,
-                on_error="degrade",
-            )
-        assert plan.fired() == 1
-        assert [row.status for row in rows] == ["ok", "failed"]
-        assert rows[1].error.startswith("FaultInjectedError")
-
-    def test_untyped_rerun_failures_are_journalled(self, tmp_path):
-        """In-process re-attempts record plain exceptions too, not only
-        the typed resilience errors."""
-        journal_path = tmp_path / "run.jsonl"
-        with inject(
-            FaultPlan().fail(
-                "matrix_cell", match="*entity_frequency*", times=-1,
-                exc=RuntimeError,
-            )
-        ):
-            rows = run_matrix(
-                **self.CAMPAIGN,
-                journal_path=journal_path,
-                max_cell_attempts=3,
-                on_error="degrade",
-            )
-        assert rows[1].status == "failed"
-        assert rows[1].error.startswith("RuntimeError")
-        failed = RunJournal(journal_path).read().by_event("cell_failed")
-        assert [r["attempt"] for r in failed] == [1, 2, 3]
-        assert all(r["error"].startswith("RuntimeError") for r in failed)
-
-    def test_raise_mode_journals_the_failure_fingerprint(self, tmp_path):
-        journal_path = tmp_path / "run.jsonl"
-        with inject(FaultPlan().fail("matrix_cell", match="*entity_frequency*")):
-            with pytest.raises(FaultInjectedError, match="matrix_cell"):
-                run_matrix(**self.CAMPAIGN, journal_path=journal_path)
-        failed = RunJournal(journal_path).read().by_event("cell_failed")
-        assert [(r["cell"], r["attempt"]) for r in failed] == [(self.FAILING, 1)]
-        assert failed[0]["error"].startswith("FaultInjectedError")
-
-    def test_interrupted_cell_without_a_failure_record_reports_interrupted(
-        self, tmp_path
-    ):
-        journal_path = tmp_path / "run.jsonl"
-        with inject(
-            FaultPlan().fail(
-                "matrix_cell", match="*entity_frequency*", exc=KeyboardInterrupt
-            )
-        ):
-            with pytest.raises(KeyboardInterrupt):
-                run_matrix(**self.CAMPAIGN, journal_path=journal_path)
-        rows = run_matrix(
-            **self.CAMPAIGN,
-            journal_path=journal_path,
-            max_cell_attempts=1,
-            on_error="degrade",
-        )
-        assert [row.status for row in rows] == ["ok", "failed"]
-        assert rows[1].error == "interrupted"
-
-
-@pytest.mark.usefixtures("class_model_cache")
 class TestRunMatrixOptions:
     CAMPAIGN = dict(_CAMPAIGN, seed=0)
 
@@ -759,7 +318,6 @@ class TestRunMatrixOptions:
 
     def test_evaluate_models_fills_test_mrr_per_model(self):
         rows = run_matrix(**self.CAMPAIGN, evaluate_models=True)
-        assert [row.status for row in rows] == ["ok", "ok"]
         assert 0.0 < rows[0].test_mrr <= 1.0
         # One evaluation per model, shared by all of its strategies.
         assert rows[0].test_mrr == rows[1].test_mrr
@@ -781,3 +339,98 @@ class TestRunMatrixOptions:
         assert registry.snapshot()["counters"]["matrix.cells_count"] == 2
         # Unobserved runs stay trace-free.
         assert all(row.trace == {} for row in run_matrix(**self.CAMPAIGN))
+
+
+@pytest.mark.usefixtures("class_model_cache")
+class TestSerialPass:
+    CAMPAIGN = dict(_CAMPAIGN, strategies=("uniform_random", "entity_frequency", "graph_degree"))
+
+    def test_rows_follow_the_requested_strategy_order(self):
+        forward = run_matrix(**self.CAMPAIGN)
+        backward = run_matrix(
+            **dict(self.CAMPAIGN, strategies=self.CAMPAIGN["strategies"][::-1])
+        )
+        assert [row.strategy for row in forward] == list(self.CAMPAIGN["strategies"])
+        assert _deterministic_fields(backward) == _deterministic_fields(forward)[::-1]
+
+    def test_rows_follow_the_requested_dataset_order(self, monkeypatch):
+        import repro.experiments.runner as runner
+
+        loaded = []
+        real_load = runner.load_dataset
+
+        def recording_load(name):
+            loaded.append(name)
+            return real_load(name)
+
+        monkeypatch.setattr(runner, "load_dataset", recording_load)
+        monkeypatch.setattr(
+            runner, "get_trained_model", lambda dataset, model, graph: object()
+        )
+        monkeypatch.setattr(
+            runner, "discover_facts", lambda model, graph, strategy, **_: _result(
+                strategy=strategy
+            )
+        )
+        rows = run_matrix(
+            datasets=("wn18rr-like", "fb15k237-like"),
+            models=("transe", "distmult"),
+            strategies=("graph_degree",),
+        )
+        assert loaded == ["wn18rr-like", "fb15k237-like"]  # each loaded once
+        assert [(row.dataset, row.model) for row in rows] == [
+            ("wn18rr-like", "transe"), ("wn18rr-like", "distmult"),
+            ("fb15k237-like", "transe"), ("fb15k237-like", "distmult"),
+        ]
+
+    def test_model_is_trained_once_for_all_its_strategies(self, monkeypatch):
+        import repro.experiments.runner as runner
+
+        clear_model_cache(disk=True)
+        trainings = []
+        real_train = runner.train_model
+
+        def counting_train(model, graph, config):
+            trainings.append(type(model).__name__)
+            return real_train(model, graph, config)
+
+        monkeypatch.setattr(runner, "train_model", counting_train)
+        rows = run_matrix(**self.CAMPAIGN)
+        assert len(rows) == 3
+        assert trainings == ["DistMult"]
+
+    def test_a_failing_cell_propagates_its_error(self, monkeypatch):
+        import repro.experiments.runner as runner
+
+        real_discover = runner.discover_facts
+        calls = []
+
+        def fail_second_cell(*args, **kwargs):
+            calls.append(kwargs["strategy"])
+            if len(calls) == 2:
+                raise RuntimeError("cell exploded")
+            return real_discover(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "discover_facts", fail_second_cell)
+        with pytest.raises(RuntimeError, match="cell exploded"):
+            run_matrix(**self.CAMPAIGN)
+        assert calls == ["uniform_random", "entity_frequency"]  # no retry, no skip
+
+    def test_rerun_after_a_failed_pass_matches_an_uninterrupted_one(
+        self, monkeypatch
+    ):
+        import repro.experiments.runner as runner
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        reference = _deterministic_fields(run_matrix(**self.CAMPAIGN))
+        clear_model_cache()  # keep the disk cache, drop the in-process one
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "discover_facts", boom)
+            with pytest.raises(RuntimeError, match="boom"):
+                run_matrix(**self.CAMPAIGN)
+        # The model trained before the failure stays cached on disk and
+        # the next pass reproduces the uninterrupted rows bit for bit.
+        assert load_model(runner._cache_dir() / "wn18rr-like__distmult.npz") is not None
+        assert _deterministic_fields(run_matrix(**self.CAMPAIGN)) == reference

@@ -49,3 +49,29 @@ class TestWorkflow:
         flow = FactDiscoveryWorkflow(model="transe")
         assert flow.model_config.name == "transe"
         assert flow.train_config.job == "negative_sampling"
+
+    def test_cached_model_run_uses_the_shared_trained_model(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.discovery import discover_facts
+        from repro.experiments import clear_model_cache, get_trained_model
+        from repro.kg import GraphStatistics, load_dataset
+
+        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path))
+        clear_model_cache()
+        try:
+            report = FactDiscoveryWorkflow(
+                dataset="wn18rr-like", model="distmult", top_n=50,
+                max_candidates=100,
+            ).run()
+            model = get_trained_model("wn18rr-like", "distmult")
+            graph = load_dataset("wn18rr-like")
+            expected = discover_facts(
+                model, graph, strategy="entity_frequency", top_n=50,
+                max_candidates=100, stats=GraphStatistics(graph.train),
+            )
+        finally:
+            clear_model_cache()
+        assert (tmp_path / "wn18rr-like__distmult.npz").is_file()
+        assert report.discovery.facts.tobytes() == expected.facts.tobytes()
+        assert report.discovery.ranks.tobytes() == expected.ranks.tobytes()

@@ -144,3 +144,66 @@ class TestResolveDataset:
 
         with pytest.raises(KeyError, match="not a registry name"):
             resolve_dataset(str(tmp_path / "absent"))
+
+
+class TestFullScaleStores:
+    """Full-scale replicas live in KG stores: reopened when present,
+    generated (once) when absent.  The generator is stubbed with a small
+    store so no full-scale graph is built here."""
+
+    NAME = "yago310-full"
+
+    @pytest.fixture
+    def fake_generator(self, monkeypatch):
+        import repro.kg.datasets as datasets
+        from repro.kg import generate_kg_streaming, scale_profile
+
+        calls = []
+
+        def small_store(profile, directory):
+            calls.append((profile, directory))
+            generate_kg_streaming(
+                scale_profile(DATASET_PROFILES["wn18rr-like"], 0.05), directory
+            )
+
+        monkeypatch.setattr(datasets, "generate_kg_streaming", small_store)
+        return calls
+
+    def test_store_root_defaults_to_the_temp_dir(self, monkeypatch):
+        import tempfile
+        from pathlib import Path
+
+        from repro.kg.datasets import _default_store_root
+
+        monkeypatch.delenv("REPRO_STORE_ROOT", raising=False)
+        assert _default_store_root() == Path(tempfile.gettempdir()) / "repro-kg-stores"
+
+    def test_store_root_follows_the_environment(self, monkeypatch, tmp_path):
+        from repro.kg.datasets import _default_store_root
+
+        monkeypatch.setenv("REPRO_STORE_ROOT", str(tmp_path))
+        assert _default_store_root() == tmp_path
+
+    def test_missing_store_is_generated_once_then_reopened(
+        self, fake_generator, monkeypatch, tmp_path
+    ):
+        from repro.kg import FULL_SCALE_PROFILES, load_full_dataset, resolve_dataset
+
+        assert self.NAME in FULL_SCALE_PROFILES
+        monkeypatch.setenv("REPRO_STORE_ROOT", str(tmp_path))
+        first = load_full_dataset(self.NAME)
+        assert fake_generator == [(FULL_SCALE_PROFILES[self.NAME], tmp_path / self.NAME)]
+        again = resolve_dataset(self.NAME)  # registry spelling, same store
+        assert len(fake_generator) == 1
+        assert again.train == first.train
+
+    def test_explicit_directory_wins_over_the_root(
+        self, fake_generator, monkeypatch, tmp_path
+    ):
+        from repro.kg import load_full_dataset
+
+        monkeypatch.setenv("REPRO_STORE_ROOT", str(tmp_path / "root"))
+        graph = load_full_dataset(self.NAME, directory=tmp_path / "mine", mmap=False)
+        assert [directory for _, directory in fake_generator] == [tmp_path / "mine"]
+        assert not (tmp_path / "root").exists()
+        assert len(graph.train) > 0

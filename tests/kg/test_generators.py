@@ -32,6 +32,10 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             profile(num_relations=0)
 
+    def test_rejects_zero_triples(self):
+        with pytest.raises(ValueError, match="at least 1 triple"):
+            profile(num_triples=0)
+
     def test_rejects_bad_closure_prob(self):
         with pytest.raises(ValueError):
             profile(triangle_closure_prob=1.5)

@@ -70,6 +70,20 @@ class TestConstruction:
                 test=wrong,
             )
 
+    def test_mismatched_relation_space_rejected(self):
+        entities = Vocabulary.from_range("e", 4)
+        relations = Vocabulary.from_range("r", 2)
+        wrong = TripleSet(np.asarray([[0, 0, 1]]), 4, 5)
+        with pytest.raises(ValueError, match="relation space"):
+            KnowledgeGraph(
+                name="bad",
+                entities=entities,
+                relations=relations,
+                train=wrong,
+                valid=wrong,
+                test=wrong,
+            )
+
 
 class TestDerived:
     def test_all_triples_unions_splits(self):

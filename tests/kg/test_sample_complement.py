@@ -20,6 +20,14 @@ def build(train, n=6, k=2) -> KnowledgeGraph:
 
 
 class TestSampleComplement:
+    def test_unlucky_rounds_on_a_nearly_complete_graph_raise(self):
+        # Three of the four possible triples are known; with no resampling
+        # rounds the single free slot can never be collected.
+        graph = build([[0, 0, 0], [0, 0, 1], [1, 0, 0]], n=2, k=1)
+        with pytest.raises(RuntimeError, match="nearly complete"):
+            sample_complement(graph, 1, max_resample_rounds=0)
+        np.testing.assert_array_equal(sample_complement(graph, 1), [[1, 0, 1]])
+
     def test_samples_are_not_in_graph(self, tiny_graph):
         sampled = sample_complement(tiny_graph, 200, seed=0)
         assert len(sampled) == 200

@@ -60,6 +60,11 @@ class TestEntityFrequency:
         np.testing.assert_array_equal(side_entities(ts, SUBJECT), [0])
         np.testing.assert_array_equal(side_entities(ts, OBJECT), [1, 2])
 
+    def test_side_entities_invalid_side(self):
+        ts = TripleSet(np.asarray([[0, 0, 1]]), 2, 1)
+        with pytest.raises(ValueError, match="side must be one of"):
+            side_entities(ts, "sideways")
+
 
 class TestTriangles:
     def test_triangle_graph_has_one_per_node(self, triangle_triples):

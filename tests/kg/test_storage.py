@@ -73,6 +73,26 @@ class TestBackendContract:
             pass
         assert backend.get("empty").shape == (0, 3)
 
+    def test_writer_rejects_chunks_of_the_wrong_shape(self, backend):
+        with backend.writer("flat", np.int64) as writer:
+            with pytest.raises(ValueError, match="1-D"):
+                writer.append(np.zeros((2, 3)))
+            writer.append(np.arange(3))
+        with backend.writer("cols", np.int64, columns=3) as writer:
+            with pytest.raises(ValueError, match=r"\(m, 3\)"):
+                writer.append(np.zeros((2, 2)))
+        assert backend.get("flat").tolist() == [0, 1, 2]
+        assert backend.get("cols").shape == (0, 3)
+
+    def test_writer_failure_publishes_nothing(self, backend, tmp_path):
+        with pytest.raises(RuntimeError, match="generator died"):
+            with backend.writer("partial", np.int64, columns=3) as writer:
+                writer.append(np.ones((4, 3)))
+                raise RuntimeError("generator died")
+        assert "partial" not in backend
+        assert backend.names() == []
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 class TestMmapBackend:
     def test_reopen_existing_store(self, tmp_path):
@@ -125,6 +145,51 @@ class TestMmapBackend:
     def test_memory_backend_has_no_spec(self):
         with pytest.raises(TypeError):
             InMemoryBackend().spec()
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="mode"):
+            MmapBackend(tmp_path / "store", mode="w")
+
+    @pytest.mark.parametrize("name", ["../escape", "a/b", "a\\b", ".hidden"])
+    def test_array_names_cannot_leave_the_store(self, tmp_path, name):
+        backend = MmapBackend(tmp_path / "store")
+        with pytest.raises(ValueError, match="invalid array name"):
+            backend.put(name, np.arange(3))
+        assert backend.names() == []
+
+    def test_unsupported_manifest_version_is_corrupt(self, tmp_path):
+        import json
+
+        MmapBackend(tmp_path / "store").put("x", np.arange(3))
+        manifest = next((tmp_path / "store").glob("*.json"))
+        data = json.loads(manifest.read_text())
+        data["format_version"] = 999
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(StorageCorruptError, match="format_version 999"):
+            MmapBackend(tmp_path / "store", mode="r")
+
+    def test_array_file_of_another_shape_is_corrupt(self, tmp_path):
+        MmapBackend(tmp_path / "store").put("x", np.arange(6, dtype=np.int64))
+        np.save(tmp_path / "store" / "x.npy", np.arange(4, dtype=np.int64))
+        with pytest.raises(StorageCorruptError, match="manifest says"):
+            MmapBackend(tmp_path / "store", mode="r").get("x")
+
+    def test_unreadable_array_file_is_corrupt(self, tmp_path):
+        MmapBackend(tmp_path / "store").put("x", np.arange(6, dtype=np.int64))
+        (tmp_path / "store" / "x.npy").write_bytes(b"not an npy file")
+        with pytest.raises(StorageCorruptError, match="unreadable array"):
+            MmapBackend(tmp_path / "store", mode="r").get("x")
+
+    def test_unknown_spec_kind_rejected(self):
+        with pytest.raises(ValueError, match="spec kind"):
+            open_backend({"kind": "s3"})
+
+    def test_repr_names_directory_mode_and_size(self, tmp_path):
+        backend = MmapBackend(tmp_path / "store")
+        backend.put("x", np.arange(3))
+        text = repr(backend)
+        assert str(tmp_path / "store") in text
+        assert "mode='r+'" in text and "arrays=1" in text
 
     def test_content_digest_covers_dtype(self):
         ints = np.arange(4, dtype=np.int64)
@@ -198,3 +263,53 @@ class TestKGStore:
         )
         with pytest.raises(StorageCorruptError):
             load_kg_store(copy)
+
+    def test_directory_without_store_metadata_is_not_a_store(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="not a KG store"):
+            load_kg_store(tmp_path)
+
+    def test_unsupported_store_version_is_corrupt(self, saved, tmp_path):
+        import json
+        import shutil
+
+        _, store = saved
+        copy = tmp_path / "future"
+        shutil.copytree(store, copy)
+        meta_path = next(
+            path for path in copy.glob("*.json")
+            if "num_entities" in json.loads(path.read_text())
+        )
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 99
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(StorageCorruptError, match="format_version 99"):
+            load_kg_store(copy)
+
+    def test_labels_with_newlines_cannot_be_stored(self, tmp_path):
+        graph = KnowledgeGraph.from_arrays(
+            name="bad-labels",
+            num_entities=2,
+            num_relations=1,
+            train=np.asarray([[0, 0, 1]]),
+            valid=np.zeros((0, 3), dtype=np.int64),
+            test=np.zeros((0, 3), dtype=np.int64),
+            entity_labels=["fine", "two\nlines"],
+        )
+        with pytest.raises(ValueError, match="newline"):
+            save_kg_store(graph, tmp_path / "store")
+
+    def test_numpy_scalar_metadata_round_trips_as_python_numbers(self, tmp_path):
+        graph = KnowledgeGraph.from_arrays(
+            name="meta",
+            num_entities=3,
+            num_relations=1,
+            train=np.asarray([[0, 0, 1], [1, 0, 2]]),
+            valid=np.zeros((0, 3), dtype=np.int64),
+            test=np.zeros((0, 3), dtype=np.int64),
+        )
+        graph.metadata.update(seed=np.int64(7), density=np.float32(0.25))
+        save_kg_store(graph, tmp_path / "store")
+        again = load_kg_store(tmp_path / "store")
+        assert again.metadata["seed"] == 7 and type(again.metadata["seed"]) is int
+        assert again.metadata["density"] == 0.25
+        assert type(again.metadata["density"]) is float

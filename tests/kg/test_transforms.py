@@ -37,6 +37,12 @@ def leaky_graph() -> KnowledgeGraph:
 
 
 class TestInducedSubgraph:
+    def test_subset_without_internal_edges_gives_empty_splits(self):
+        graph = build([[0, 0, 1], [1, 1, 2]], valid=[(2, 0, 3)], test=[(3, 1, 4)])
+        for compact in (True, False):
+            sub = induced_subgraph(graph, [0, 2, 4], compact=compact)
+            assert len(sub.train) == len(sub.valid) == len(sub.test) == 0
+
     def test_keeps_only_internal_edges(self, small_graph):
         rng = np.random.default_rng(0)
         subset = rng.choice(small_graph.num_entities, size=40, replace=False)

@@ -135,6 +135,61 @@ class TestSetAlgebra:
         assert make([[0, 0, 1], [1, 0, 2]]) == make([[1, 0, 2], [0, 0, 1]])
         assert make([[0, 0, 1]]) != make([[0, 0, 2]])
 
+    def test_equality_with_other_types_is_false(self):
+        triples = make([[0, 0, 1]])
+        assert triples != [(0, 0, 1)]
+        assert triples.__eq__([(0, 0, 1)]) is NotImplemented
+
+
+class TestBackedSets:
+    def _backend(self, triples, with_keys=True):
+        from repro.kg import InMemoryBackend
+
+        backend = InMemoryBackend()
+        make(triples).persist(backend)
+        if not with_keys:
+            stripped = InMemoryBackend()
+            stripped.put("triples", backend.get("triples"))
+            return stripped
+        return backend
+
+    def test_reopened_set_equals_the_persisted_one(self):
+        backend = self._backend([[0, 0, 1], [2, 1, 3]])
+        again = TripleSet.from_backend(backend, 10, 3)
+        assert again == make([[0, 0, 1], [2, 1, 3]])
+        assert again.backend is backend
+
+    def test_missing_key_column_is_rebuilt_in_memory(self):
+        backend = self._backend([[2, 1, 3], [0, 0, 1]], with_keys=False)
+        assert backend.names() == ["triples"]
+        again = TripleSet.from_backend(backend, 10, 3)
+        assert again == make([[0, 0, 1], [2, 1, 3]])
+        assert (2, 1, 3) in again and (3, 1, 2) not in again
+
+    def test_empty_id_space_rejected(self):
+        backend = self._backend([[0, 0, 1]])
+        with pytest.raises(ValueError, match=">= 1"):
+            TripleSet.from_backend(backend, 0, 3)
+
+    def test_triple_column_of_the_wrong_shape_rejected(self):
+        from repro.kg import InMemoryBackend
+
+        backend = InMemoryBackend()
+        backend.put("triples", np.arange(6, dtype=np.int64).reshape(3, 2))
+        backend.put("keys", np.arange(3, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"\(M, 3\)"):
+            TripleSet.from_backend(backend, 10, 3)
+
+    def test_key_column_of_another_length_rejected(self):
+        backend = self._backend([[0, 0, 1], [2, 1, 3]])
+        backend.put("keys", np.arange(5, dtype=np.int64))
+        with pytest.raises(ValueError, match="key column"):
+            TripleSet.from_backend(backend, 10, 3)
+
+    def test_encode_keys_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"\(M, 3\)"):
+            encode_keys(np.zeros((2, 2), dtype=np.int64), 10, 3)
+
 
 class TestDerived:
     def test_complement_size(self):

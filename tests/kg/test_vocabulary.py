@@ -48,6 +48,10 @@ class TestVocabulary:
         labels.append("mutation")
         assert len(vocab) == 1
 
+    def test_equality_with_other_types_is_false(self):
+        assert Vocabulary(["a"]) != ["a"]
+        assert Vocabulary(["a"]).__eq__(["a"]) is NotImplemented
+
     def test_equality(self):
         assert Vocabulary(["a", "b"]) == Vocabulary(["a", "b"])
         assert Vocabulary(["a", "b"]) != Vocabulary(["b", "a"])

@@ -7,15 +7,17 @@ import json
 import numpy as np
 import pytest
 
+from repro.autograd import Adam
 from repro.kge import (
     ModelConfig,
     TrainConfig,
+    checkpoint_header,
     create_model,
     fit,
     load_model,
     save_model,
 )
-from repro.resilience import CheckpointCorruptError, FaultPlan, inject
+from repro.resilience import CheckpointCorruptError, digest_arrays
 
 
 class TestRoundTrip:
@@ -119,12 +121,13 @@ class TestIntegrity:
         with pytest.raises(CheckpointCorruptError, match="unreadable"):
             load_model(path)
 
-    def test_injected_save_corruption_is_caught_at_load(self, tmp_path):
-        model = create_model("distmult", num_entities=8, num_relations=2, dim=4)
-        path = tmp_path / "model.npz"
-        with inject(FaultPlan().corrupt(match="*.npz")) as plan:
-            save_model(model, path)
-        assert plan.fired() == 1
+    def test_flipped_bytes_mid_file_are_caught_at_load(self, tmp_path):
+        _, path = _saved_model(tmp_path)
+        data = bytearray(path.read_bytes())
+        middle = len(data) // 2
+        for offset in range(middle, middle + 32):
+            data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
         with pytest.raises(CheckpointCorruptError):
             load_model(path)
 
@@ -154,8 +157,8 @@ class TestIntegrity:
         # keep flowing through them.
         assert issubclass(CheckpointCorruptError, ValueError)
 
-    def test_legacy_checkpoint_without_checksum_loads(self, tmp_path):
-        model, path = _saved_model(tmp_path)
+    def test_checkpoint_without_checksum_is_rejected(self, tmp_path):
+        _, path = _saved_model(tmp_path)
         with np.load(path) as stored:
             arrays = {key: stored[key].copy() for key in stored.files}
         header = json.loads(bytes(arrays["__repro_header__"].tobytes()).decode())
@@ -164,10 +167,9 @@ class TestIntegrity:
             json.dumps(header).encode("utf-8"), dtype=np.uint8
         )
         np.savez(path, **arrays)
-        reloaded = load_model(path)
-        np.testing.assert_array_equal(
-            model.entity_matrix(), reloaded.entity_matrix()
-        )
+        for verify in (True, False):
+            with pytest.raises(CheckpointCorruptError, match="no checksum"):
+                load_model(path, verify=verify)
 
     def test_garbled_header_raises_typed_error(self, tmp_path):
         _, path = _saved_model(tmp_path)
@@ -178,4 +180,132 @@ class TestIntegrity:
         )
         np.savez(path, **arrays)
         with pytest.raises(CheckpointCorruptError, match="header"):
+            load_model(path)
+
+
+_PAPER_MODELS = [
+    ("complex", {}),
+    ("conve", {"num_filters": 4}),
+    ("distmult", {}),
+    ("rescal", {}),
+    ("transe", {"norm": "l1"}),
+]
+
+
+def _paper_model(name, options):
+    return create_model(
+        name, num_entities=12, num_relations=3, dim=8, seed=5, **options
+    )
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize("name,options", _PAPER_MODELS)
+    def test_header_describes_the_saved_model(self, tmp_path, name, options):
+        model = _paper_model(name, options)
+        path = tmp_path / f"{name}.npz"
+        save_model(model, path)
+        header = checkpoint_header(path)
+        assert header["model"] == name
+        assert (header["num_entities"], header["num_relations"]) == (12, 3)
+        assert (header["dim"], header["seed"]) == (8, 5)
+        assert header["options"] == model.config_options()
+        assert header["checksum"] == digest_arrays(model.state_dict())
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            checkpoint_header(tmp_path / "never_saved.npz")
+
+    def test_plain_npz_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "junk.npz"
+        np.savez(path, something=np.zeros(3))
+        with pytest.raises(ValueError, match="missing header") as excinfo:
+            checkpoint_header(path)
+        assert not isinstance(excinfo.value, CheckpointCorruptError)
+
+    def test_truncated_archive_raises_typed_error(self, tmp_path):
+        _, path = _saved_model(tmp_path)
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(CheckpointCorruptError, match="unreadable"):
+            checkpoint_header(path)
+
+    def test_garbled_header_raises_typed_error(self, tmp_path):
+        _, path = _saved_model(tmp_path)
+        with np.load(path) as stored:
+            arrays = {key: stored[key].copy() for key in stored.files}
+        arrays["__repro_header__"] = np.frombuffer(b"\xff\xfe{", dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointCorruptError, match="header"):
+            checkpoint_header(path)
+
+
+class TestSaveModel:
+    def test_parameter_named_like_the_header_is_rejected(self, tmp_path, monkeypatch):
+        model = create_model("distmult", num_entities=4, num_relations=1, dim=4)
+        state = model.state_dict()
+        state["__repro_header__"] = np.zeros(1)
+        monkeypatch.setattr(model, "state_dict", lambda: dict(state))
+        path = tmp_path / "clash.npz"
+        with pytest.raises(ValueError, match="collides"):
+            save_model(model, path)
+        assert not path.exists()
+
+    def test_optimizer_argument_flushes_lazy_rows_before_saving(self, tmp_path):
+        """Mid-training saves with a lazy optimizer must hold the settled
+        parameters: equal, bit for bit, to the dense twin's."""
+
+        def trained(sparse: bool):
+            model = create_model("distmult", num_entities=12, num_relations=2, dim=4, seed=1)
+            for param in model.sparse_entity_parameters():
+                param.sparse_grad = sparse
+            optimizer = Adam(model.parameters(), lr=0.05)
+            # Entity 9 is touched in the first batch only, so its row stays
+            # stale under the lazy path until a flush.
+            for batch in ([[9, 0, 1]], [[2, 1, 3]], [[4, 0, 5]], [[2, 1, 3]]):
+                triples = np.asarray(batch)
+                optimizer.zero_grad()
+                scores = model.score_spo(triples[:, 0], triples[:, 1], triples[:, 2])
+                (scores * scores).sum().backward()
+                optimizer.step()
+            return model, optimizer
+
+        dense, _ = trained(sparse=False)
+        lazy, optimizer = trained(sparse=True)
+        assert not np.array_equal(lazy.entity_matrix()[9], dense.entity_matrix()[9])
+        path = tmp_path / "mid_training.npz"
+        save_model(lazy, path, optimizer=optimizer)
+        reloaded = load_model(path)
+        for key, value in dense.state_dict().items():
+            np.testing.assert_array_equal(reloaded.state_dict()[key], value)
+
+
+class TestDamageIsDetected:
+    @pytest.mark.parametrize("name,options", _PAPER_MODELS)
+    def test_flipped_parameter_bytes_fail_at_load(self, tmp_path, name, options):
+        model = _paper_model(name, options)
+        path = tmp_path / f"{name}.npz"
+        save_model(model, path)
+        data = bytearray(path.read_bytes())
+        middle = len(data) // 2
+        for offset in range(middle, middle + 16):
+            data[offset] ^= 0x55
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorruptError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "keep",
+        [lambda size: 1, lambda size: size // 2, lambda size: size - 1],
+        ids=["one-byte", "half", "all-but-one-byte"],
+    )
+    def test_truncation_anywhere_fails_at_load(self, tmp_path, keep):
+        _, path = _saved_model(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: keep(len(data))])
+        with pytest.raises(CheckpointCorruptError, match="unreadable"):
+            load_model(path)
+
+    def test_file_that_is_not_a_zip_archive_fails_at_load(self, tmp_path):
+        path = tmp_path / "noise.npz"
+        path.write_bytes(b"PK\x03\x04" + bytes(range(256)) * 4)
+        with pytest.raises(CheckpointCorruptError, match="unreadable"):
             load_model(path)

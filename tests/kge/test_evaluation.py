@@ -103,6 +103,14 @@ class TestComputeRanks:
         model = ScriptedModel(5, 1, np.zeros((5, 1, 5)))
         assert compute_ranks(model, np.zeros((0, 3))).shape == (0,)
 
+    def test_reference_path_agrees_on_edge_cases(self):
+        from repro.kge.evaluation import compute_ranks_reference
+
+        model = ScriptedModel(5, 1, np.zeros((5, 1, 5)))
+        assert compute_ranks_reference(model, np.zeros((0, 3))).shape == (0,)
+        with pytest.raises(ValueError, match="side"):
+            compute_ranks_reference(model, np.asarray([[0, 0, 1]]), side="diagonal")
+
     def test_chunking_matches_single_batch(self):
         rng = np.random.default_rng(0)
         table = rng.normal(size=(6, 2, 6))
@@ -182,6 +190,24 @@ class TestHardNegatives:
             rel_range = tiny_graph.train.by_relation(int(r))[:, 2]
             in_range += int(o in set(rel_range.tolist()))
         assert in_range / len(negatives) > 0.9
+
+    def test_saturated_ranges_fall_back_to_uniform_corruption(self, tiny_graph):
+        from repro.kge import generate_hard_negatives
+
+        positives = tiny_graph.test.array
+        negatives = generate_hard_negatives(
+            tiny_graph, positives, seed=0, max_resample_rounds=0
+        )
+        # With no resampling round every row takes the uniform fallback:
+        # subject and relation kept, object drawn over all entities, and
+        # the draw is fixed by the seed.
+        np.testing.assert_array_equal(negatives[:, :2], positives[:, :2])
+        assert negatives[:, 2].min() >= 0
+        assert negatives[:, 2].max() < tiny_graph.num_entities
+        np.testing.assert_array_equal(
+            negatives,
+            generate_hard_negatives(tiny_graph, positives, seed=0, max_resample_rounds=0),
+        )
 
     def test_hard_classification_not_easier(self, trained_distmult, tiny_graph):
         from repro.kge import triple_classification

@@ -144,6 +144,16 @@ class TestModelSpecifics:
                 "conve", num_entities=6, num_relations=2, dim=24, embedding_height=5
             )
 
+    def test_conve_kernel_larger_than_the_embedding_grid(self):
+        # dim 4 reshapes to a 2×2 grid (4×2 once stacked): a 3×3 kernel
+        # cannot slide over it.
+        with pytest.raises(ValueError, match="smaller than kernel"):
+            create_model("conve", num_entities=6, num_relations=2, dim=4)
+        model = create_model(
+            "conve", num_entities=6, num_relations=2, dim=4, kernel_size=2
+        )
+        assert (model.emb_h, model.emb_w) == (2, 2)
+
     def test_transe_scores_are_nonpositive(self):
         m = create_model("transe", num_entities=6, num_relations=2, dim=8)
         scores = m.scores_sp(np.asarray([0]), np.asarray([0]))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.kg import KGProfile, generate_kg
+from repro.kg import KGProfile, TripleSet, generate_kg
 from repro.kge import (
     GroupedFilter,
     RankingEngine,
@@ -182,6 +182,40 @@ class TestDeterminismAndWorkers:
         second = engine.compute_ranks(model, candidates, filter_triples=kg.train)
         np.testing.assert_array_equal(first, second)
 
+    def test_more_chunks_than_the_lookahead_window_keep_their_order(
+        self, kg, candidates
+    ):
+        # Two workers keep at most four chunks in flight; chunks of two
+        # rows force dozens of refills of that window.
+        model = make_model("rescal", kg)
+        single = RankingEngine(workers=1).compute_ranks(
+            model, candidates, filter_triples=kg.train
+        )
+        engine = RankingEngine(workers=2, chunk_size=2)
+        threaded = engine.compute_ranks(model, candidates, filter_triples=kg.train)
+        assert engine.stats.rows_scored > 8 * 2
+        np.testing.assert_array_equal(single, threaded)
+
+    def test_filter_cache_eviction_keeps_results_exact(self, kg, candidates):
+        """More distinct filter sets than the grouped-filter cache holds:
+        evicted filters are rebuilt on reuse and every rank stays exact."""
+        model = make_model("distmult", kg)
+        filters = [
+            TripleSet(kg.train.array[: 20 * (i + 1)], kg.num_entities, kg.num_relations)
+            for i in range(10)
+        ]
+        engine = RankingEngine()
+        shared = [
+            engine.compute_ranks(model, candidates, filter_triples=f) for f in filters
+        ]
+        again = engine.compute_ranks(model, candidates, filter_triples=filters[0])
+        for ranks, triples in zip(shared, filters):
+            fresh = RankingEngine().compute_ranks(
+                model, candidates, filter_triples=triples
+            )
+            np.testing.assert_array_equal(ranks, fresh)
+        np.testing.assert_array_equal(again, shared[0])
+
 
 class TestInstrumentation:
     def test_mesh_dedup_scores_fewer_rows_than_candidates(self, kg):
@@ -232,6 +266,12 @@ class TestInstrumentation:
             "score_seconds",
             "filter_seconds",
         }
+
+    def test_from_dict_rejects_unknown_keys(self):
+        from repro.kge.ranking import RankingStats
+
+        with pytest.raises(ValueError, match="unknown RankingStats keys.*rows_guessed"):
+            RankingStats.from_dict({"rows_scored": 1, "rows_guessed": 2})
 
     def test_merge_adds_every_counter(self):
         from repro.kge.ranking import RankingStats

@@ -3,8 +3,8 @@
 The sparse fast path is an optimisation, not an approximation: for every
 model × optimizer combination, training with ``sparse_grads="on"`` must
 leave *every* parameter bitwise equal to the ``"off"`` run — including
-under guard retries, lr decay with periodic evaluation, and the kvsall
-regime where forcing the flag only exercises the densify round-trip.
+under lr decay with periodic evaluation, and the kvsall regime where
+forcing the flag only exercises the densify round-trip.
 """
 
 from __future__ import annotations
@@ -12,13 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.kge.training as training
 from repro.kge import TrainConfig, train_model
 from repro.kge.base import create_model
-from repro.resilience import GuardConfig
-
-#: Captured at import so repeated poison installs never double-wrap.
-_REAL_EPOCH = training._negative_sampling_epoch
 
 MODELS = ["transe", "distmult", "complex", "rescal", "conve"]
 
@@ -47,7 +42,7 @@ def _config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def _train(graph, model_name, sparse, guard=None, **overrides):
+def _train(graph, model_name, sparse, **overrides):
     model = create_model(
         model_name,
         num_entities=graph.num_entities,
@@ -56,7 +51,7 @@ def _train(graph, model_name, sparse, guard=None, **overrides):
         seed=1,
     )
     config = _config(sparse_grads="on" if sparse else "off", **overrides)
-    train_model(model, graph, config, guard=guard)
+    train_model(model, graph, config)
     return model
 
 
@@ -140,53 +135,3 @@ class TestDenseSparseBitIdentity:
         sparse = _train(tiny_graph, "distmult", sparse=True, **overrides)
         _assert_states_equal(dense, sparse)
 
-
-def _install_poison(monkeypatch, poison_calls):
-    """Make specific negative-sampling epoch calls return NaN, forcing the
-    guard's retry machinery through snapshot/restore of lazy optimizer
-    state.  Counter is fresh per install; the wrapped epoch is always the
-    real one captured at import."""
-    calls = {"count": 0}
-
-    def wrapper(model, graph, sampler, loss_fn, optimizer, config, rng,
-                batch_flush=False):
-        loss = _REAL_EPOCH(
-            model, graph, sampler, loss_fn, optimizer, config, rng,
-            batch_flush=batch_flush,
-        )
-        calls["count"] += 1
-        if calls["count"] in poison_calls:
-            return float("nan")
-        return loss
-
-    monkeypatch.setattr(training, "_negative_sampling_epoch", wrapper)
-
-
-class TestGuardRetryEquivalence:
-    @pytest.mark.parametrize("opt_name", LAZY)
-    def test_retry_path_is_bit_identical_dense_vs_sparse(
-        self, tiny_graph, monkeypatch, opt_name
-    ):
-        guard = GuardConfig(policy="retry", max_epoch_retries=2)
-        overrides = dict(OPTIMIZERS[opt_name], epochs=3)
-
-        _install_poison(monkeypatch, {2})
-        dense = _train(tiny_graph, "distmult", sparse=False, guard=guard, **overrides)
-        _install_poison(monkeypatch, {2})
-        sparse = _train(tiny_graph, "distmult", sparse=True, guard=guard, **overrides)
-        _assert_states_equal(dense, sparse)
-
-    @pytest.mark.parametrize("opt_name", LAZY)
-    def test_fault_free_guarded_equals_unguarded_sparse(
-        self, tiny_graph, opt_name
-    ):
-        overrides = OPTIMIZERS[opt_name]
-        unguarded = _train(tiny_graph, "transe", sparse=True, **overrides)
-        guarded = _train(
-            tiny_graph,
-            "transe",
-            sparse=True,
-            guard=GuardConfig(policy="retry"),
-            **overrides,
-        )
-        _assert_states_equal(unguarded, guarded)

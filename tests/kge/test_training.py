@@ -7,7 +7,7 @@ import pytest
 
 from repro.kge import ModelConfig, TrainConfig, evaluate_ranking, fit, train_model
 from repro.kge.base import create_model
-from repro.resilience import GuardConfig, TrainingDivergedError
+from repro.resilience import TrainingDivergedError
 
 
 class TestTrainConfigValidation:
@@ -32,6 +32,31 @@ class TestTrainConfigValidation:
     def test_with_replaces_fields(self):
         config = TrainConfig(epochs=5).with_(epochs=9, lr=0.5)
         assert config.epochs == 9 and config.lr == 0.5
+
+    def test_bad_batch_size(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0])
+    def test_momentum_outside_unit_interval(self, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(momentum=momentum)
+
+    def test_bad_sparse_grads_setting(self):
+        with pytest.raises(ValueError, match="sparse_grads"):
+            TrainConfig(sparse_grads="sometimes")
+
+    def test_negative_sampling_rejects_a_softmax_loss(self, tiny_graph):
+        model = create_model(
+            "distmult",
+            num_entities=tiny_graph.num_entities,
+            num_relations=tiny_graph.num_relations,
+            dim=8,
+        )
+        with pytest.raises(TypeError, match="SoftmaxCrossEntropyLoss"):
+            train_model(
+                model, tiny_graph, TrainConfig(job="negative_sampling", loss="softmax")
+            )
 
     def test_unknown_optimizer(self, tiny_graph):
         model = create_model(
@@ -74,6 +99,30 @@ class TestLossDecreases:
             TrainConfig(job="1vsall", loss="softmax", epochs=12, batch_size=64, lr=0.05),
         )
         assert result.losses[-1] < result.losses[0]
+
+    def test_self_adversarial_loss_goes_down(self, tiny_graph):
+        result = fit(
+            tiny_graph,
+            ModelConfig("transe", dim=16, seed=0),
+            TrainConfig(
+                job="negative_sampling", loss="self_adversarial", epochs=10,
+                batch_size=64, lr=0.01, margin=3.0, adversarial_temperature=0.5,
+            ),
+        )
+        assert result.losses[-1] < result.losses[0]
+
+    def test_verbose_prints_one_line_per_epoch(self, tiny_graph, capsys):
+        result = fit(
+            tiny_graph,
+            ModelConfig("distmult", dim=8, seed=0),
+            TrainConfig(
+                job="kvsall", loss="bce", epochs=3, batch_size=64, verbose=True
+            ),
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"epoch {i + 1}/3: loss={loss:.4f}" for i, loss in enumerate(result.losses)
+        ]
 
     def test_1vsall_requires_softmax(self, tiny_graph):
         model = create_model(
@@ -190,61 +239,19 @@ class TestDeterminism:
         assert a.losses == b.losses
 
 
-_GUARD_CONFIG = TrainConfig(
-    job="kvsall", loss="bce", epochs=5, batch_size=64, lr=0.05, seed=3
-)
+class TestDivergence:
+    def test_nan_epoch_loss_raises_typed_error(self, tiny_graph, monkeypatch):
+        import repro.kge.training as training
 
+        real_epoch = training._kvsall_epoch
+        calls = []
 
-def _poison_epochs(monkeypatch, poison_calls, kind="loss"):
-    """Script NaNs into training: wrap the real kvsall epoch so specific
-    calls return a NaN loss (and poison a parameter for ``kind="params"``),
-    exactly like a diverged optimizer step would."""
-    import repro.kge.training as training
+        def nan_on_third_epoch(*args, **kwargs):
+            loss = real_epoch(*args, **kwargs)
+            calls.append(loss)
+            return float("nan") if len(calls) == 3 else loss
 
-    real_epoch = training._kvsall_epoch
-    calls = {"count": 0}
-
-    def wrapper(model, queries, answers, loss_fn, optimizer, config, rng, batch_flush=False):
-        loss = real_epoch(
-            model, queries, answers, loss_fn, optimizer, config, rng,
-            batch_flush=batch_flush,
-        )
-        calls["count"] += 1
-        if calls["count"] in poison_calls:
-            if kind == "params":
-                next(iter(model.parameters())).data[0, 0] = np.nan
-                return loss
-            return float("nan")
-        return loss
-
-    monkeypatch.setattr(training, "_kvsall_epoch", wrapper)
-    return calls
-
-
-def _train_guarded(tiny_graph, guard):
-    model = create_model(
-        "distmult",
-        num_entities=tiny_graph.num_entities,
-        num_relations=tiny_graph.num_relations,
-        dim=8,
-        seed=1,
-    )
-    return model, train_model(model, tiny_graph, _GUARD_CONFIG, guard=guard)
-
-
-class TestTrainingGuards:
-    def test_fault_free_guarded_run_is_bit_identical(self, tiny_graph):
-        _, unguarded = _train_guarded(tiny_graph, None)
-        _, guarded = _train_guarded(tiny_graph, GuardConfig(policy="retry"))
-        np.testing.assert_array_equal(
-            unguarded.model.entity_matrix(), guarded.model.entity_matrix()
-        )
-        assert unguarded.losses == guarded.losses
-        assert guarded.guard_report is not None and guarded.guard_report.clean
-        assert len(guarded.guard_report.grad_norms) == _GUARD_CONFIG.epochs
-
-    def test_halt_policy_raises_typed_error(self, tiny_graph, monkeypatch):
-        _poison_epochs(monkeypatch, {3})
+        monkeypatch.setattr(training, "_kvsall_epoch", nan_on_third_epoch)
         model = create_model(
             "distmult",
             num_entities=tiny_graph.num_entities,
@@ -252,106 +259,54 @@ class TestTrainingGuards:
             dim=8,
             seed=1,
         )
-        with pytest.raises(TrainingDivergedError, match="nan_loss") as info:
-            train_model(model, tiny_graph, _GUARD_CONFIG, guard=GuardConfig(policy="halt"))
-        assert info.value.report.halted
-        assert info.value.report.events[0].kind == "nan_loss"
-        assert info.value.report.events[0].epoch == 2
+        config = TrainConfig(
+            job="kvsall", loss="bce", epochs=5, batch_size=64, lr=0.05, seed=3
+        )
+        with pytest.raises(TrainingDivergedError, match="epoch 3"):
+            train_model(model, tiny_graph, config)
+        assert len(calls) == 3  # training stopped at the diverged epoch
         # The model is left eval-consistent even on the failure path.
         assert not model.training
 
-    def test_rollback_restores_last_healthy_state(self, tiny_graph, monkeypatch):
-        _poison_epochs(monkeypatch, {3})
-        model, result = _train_guarded(tiny_graph, GuardConfig(policy="rollback"))
-        assert result.rolled_back
-        assert result.epochs_run == 2
-        assert result.guard_report.rollbacks == 1
-        assert not model.training
-        assert all(np.all(np.isfinite(v)) for v in model.state_dict().values())
-        # Bit-identical to a clean run stopped after the same two epochs.
-        reference = create_model(
-            "distmult",
-            num_entities=tiny_graph.num_entities,
-            num_relations=tiny_graph.num_relations,
-            dim=8,
-            seed=1,
-        )
-        train_model(reference, tiny_graph, _GUARD_CONFIG.with_(epochs=2))
-        np.testing.assert_array_equal(
-            model.entity_matrix(), reference.entity_matrix()
-        )
-
-    def test_retry_policy_reruns_the_epoch_and_completes(
-        self, tiny_graph, monkeypatch
+    @pytest.mark.parametrize(
+        "job,loss,epoch_fn",
+        [
+            ("negative_sampling", "margin", "_negative_sampling_epoch"),
+            ("kvsall", "bce", "_kvsall_epoch"),
+            ("1vsall", "softmax", "_one_vs_all_epoch"),
+        ],
+    )
+    def test_every_job_halts_on_an_infinite_epoch_loss(
+        self, tiny_graph, monkeypatch, job, loss, epoch_fn
     ):
-        calls = _poison_epochs(monkeypatch, {3})
-        model, result = _train_guarded(
-            tiny_graph, GuardConfig(policy="retry", max_epoch_retries=2)
-        )
-        assert result.epochs_run == _GUARD_CONFIG.epochs
-        assert result.guard_report.epoch_retries == 1
-        assert result.guard_report.events[0].action == "retried"
-        assert calls["count"] == _GUARD_CONFIG.epochs + 1  # one extra run
-        assert all(np.isfinite(loss) for loss in result.losses)
-        assert all(np.all(np.isfinite(v)) for v in model.state_dict().values())
-        assert not model.training
-
-    def test_retry_budget_exhaustion_falls_back_to_halt(
-        self, tiny_graph, monkeypatch
-    ):
-        _poison_epochs(monkeypatch, {3, 4, 5})
-        with pytest.raises(TrainingDivergedError) as info:
-            _train_guarded(tiny_graph, GuardConfig(policy="retry", max_epoch_retries=2))
-        assert info.value.report.epoch_retries == 2
-        assert info.value.report.halted
-
-    def test_nonfinite_parameters_trigger_the_guard(self, tiny_graph, monkeypatch):
-        _poison_epochs(monkeypatch, {2}, kind="params")
-        with pytest.raises(TrainingDivergedError, match="nonfinite_params"):
-            _train_guarded(tiny_graph, GuardConfig(policy="halt"))
-
-    def test_off_policy_records_nothing(self, tiny_graph):
-        _, result = _train_guarded(tiny_graph, GuardConfig(policy="off"))
-        assert result.guard_report is None
-
-    def test_negative_sampling_retry_reseeds_the_sampler(
-        self, tiny_graph, monkeypatch
-    ):
-        """The retried epoch draws different negatives (spawned sampler
-        stream) yet ends deterministically."""
         import repro.kge.training as training
 
-        real_epoch = training._negative_sampling_epoch
-        seen_rngs = []
-        calls = {"count": 0}
+        real_epoch = getattr(training, epoch_fn)
+        calls = []
 
-        def wrapper(
-            model, graph, sampler, loss_fn, optimizer, config, rng, batch_flush=False
-        ):
-            calls["count"] += 1
-            seen_rngs.append(sampler.rng)
-            loss = real_epoch(
-                model, graph, sampler, loss_fn, optimizer, config, rng,
-                batch_flush=batch_flush,
-            )
-            return float("nan") if calls["count"] == 2 else loss
+        def inf_on_second_epoch(*args, **kwargs):
+            calls.append(real_epoch(*args, **kwargs))
+            return float("inf") if len(calls) == 2 else calls[-1]
 
-        monkeypatch.setattr(training, "_negative_sampling_epoch", wrapper)
+        monkeypatch.setattr(training, epoch_fn, inf_on_second_epoch)
+        config = TrainConfig(job=job, loss=loss, epochs=4, batch_size=64, seed=3)
+        with pytest.raises(TrainingDivergedError, match="epoch 2 .mean loss inf"):
+            fit(tiny_graph, ModelConfig("distmult", dim=8, seed=1), config)
+        assert len(calls) == 2
+
+    def test_exploding_learning_rate_is_stopped(self, tiny_graph):
+        """A real blow-up, no patching: SGD with an absurd step size
+        overflows the embeddings and the next epoch's loss is NaN."""
         config = TrainConfig(
-            job="negative_sampling", loss="margin", epochs=3, batch_size=64,
-            lr=0.01, num_negatives=4, seed=3,
+            job="kvsall", loss="bce", optimizer="sgd", lr=1e300, epochs=5,
+            batch_size=64, seed=3,
         )
-        model = create_model(
-            "transe",
-            num_entities=tiny_graph.num_entities,
-            num_relations=tiny_graph.num_relations,
-            dim=8,
-            seed=1,
-        )
-        result = train_model(
-            model, tiny_graph, config, guard=GuardConfig(policy="retry")
-        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError, match="diverged"):
+                fit(tiny_graph, ModelConfig("distmult", dim=8, seed=1), config)
+
+    def test_finite_losses_never_trip_the_check(self, tiny_graph):
+        config = TrainConfig(job="kvsall", loss="bce", epochs=3, batch_size=64, seed=3)
+        result = fit(tiny_graph, ModelConfig("distmult", dim=8, seed=1), config)
         assert result.epochs_run == 3
-        assert result.guard_report.epoch_retries == 1
-        # The retried epoch got a reseeded sampler clone, not the original.
-        assert seen_rngs[2] is not seen_rngs[1]
+        assert all(np.isfinite(result.losses))

@@ -101,6 +101,18 @@ def test_syntax_error_reports_rpr000():
     assert "syntax error" in findings[0].message
 
 
+def test_run_reports_a_broken_file_and_still_lints_the_rest(tmp_path):
+    (tmp_path / "a_broken.py").write_text("def broken(:\n", encoding="utf-8")
+    (tmp_path / "b_bad.py").write_text(
+        "import numpy as np\nx = np.random.rand(3)\n", encoding="utf-8"
+    )
+    run = LintEngine().run([tmp_path])
+    assert [(Path(f.path).name, f.rule_id) for f in run.findings] == [
+        ("a_broken.py", "RPR000"),
+        ("b_bad.py", "RPR001"),
+    ]
+
+
 def test_collect_files_applies_exclude_patterns():
     engine = LintEngine(LintConfig(exclude=("*/proj/*",)))
     files = engine.collect_files([FIXTURES])
@@ -229,6 +241,12 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
         assert rule_id in out
+
+
+def test_cli_explain_all_matches_the_committed_rules_doc(capsys):
+    assert lint_main(["--explain-all"]) == 0
+    doc = Path(__file__).parents[2] / "docs" / "lint_rules.md"
+    assert capsys.readouterr().out == doc.read_text(encoding="utf-8")
 
 
 def test_repro_cli_forwards_lint_arguments(capsys):

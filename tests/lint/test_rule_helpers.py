@@ -2,8 +2,8 @@
 
 ``repro.lint.rules`` holds one copy of the scope test, the callee-name
 tail, the bounded-wait test and the waitable-binding scan; the wait
-rules (RPR016, RPR018) and the scoped rules all call these, so a change
-here moves every one of them at once.
+checks of RPR018 and the scoped rules all call these, so a change here
+moves every one of them at once.
 """
 
 from __future__ import annotations
@@ -113,3 +113,33 @@ def test_waitable_bindings_honours_the_callers_factory_table():
     names, attrs = waitable_bindings(tree, {"Thread": "thread"})
     assert names == {"t": "thread"}
     assert attrs == {}
+
+
+def test_rule_registry_lookup_and_the_two_passes():
+    from repro.lint.rules import (
+        ProjectRule,
+        all_rules,
+        get_rule,
+        local_rules,
+        project_rules,
+    )
+
+    assert get_rule("RPR001").rule_id == "RPR001"
+    with pytest.raises(KeyError, match="unknown rule 'RPR999'"):
+        get_rule("RPR999")
+    local, project = local_rules(), project_rules()
+    # The passes partition the registry, each in id order.
+    assert sorted(local + project, key=lambda rule: rule.rule_id) == all_rules()
+    assert all(isinstance(rule, ProjectRule) for rule in project)
+    assert not any(isinstance(rule, ProjectRule) for rule in local)
+    assert [rule.rule_id for rule in project] == sorted(r.rule_id for r in project)
+
+
+def test_registering_a_taken_rule_id_is_an_error():
+    from repro.lint.rules import all_rules, get_rule, register_rule
+
+    before = all_rules()
+    duplicate = type(get_rule("RPR001"))
+    with pytest.raises(ValueError, match="RPR001 already registered"):
+        register_rule(duplicate)
+    assert all_rules() == before

@@ -1,6 +1,6 @@
 """Per-rule fixture pairs plus targeted unit checks.
 
-Every rule RPR001–RPR018 has one *bad* fixture (flagged with exactly the
+Every registered rule has one *bad* fixture (flagged with exactly the
 expected findings) and one *clean* fixture (no findings under the full
 rule set, which also proves the fixtures do not trip each other's rules).
 The scoped rules (RPR002/RPR004/RPR007/RPR008/RPR009/RPR012) live under
@@ -71,12 +71,6 @@ CASES = [
     ("RPR013", "rpr013_bad.py", "rpr013_clean.py", 2),
     ("RPR014", "rpr014_bad.py", "rpr014_clean.py", 1),
     (
-        "RPR016",
-        "proj/repro/experiments/rpr016_bad.py",
-        "proj/repro/experiments/rpr016_clean.py",
-        5,
-    ),
-    (
         "RPR017",
         "proj/repro/kg/rpr017_bad.py",
         "proj/repro/kg/rpr017_clean.py",
@@ -126,6 +120,20 @@ def test_rpr001_allows_generator_surface():
         "bits = np.random.PCG64(0)\n"
     )
     assert ENGINE.lint_source(source) == []
+
+
+@pytest.mark.parametrize(
+    "binding,call",
+    [
+        ("import numpy.random as npr", "npr.rand(3)"),
+        ("import numpy.random", "numpy.random.rand(3)"),
+        ("from numpy import random as nr", "nr.rand(3)"),
+        ("from numpy import random", "random.rand(3)"),
+    ],
+)
+def test_rpr001_follows_every_spelling_of_numpy_random(binding, call):
+    findings = ENGINE.lint_source(f"{binding}\nx = {call}\n")
+    assert [(f.rule_id, f.line) for f in findings] == [("RPR001", 2)]
 
 
 def test_rpr002_only_fires_in_scoped_modules():

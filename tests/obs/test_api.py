@@ -43,6 +43,11 @@ class TestDiscoveryConfig:
             DiscoveryConfig(top_n=0)
         with pytest.raises(ValueError):
             DiscoveryConfig(workers=0)
+        with pytest.raises(ValueError, match="max_candidates"):
+            DiscoveryConfig(max_candidates=0)
+        with pytest.raises(ValueError, match="cache_size"):
+            DiscoveryConfig(cache_size=-1)
+        DiscoveryConfig(cache_size=0)  # no cache is a valid setting
 
     def test_with_returns_updated_copy(self):
         base = DiscoveryConfig()

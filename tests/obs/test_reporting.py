@@ -58,17 +58,6 @@ class TestResultClassesSpeakReportable:
         clone = RankingStats.from_dict(dict(stats.summary()))
         assert clone.as_dict() == stats.as_dict()
 
-    def test_guard_report_round_trip(self):
-        from repro.resilience.guards import GuardReport
-
-        report = GuardReport(rollbacks=2, epoch_retries=1, halted=False)
-        assert isinstance(report, Reportable)
-        payload = json.loads(report.to_json())
-        assert payload["guard_rollbacks_count"] == 2
-        # The pre-observability aliases completed their deprecation cycle.
-        with pytest.raises(KeyError):
-            report.summary()["guard_rollbacks"]
-
     def test_all_retrofitted_results_satisfy_protocol(self):
         from repro.discovery.anytime import AnytimeResult
         from repro.discovery.discover import DiscoveryResult

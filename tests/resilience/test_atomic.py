@@ -54,6 +54,38 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"deep")
         assert path.read_bytes() == b"deep"
 
+    def test_publishes_where_directories_cannot_be_opened(
+        self, tmp_path, monkeypatch
+    ):
+        # Some platforms refuse an fd for a directory; the rename is still
+        # atomic there, so the write must publish without the dir fsync.
+        import os
+
+        real_open = os.open
+
+        def no_directory_fds(path, flags, *args, **kwargs):
+            if os.path.isdir(path):
+                raise PermissionError("directories cannot be opened here")
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", no_directory_fds)
+        path = tmp_path / "out.bin"
+        atomic_write_bytes(path, b"payload")
+        assert path.read_bytes() == b"payload"
+        assert _no_temp_residue(tmp_path)
+
+    def test_interrupt_mid_write_also_cleans_up(self, tmp_path):
+        # BaseException, not just Exception: a Ctrl-C mid-write must not
+        # leave a temp file or touch the published one.
+        path = tmp_path / "out.bin"
+        atomic_write_bytes(path, b"old")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_write(path) as tmp:
+                tmp.write_bytes(b"new")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"old"
+        assert _no_temp_residue(tmp_path)
+
 
 class TestAtomicSavez:
     def test_roundtrip(self, tmp_path):
@@ -73,6 +105,21 @@ class TestAtomicSavez:
         atomic_savez(path, data=np.zeros(2))
         assert path.is_file()
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_save_keeps_the_previous_archive(self, tmp_path):
+        path = tmp_path / "arrays.npz"
+        atomic_savez(path, data=np.arange(3))
+
+        class Unsaveable:
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("cannot materialise")
+
+        with pytest.raises(RuntimeError, match="materialise"):
+            atomic_savez(path, data=np.zeros(2), broken=Unsaveable())
+        with np.load(path) as stored:
+            assert stored.files == ["data"]
+            np.testing.assert_array_equal(stored["data"], np.arange(3))
+        assert _no_temp_residue(tmp_path)
 
 
 class TestDigestArrays:

@@ -122,6 +122,10 @@ class TestRejection:
         with pytest.raises(BadRequestError, match="invalid JSON"):
             RankRequest.from_bytes(b"{nope")
 
+    def test_non_object_payload_rejected(self):
+        with pytest.raises(BadRequestError, match="RankRequest: payload must be a JSON object"):
+            RankRequest.from_dict([["d/m"]])
+
     @pytest.mark.parametrize(
         "kwargs,match",
         [
@@ -160,7 +164,7 @@ class TestModelRef:
         }
         assert ModelRef.parse("wn/distmult").to_dict()["digest"] == ""
 
-    @pytest.mark.parametrize("bad", ["", "nodataset", "/m", "d/", "d"])
+    @pytest.mark.parametrize("bad", ["", "nodataset", "/m", "d/", "d", "d/@abc123"])
     def test_parse_rejects_malformed_ids(self, bad):
         with pytest.raises(BadRequestError):
             ModelRef.parse(bad)
@@ -212,3 +216,5 @@ class TestErrorTaxonomy:
         assert response_type_for("discover") is DiscoverResponse
         with pytest.raises(NotFoundError):
             request_type_for("nope")
+        with pytest.raises(NotFoundError, match="unknown endpoint 'nope'"):
+            response_type_for("nope")

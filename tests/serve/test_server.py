@@ -190,6 +190,24 @@ class TestClientErrorMapping:
         with pytest.raises(ServeClientError):
             dead.health()
 
+    def test_envelope_without_error_detail_is_a_transport_error(self):
+        from repro.serve.client import error_from_envelope
+
+        error = error_from_envelope({"schema_version": SCHEMA_VERSION})
+        assert type(error) is ServeClientError
+        assert "malformed error envelope" in str(error)
+        assert type(error_from_envelope({"error": {"code": "mystery"}})).__name__ == "ApiError"
+
+    @pytest.mark.parametrize(
+        "reply,match",
+        [(b"<html>502</html>", "non-JSON response"), (b"[1, 2]", "unexpected response shape")],
+    )
+    def test_undecodable_replies_are_transport_errors(self, monkeypatch, reply, match):
+        client = ServeClient("http://127.0.0.1:9")
+        monkeypatch.setattr(client, "_exchange", lambda *args, **kwargs: reply)
+        with pytest.raises(ServeClientError, match=match):
+            client.health()
+
 
 class TestLifecycle:
     def test_close_is_idempotent_and_releases_the_port(self, session):

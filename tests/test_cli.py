@@ -227,42 +227,6 @@ class TestReproduceCommand:
         clear_model_cache()
 
 
-    def test_journal_degrades_failed_cells_and_still_writes_tables(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro.experiments import clear_model_cache
-        from repro.faults import FaultPlan, inject
-        from repro.resilience import RunJournal
-
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "cache"))
-        clear_model_cache()
-        journal = tmp_path / "run.jsonl"
-        argv = [
-            "reproduce", "--quick", "--datasets", "wn18rr-like",
-            "--output", str(tmp_path / "out"), "--journal", str(journal),
-            "--max-cell-attempts", "1",
-        ]
-        try:
-            with inject(
-                FaultPlan().fail("matrix_cell", match="*/transe/graph_degree")
-            ):
-                assert main(argv) == 0
-            first = capsys.readouterr().out
-            started = len(RunJournal(journal).read().by_event("cell_started"))
-            # A rerun resumes from the journal: nothing is started again
-            # and the spent cell is still reported as degraded.
-            assert main(argv) == 0
-            second = capsys.readouterr().out
-        finally:
-            clear_model_cache()
-        for out in (first, second):
-            assert f"journalling cells to {journal}" in out
-            assert "1 cell(s) failed and were degraded to partial rows:" in out
-            assert "wn18rr-like/transe/graph_degree: FaultInjectedError" in out
-        assert (tmp_path / "out" / "fig4_mrr.txt").is_file()
-        assert len(RunJournal(journal).read().by_event("cell_started")) == started
-
-
 class TestStoreCommand:
     def _generate(self, out, *extra):
         return main(
@@ -335,53 +299,3 @@ class TestGridCommand:
         assert "max_candidates" in out
         # 2 × 2 grid rows plus header material.
         assert len([l for l in out.splitlines() if l and l[0].isdigit()]) == 4
-
-
-class TestJournalCommand:
-    def test_reports_progress_and_torn_tail(self, tmp_path, capsys):
-        from repro.resilience import RunJournal
-
-        path = tmp_path / "run.jsonl"
-        journal = RunJournal(path)
-        journal.append("cell_started", cell="ds/m/done", attempt=1)
-        journal.append("cell_succeeded", cell="ds/m/done", row={"num_facts": 3})
-        journal.append("cell_started", cell="ds/m/open", attempt=1)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"crc": 1, "record": {"event": "cell_suc')  # torn
-        assert main(["journal", str(path)]) == 0
-        out = capsys.readouterr().out
-        rows = {
-            line.rsplit(None, 1)[0].strip(): line.rsplit(None, 1)[1]
-            for line in out.splitlines()
-            if line.startswith(("torn", "cells"))
-        }
-        assert rows == {
-            "torn/corrupt lines": "1",
-            "cells completed": "1",
-            "cells started, unfinished": "1",
-        }
-        assert "ds/m/open" in out and "ds/m/done" not in out
-
-    def test_missing_journal_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["journal", str(tmp_path / "absent.jsonl")])
-
-
-class TestChaosCommand:
-    def test_every_invariant_holds(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "cache"))
-        from repro.experiments import clear_model_cache
-
-        clear_model_cache()
-        try:
-            assert main(["chaos"]) == 0
-        finally:
-            clear_model_cache()
-        out = capsys.readouterr().out
-        invariants = [
-            line for line in out.splitlines()
-            if line.startswith(("journal", "all cells", "recovery"))
-        ]
-        assert len(invariants) == 3
-        assert all(line.split()[-1] == "ok" for line in invariants)
-        assert "all chaos invariants hold" in out

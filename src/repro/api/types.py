@@ -10,8 +10,7 @@ keyword-only dataclasses below.  Each carries a ``schema_version`` field
 versions with a typed :class:`BadRequestError` instead of silently
 dropping fields.  Responses additionally satisfy the
 :class:`~repro.obs.reporting.Reportable` protocol, so their ``summary()``
-keys follow the canonical ``*_seconds``/``*_count`` vocabulary enforced
-by lint rule RPR012.
+keys follow the canonical ``*_seconds``/``*_count`` vocabulary.
 
 Errors are modelled as an :class:`ApiError` hierarchy whose ``status`` /
 ``code`` class attributes define the HTTP error envelope; transports map

@@ -136,10 +136,6 @@ class SparseGrad:
         out[np.searchsorted(rows, other.rows)] += other.values
         return SparseGrad(rows, out, self.shape)
 
-    def norm_squared(self) -> float:
-        """Sum of squared entries (absent rows contribute zero)."""
-        return float(np.sum(np.square(self.values)))
-
     def __repr__(self) -> str:
         return (
             f"SparseGrad(rows={self.nnz_rows}/{self.shape[0]}, "

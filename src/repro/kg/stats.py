@@ -154,7 +154,7 @@ def square_clustering_reference(adj: sp.csr_matrix) -> np.ndarray:
     n = adj.shape[0]
     indptr, indices = adj.indptr, adj.indices
     deg = degrees(adj)
-    dense_rows = adj.toarray().astype(bool) if n <= 4096 else None  # lint: disable=RPR017
+    dense_rows = adj.toarray().astype(bool) if n <= 4096 else None
     coeff = np.zeros(n, dtype=np.float64)
 
     for v in range(n):

@@ -1,24 +1,21 @@
 """Pass 2 substrate: name resolution and the call graph.
 
 :class:`ProjectIndex` holds every :class:`~repro.lint.index.ModuleInfo`
-of a run and answers the cross-module questions pass 1 cannot: what an
-absolute dotted name resolves to (following binding chains through
-package ``__init__`` re-exports) and which project classes an exception
-type descends from.
+of a run and answers the cross-module question pass 1 cannot: what an
+absolute dotted name resolves to, following binding chains through
+package ``__init__`` re-exports.
 
 :class:`CallGraph` layers call-edge resolution on top: direct calls,
 ``self.method()`` dispatch with base-class lookup across modules,
-``self.attr.method()`` through inferred attribute types, locally-typed
-instances (``x = Foo(); x.m()``), and functions handed to executors.
-It provides reachability with witness paths (RPR010/RPR011) and a
-transitive raise-set fixpoint (RPR014).
+locally-typed instances (``x = Foo(); x.m()``) and nested closures.  It
+provides reachability with witness paths for RPR010.
 
 Both are built once per run from the pass-1 records.
 """
 
 from __future__ import annotations
 
-from .index import CallSite, FunctionInfo, ModuleInfo
+from .index import FunctionInfo, ModuleInfo
 
 __all__ = ["CallGraph", "ProjectIndex", "node_key", "split_node"]
 
@@ -53,7 +50,7 @@ class ProjectIndex:
         - ``"module"``  — qual is the module name;
         - ``"symbol"``  — qual is ``"module:Sym"`` or ``"module:Cls.attr"``;
         - ``"missing"`` — the owning module is indexed but the symbol
-          chain breaks there (the RPR013 signal);
+          chain breaks there;
         - ``"unknown"`` — project-rooted but the module is not indexed
           (partial index, e.g. single-file linting) — never flagged;
         - ``"external"`` — outside the project entirely.
@@ -82,8 +79,7 @@ class ProjectIndex:
             if head in info.definitions and info.definitions[head] != "import":
                 return ("symbol", node_key(module, ".".join(rest)))
             if head in info.bindings:
-                binding = info.bindings[head]
-                target = ".".join([binding.target] + rest[1:])
+                target = ".".join([info.bindings[head]] + rest[1:])
                 continue
             return ("missing", target)
 
@@ -98,43 +94,13 @@ class ProjectIndex:
         if len(dotted) == 1 and root in info.classes:
             return (module, root)
         if root in info.bindings:
-            target = ".".join([info.bindings[root].target] + list(dotted[1:]))
+            target = ".".join([info.bindings[root]] + list(dotted[1:]))
             kind, qual = self.resolve(target)
             if kind == "symbol":
                 owner, sym = split_node(qual)
                 if "." not in sym and sym in self.modules[owner].classes:
                     return (owner, sym)
         return None
-
-    # ------------------------------------------------------------------
-    # Exception hierarchy
-    # ------------------------------------------------------------------
-    def exception_ancestry(self, module: str, cls_name: str) -> frozenset[str]:
-        """The class, its project ancestors (``mod:Cls``), and builtin bases.
-
-        Builtin bases appear by bare name (``"ValueError"``); every chain
-        implicitly ends at ``Exception``/``BaseException``.
-        """
-        out: set[str] = set()
-        stack = [(module, cls_name)]
-        while stack:
-            mod, name = stack.pop()
-            key = node_key(mod, name)
-            if key in out:
-                continue
-            out.add(key)
-            info = self.modules.get(mod)
-            cls = info.classes.get(name) if info else None
-            if cls is None:
-                continue
-            for base in cls.bases:
-                resolved = self.resolve_class(mod, base)
-                if resolved is not None:
-                    stack.append(resolved)
-                else:
-                    out.add(base[-1])
-        out.update(("Exception", "BaseException"))
-        return frozenset(out)
 
 
 class CallGraph:
@@ -146,18 +112,14 @@ class CallGraph:
         for module, info in index.modules.items():
             for qual, fn in info.functions.items():
                 self.nodes[node_key(module, qual)] = (module, fn)
-        self.edges: dict[str, list[tuple[str, CallSite]]] = {}
-        for key, (module, fn) in self.nodes.items():
-            edges: list[tuple[str, CallSite]] = []
-            for site in fn.calls:
-                for target in self.resolve_call(module, fn, site.parts):
-                    edges.append((target, site))
-            for parts in fn.submitted:
-                for target in self.resolve_call(module, fn, parts):
-                    edges.append(
-                        (target, CallSite(parts, fn.lineno, fn.col))
-                    )
-            self.edges[key] = edges
+        self.edges: dict[str, list[str]] = {
+            key: [
+                target
+                for parts in fn.calls
+                for target in self.resolve_call(module, fn, parts)
+            ]
+            for key, (module, fn) in self.nodes.items()
+        }
 
     # ------------------------------------------------------------------
     # Call resolution
@@ -207,21 +169,11 @@ class CallGraph:
         if info is None or not parts:
             return []
         root = parts[0]
-        # self.method() / cls.method() / self.attr.method()
+        # self.method() / cls.method()
         if root in ("self", "cls") and fn.cls is not None:
             if len(parts) == 2:
                 target = self._method_node(module, fn.cls, parts[1])
                 return [target] if target else []
-            if len(parts) >= 3:
-                cls_info = info.classes.get(fn.cls)
-                ctor = cls_info.attr_types.get(parts[1]) if cls_info else None
-                if ctor is not None:
-                    resolved = self.index.resolve_class(module, ctor)
-                    if resolved is not None:
-                        target = self._method_node(
-                            resolved[0], resolved[1], parts[-1]
-                        )
-                        return [target] if target else []
             return []
         # Closures defined in this function.
         if root in fn.nested and len(parts) == 1:
@@ -239,7 +191,7 @@ class CallGraph:
             return [target] if target else []
         # Imported names — follow the binding chain.
         if root in info.bindings:
-            absolute = ".".join([info.bindings[root].target] + list(parts[1:]))
+            absolute = ".".join([info.bindings[root]] + list(parts[1:]))
             kind, qual = self.index.resolve(absolute)
             if kind == "symbol":
                 owner, sym = split_node(qual)
@@ -260,7 +212,7 @@ class CallGraph:
                 queue.append(entry)
         while queue:
             current = queue.pop(0)
-            for target, _site in self.edges.get(current, ()):
+            for target in self.edges.get(current, ()):
                 if target not in parents:
                     parents[target] = current
                     queue.append(target)
@@ -276,51 +228,3 @@ class CallGraph:
             chain.append(split_node(cursor)[1])
             cursor = parents.get(cursor)
         return list(reversed(chain))
-
-    # ------------------------------------------------------------------
-    # Raise sets
-    # ------------------------------------------------------------------
-    def resolve_exception(
-        self, module: str, parts: tuple[str, ...]
-    ) -> str | None:
-        """Exception reference → ``mod:Cls`` (project) or bare name."""
-        resolved = self.index.resolve_class(module, parts)
-        if resolved is not None:
-            return node_key(*resolved)
-        info = self.index.modules.get(module)
-        if info is not None and parts[0] in info.bindings:
-            kind, qual = self.index.resolve(
-                ".".join([info.bindings[parts[0]].target] + list(parts[1:]))
-            )
-            if kind == "symbol":
-                owner, sym = split_node(qual)
-                if "." not in sym and sym in self.index.modules[owner].classes:
-                    return node_key(owner, sym)
-        if parts[0] in ("self", "cls"):
-            return None
-        # ``raise exc`` re-raising a local variable carries no static type;
-        # only class-cased names (ValueError, zipfile.BadZipFile) are kept.
-        name = parts[-1]
-        return name if name[:1].isupper() else None
-
-    def transitive_raises(self) -> dict[str, frozenset[str]]:
-        """Fixpoint of raise sets over call edges (handles cycles)."""
-        result: dict[str, set[str]] = {}
-        for key, (module, fn) in self.nodes.items():
-            own: set[str] = set()
-            for site in fn.raises:
-                resolved = self.resolve_exception(module, site.parts)
-                if resolved is not None:
-                    own.add(resolved)
-            result[key] = own
-        changed = True
-        while changed:
-            changed = False
-            for key, edges in self.edges.items():
-                mine = result[key]
-                before = len(mine)
-                for target, _site in edges:
-                    mine.update(result.get(target, ()))
-                if len(mine) != before:
-                    changed = True
-        return {key: frozenset(value) for key, value in result.items()}

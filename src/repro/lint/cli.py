@@ -23,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Domain-aware static analysis for the repro codebase: RNG "
-            "determinism, autodiff-tape hygiene, API consistency, and "
-            "whole-program determinism/concurrency/exception contracts."
+            "determinism (per file and along the call graph), autodiff-tape "
+            "hygiene, and bounded waits in the query server."
         ),
     )
     parser.add_argument(
@@ -36,14 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-f", "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--enable", action="append", default=None, metavar="RPRxxx",
-        help="run only these rule ids (repeatable, comma-separable)",
-    )
-    parser.add_argument(
-        "--disable", action="append", default=None, metavar="RPRxxx",
-        help="skip these rule ids (repeatable, comma-separable)",
     )
     parser.add_argument(
         "--exclude", action="append", default=None, metavar="PATTERN",
@@ -67,14 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_ids(values: list[str] | None) -> tuple[str, ...]:
-    if not values:
-        return ()
-    return tuple(
-        part.strip() for value in values for part in value.split(",") if part.strip()
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -92,11 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             start = Path(args.paths[0]) if args.paths else Path.cwd()
             config = load_config(pyproject=args.config, start=start)
-        config = config.merged_with_cli(
-            enable=_split_ids(args.enable),
-            disable=_split_ids(args.disable),
-            exclude=tuple(args.exclude or ()),
-        )
+        config = config.merged_with_cli(exclude=tuple(args.exclude or ()))
         engine = LintEngine(config)
         run = engine.run(args.paths or list(config.paths) or ["."])
     except (ValueError, FileNotFoundError, OSError) as error:

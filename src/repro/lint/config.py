@@ -6,9 +6,10 @@ the ``[tool.repro-lint]`` table::
 
     [tool.repro-lint]
     paths = ["src/repro"]      # default scan roots for bare invocations
-    enable = []                # empty → every registered rule
-    disable = ["RPR006"]       # rule ids switched off project-wide
     exclude = ["*/migrations/*"]  # fnmatch patterns on posix paths
+
+Every registered rule always runs; a single finding is silenced with a
+line-scoped ``# lint: disable=RPRxxx`` marker next to its justification.
 
 Relative ``paths`` entries resolve against the directory containing the
 ``pyproject.toml``, so ``repro-lint`` works from any cwd.
@@ -22,32 +23,20 @@ from pathlib import Path
 
 __all__ = ["LintConfig", "find_pyproject", "load_config"]
 
-_TABLE_KEYS = frozenset({"paths", "enable", "disable", "exclude"})
+_TABLE_KEYS = frozenset({"paths", "exclude"})
 
 
 @dataclass(frozen=True)
 class LintConfig:
     """Resolved analyzer configuration."""
 
-    enable: tuple[str, ...] = ()
-    disable: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
     paths: tuple[str, ...] = ()
     source: str = "<defaults>"
 
-    def merged_with_cli(
-        self,
-        enable: tuple[str, ...] = (),
-        disable: tuple[str, ...] = (),
-        exclude: tuple[str, ...] = (),
-    ) -> "LintConfig":
-        """CLI flags narrow the project config; they never widen it."""
-        return replace(
-            self,
-            enable=tuple(enable) or self.enable,
-            disable=self.disable + tuple(disable),
-            exclude=self.exclude + tuple(exclude),
-        )
+    def merged_with_cli(self, exclude: tuple[str, ...] = ()) -> "LintConfig":
+        """CLI ``--exclude`` patterns add to the project's; they never drop one."""
+        return replace(self, exclude=self.exclude + tuple(exclude))
 
 
 def find_pyproject(start: Path) -> Path | None:
@@ -84,8 +73,6 @@ def load_config(
         for path in table.get("paths", ())
     )
     return LintConfig(
-        enable=tuple(table.get("enable", ())),
-        disable=tuple(table.get("disable", ())),
         exclude=tuple(table.get("exclude", ())),
         paths=paths,
         source=str(pyproject),

@@ -21,7 +21,7 @@ from .callgraph import CallGraph, ProjectIndex
 from .config import LintConfig
 from .findings import PARSE_ERROR_ID, Finding
 from .index import ModuleInfo, build_module_info
-from .rules import ModuleContext, ProjectRule, Rule, all_rules, derive_module_name
+from .rules import ModuleContext, derive_module_name, local_rules, project_rules
 from .suppress import filter_suppressed
 
 __all__ = ["LintEngine", "LintRun"]
@@ -46,28 +46,12 @@ def _syntax_error(path: str, error: SyntaxError) -> Finding:
 
 
 class LintEngine:
-    """Run the enabled rules over sources, files, or directory trees."""
+    """Run every registered rule over sources, files, or directory trees."""
 
     def __init__(self, config: LintConfig | None = None) -> None:
         self.config = config or LintConfig()
-        self.rules = self._resolve_rules(self.config)
-        self.local_rules = [
-            rule for rule in self.rules if not isinstance(rule, ProjectRule)
-        ]
-        self.project_rules = [
-            rule for rule in self.rules if isinstance(rule, ProjectRule)
-        ]
-
-    @staticmethod
-    def _resolve_rules(config: LintConfig) -> list[Rule]:
-        rules = all_rules()
-        known = {rule.rule_id for rule in rules}
-        unknown = (set(config.enable) | set(config.disable)) - known
-        if unknown:
-            raise ValueError(f"unknown rule ids in config: {sorted(unknown)}")
-        if config.enable:
-            rules = [rule for rule in rules if rule.rule_id in config.enable]
-        return [rule for rule in rules if rule.rule_id not in config.disable]
+        self.local_rules = local_rules()
+        self.project_rules = project_rules()
 
     # ------------------------------------------------------------------
     # Single-module entry points

@@ -3,7 +3,7 @@
 A rule is a stateless object with a ``rule_id`` and a :meth:`Rule.check`
 method that inspects one parsed module and yields findings.  Rules are
 registered at import time with :func:`register_rule`; the engine runs
-every registered rule that the active configuration enables.
+every registered rule.
 
 Two families share the registry.  Local rules (:class:`Rule`) see one
 module at a time and run in pass 1; project rules (:class:`ProjectRule`)

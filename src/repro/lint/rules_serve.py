@@ -1,32 +1,16 @@
-"""RPR018 — handler hygiene in the ``repro.serve`` query server.
+"""RPR018 — no unbounded blocking waits in the ``repro.serve`` query server.
 
 A request handler runs on a bounded worker pool inside a process that
-must keep answering ``/healthz`` and draining gracefully.  Three habits
-break that contract, and each is cheap to detect statically:
-
-**Unbounded blocking waits.**  ``future.result()``, ``queue.get()``,
-``lock.acquire()`` and ``process``/``thread.join()`` wait forever by
-default, and so do the coordination primitives the server itself is
-built from — ``Event.wait()`` / ``Condition.wait()`` /
-``Barrier.wait()`` without a timeout.  A follower waiting forever on a
-leader that died holds a pool slot forever, so graceful shutdown can
-never drain.  Every wait in a handler must be a bounded slice inside a
-loop that re-checks its deadline (see
-:class:`~repro.serve.coalesce.SingleFlight` for the pattern).
-
-**Mutable module-global state.**  Handlers run concurrently; state they
-mutate must live in an object that owns a lock (RPR011 then enforces the
-locking).  A ``global`` statement inside a function, or an in-place
-mutation of a module-level binding (``CACHE[key] = ...``,
-``_SEEN.append(...)``), is shared state with no owner and no lock.
-Read-only module constants are fine — only mutation trips the rule.
-
-**Hand-rolled wire payloads.**  Every byte on the wire comes from the
-versioned schema types — :meth:`~repro.api.types.WireType.to_bytes`,
-:meth:`~repro.api.types.ApiError.envelope` through
-:func:`~repro.api.types.encode_payload`.  ``json.dumps`` applied to a
-dict/list literal is an ad-hoc response shape that silently escapes the
-``schema_version`` contract and drifts from the documented API.
+must keep answering ``/healthz`` and draining gracefully.
+``future.result()``, ``queue.get()``, ``lock.acquire()`` and
+``process``/``thread.join()`` wait forever by default, and so do the
+coordination primitives the server itself is built from —
+``Event.wait()`` / ``Condition.wait()`` / ``Barrier.wait()`` without a
+timeout.  A follower waiting forever on a leader that died holds a pool
+slot forever, so graceful shutdown can never drain.  Every wait in a
+handler must be a bounded slice inside a loop that re-checks its
+deadline (see :class:`~repro.serve.coalesce.SingleFlight` for the
+pattern).
 """
 
 from __future__ import annotations
@@ -38,13 +22,14 @@ from .findings import Finding
 from .rules import (
     ModuleContext,
     Rule,
+    in_scope,
     is_bounded,
     register_rule,
     self_attr,
     waitable_bindings,
 )
 
-__all__ = ["ServeHandlerHygieneRule"]
+__all__ = ["ServeBoundedWaitRule"]
 
 #: The package whose request/handler code this rule watches.
 _SCOPES = ("repro.serve",)
@@ -76,79 +61,33 @@ _BLOCKING_METHODS = {
     "join": ("process", "thread"),
 }
 
-#: In-place mutators on the stdlib containers handlers reach for.
-_MUTATING_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-        "add", "discard", "update", "setdefault", "appendleft", "extendleft",
-    }
-)
-
 _FunctionDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _module_level_names(tree: ast.Module) -> frozenset[str]:
-    """Names bound to values (not defs/imports) at module scope."""
-    names: set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            if stmt.value is not None:
-                names.add(stmt.target.id)
-    return frozenset(names)
-
-
-def _root_name(node: ast.expr) -> str | None:
-    """Leftmost ``Name`` of an attribute/subscript chain."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 @register_rule
-class ServeHandlerHygieneRule(Rule):
+class ServeBoundedWaitRule(Rule):
     rule_id = "RPR018"
-    name = "serve-handler-hygiene"
+    name = "serve-bounded-waits"
     description = (
-        "query-server handler hygiene in repro.serve — no unbounded "
-        "blocking waits (Event/Condition/Barrier.wait, future.result, "
-        "Queue.get, lock.acquire and join must carry timeouts), no "
-        "mutation of module-global state from handler code, and no "
-        "hand-rolled json.dumps payloads outside the versioned schema types"
+        "no unbounded blocking waits in repro.serve — Event/Condition/"
+        "Barrier.wait, future.result, Queue.get, lock.acquire and join "
+        "must carry timeouts"
     )
     rationale = (
         "A handler that waits forever holds a bounded pool slot forever, "
         "so one dead leader starves the pool and graceful shutdown never "
-        "drains; module-global state mutated from concurrent handlers has "
-        "no owning lock for RPR011 to check; and a json.dumps'd literal "
-        "is a wire shape that silently escapes the schema_version "
-        "contract the public API documents."
+        "drains.  Waits are bounded slices in a loop that re-checks the "
+        "request deadline."
     )
     example = (
         "done = Event()\n"
         "done.wait()                      # RPR018: leader may have died\n"
         "done.wait(timeout=0.05)          # ok: bounded slice in a loop\n"
-        "_SEEN = set()\n"
-        "def handle(key):\n"
-        "    _SEEN.add(key)               # RPR018: unlocked shared state\n"
-        "    return json.dumps({'ok': 1}) # RPR018: ad-hoc wire payload\n"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.module.startswith(_SCOPES):
+        if not in_scope(ctx.module, _SCOPES):
             return
-        yield from self._check_waits(ctx)
-        yield from self._check_global_mutation(ctx)
-        yield from self._check_adhoc_payloads(ctx)
-
-    # -- unbounded waits ------------------------------------------------
-
-    def _check_waits(self, ctx: ModuleContext) -> Iterator[Finding]:
         # Each top-level function is one scope; class bodies form one
         # scope so ``self.<attr>`` waitables bound in ``__init__`` are
         # visible from every method.
@@ -160,6 +99,9 @@ class ServeHandlerHygieneRule(Rule):
             else:
                 module_stmts.body.append(stmt)
         scopes.append(module_stmts)
+        # A ``self.<attr>`` waitable bound in any class also types reads
+        # of that attribute through another object (``call.event.wait()``).
+        _, module_attrs = waitable_bindings(ctx.tree, _WAITABLE_FACTORIES)
         for root in scopes:
             names, attrs = waitable_bindings(root, _WAITABLE_FACTORIES)
             for node in ast.walk(root):
@@ -182,6 +124,9 @@ class ServeHandlerHygieneRule(Rule):
                     if attr is not None:
                         kind = attrs.get(attr)
                         owner = f"'self.{attr}'"
+                    elif isinstance(receiver, ast.Attribute):
+                        kind = module_attrs.get(receiver.attr)
+                        owner = f"'{ast.unparse(receiver)}'"
                 if kind not in kinds:
                     continue
                 yield self.finding(
@@ -190,82 +135,4 @@ class ServeHandlerHygieneRule(Rule):
                     f"unbounded {method}() on {owner} ({kind}) can pin a "
                     f"pool slot forever; wait in bounded slices "
                     f"(timeout=...) and re-check the deadline",
-                )
-
-    # -- module-global mutation -----------------------------------------
-
-    def _check_global_mutation(self, ctx: ModuleContext) -> Iterator[Finding]:
-        module_names = _module_level_names(ctx.tree)
-        for func in (
-            n for n in ast.walk(ctx.tree) if isinstance(n, _FunctionDef)
-        ):
-            for node in ast.walk(func):
-                if isinstance(node, ast.Global):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"handler rebinds module global(s) "
-                        f"{', '.join(repr(n) for n in node.names)}; move the "
-                        f"state into a lock-owning object",
-                    )
-                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, (ast.Assign, ast.Delete))
-                        else [node.target]
-                    )
-                    for target in targets:
-                        # Plain local rebinding is fine; only stores
-                        # *into* a module-level container mutate state.
-                        if not isinstance(target, (ast.Subscript, ast.Attribute)):
-                            continue
-                        name = _root_name(target)
-                        if name in module_names:
-                            yield self.finding(
-                                ctx,
-                                node,
-                                f"in-place mutation of module global "
-                                f"{name!r} from handler code; shared state "
-                                f"needs a lock-owning object",
-                            )
-                elif isinstance(node, ast.Call):
-                    if not isinstance(node.func, ast.Attribute):
-                        continue
-                    if node.func.attr not in _MUTATING_METHODS:
-                        continue
-                    receiver = node.func.value
-                    if (
-                        isinstance(receiver, ast.Name)
-                        and receiver.id in module_names
-                    ):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"{node.func.attr}() mutates module global "
-                            f"{receiver.id!r} from handler code; shared "
-                            f"state needs a lock-owning object",
-                        )
-
-    # -- ad-hoc wire payloads -------------------------------------------
-
-    def _check_adhoc_payloads(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            is_dumps = (
-                isinstance(func, ast.Attribute)
-                and func.attr == "dumps"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "json"
-            ) or (isinstance(func, ast.Name) and func.id == "dumps")
-            if not is_dumps or not node.args:
-                continue
-            if isinstance(node.args[0], (ast.Dict, ast.List, ast.Set, ast.Tuple)):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "hand-rolled json.dumps payload; wire responses come "
-                    "from the schema types (WireType.to_bytes / "
-                    "ApiError.envelope via encode_payload)",
                 )

@@ -6,8 +6,7 @@ process-global *active* registry (see :func:`get_registry`) defaults to a
 nothing until observability is switched on — the null backend hands out
 shared no-op metric objects and records no spans.
 
-Metric naming convention (enforced socially, surfaced by ``repro.lint``
-RPR009 for result objects): durations end in ``_seconds``, event tallies
+Metric naming convention: durations end in ``_seconds``, event tallies
 end in ``_count``.
 """
 

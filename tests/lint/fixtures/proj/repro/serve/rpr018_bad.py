@@ -1,11 +1,6 @@
-"""RPR018 bad fixture: handler habits that break the serving contract."""
+"""RPR018 bad fixture: waits that can pin a pool slot forever."""
 
-import json
 from threading import Condition, Event
-
-_PENDING = {}
-_SEEN = set()
-_TOTAL = 0
 
 
 def wait_for_leader():
@@ -21,11 +16,3 @@ class Flight:
     def follow(self):
         with self._cond:
             self._cond.wait()  # unbounded: never re-checks the deadline
-
-
-def record(key, value):
-    global _TOTAL
-    _TOTAL += 1
-    _SEEN.add(key)
-    _PENDING[key] = value
-    return json.dumps({"ok": True, "key": key})

@@ -1,4 +1,4 @@
-"""RPR018 clean fixture: bounded waits, lock-owned state, schema payloads."""
+"""RPR018 clean fixture: every wait is a bounded slice that re-checks its deadline."""
 
 from threading import Condition, Event, Lock
 
@@ -34,7 +34,3 @@ class FlightTable:
                 self._cond.wait(timeout=_WAIT_SLICE_SECONDS)
             return self._pending[key]
 
-
-def respond(response):
-    # Wire bytes come from the versioned schema types, never a literal.
-    return 200, "application/json", response.to_bytes()

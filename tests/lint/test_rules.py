@@ -3,13 +3,12 @@
 Every registered rule has one *bad* fixture (flagged with exactly the
 expected findings) and one *clean* fixture (no findings under the full
 rule set, which also proves the fixtures do not trip each other's rules).
-The scoped rules (RPR002/RPR004/RPR007/RPR008/RPR009/RPR012) live under
-a fake package tree in ``fixtures/proj`` so module-name derivation
-resolves them into the ``repro.*`` namespaces the rules watch.  The
-whole-program rules (RPR010–RPR014) are exercised here on single
-self-contained modules — ``lint_file`` runs pass 2 over a singleton
-index — and again over a real multi-module package in
-``test_project_rules.py``.
+The scoped rules (RPR002/RPR004/RPR018) live under a fake package tree
+in ``fixtures/proj`` so module-name derivation resolves them into the
+``repro.*`` namespaces the rules watch.  The whole-program rule RPR010
+is exercised here on a single self-contained module — ``lint_file``
+runs pass 2 over a singleton index — and again over a real multi-module
+package in ``test_project_rules.py``.
 """
 
 from __future__ import annotations
@@ -40,47 +39,12 @@ CASES = [
         "proj/repro/autograd/rpr004_clean.py",
         2,
     ),
-    ("RPR005", "rpr005_bad.py", "rpr005_clean.py", 2),
-    ("RPR006", "rpr006_bad.py", "rpr006_clean.py", 4),
-    (
-        "RPR007",
-        "proj/repro/kge/rpr007_bad.py",
-        "proj/repro/kge/rpr007_clean.py",
-        4,
-    ),
-    (
-        "RPR008",
-        "proj/repro/kge/rpr008_bad.py",
-        "proj/repro/kge/rpr008_clean.py",
-        3,
-    ),
-    (
-        "RPR009",
-        "proj/repro/discovery/rpr009_bad.py",
-        "proj/repro/discovery/rpr009_clean.py",
-        6,
-    ),
     ("RPR010", "rpr010_bad.py", "rpr010_clean.py", 2),
-    ("RPR011", "rpr011_bad.py", "rpr011_clean.py", 1),
-    (
-        "RPR012",
-        "proj/repro/discovery/rpr012_bad.py",
-        "proj/repro/discovery/rpr012_clean.py",
-        3,
-    ),
-    ("RPR013", "rpr013_bad.py", "rpr013_clean.py", 2),
-    ("RPR014", "rpr014_bad.py", "rpr014_clean.py", 1),
-    (
-        "RPR017",
-        "proj/repro/kg/rpr017_bad.py",
-        "proj/repro/kg/rpr017_clean.py",
-        4,
-    ),
     (
         "RPR018",
         "proj/repro/serve/rpr018_bad.py",
         "proj/repro/serve/rpr018_clean.py",
-        6,
+        2,
     ),
 ]
 
@@ -195,65 +159,87 @@ def test_rpr004_flags_direct_grad_writes():
     assert [finding.rule_id for finding in findings] == ["RPR004"]
 
 
-def test_rpr005_rejects_non_literal_all():
-    findings = ENGINE.lint_source("__all__ = [name for name in dir()]\n")
-    assert [finding.rule_id for finding in findings] == ["RPR005"]
-    assert "literal" in findings[0].message
+def test_every_rule_has_exactly_one_fixture_pair():
+    from repro.lint import all_rules
+
+    assert [case[0] for case in CASES] == [rule.rule_id for rule in all_rules()]
 
 
-def test_rpr005_skips_modules_without_all():
-    assert ENGINE.lint_source("def public():\n    return 1\n") == []
+#: One unbounded and one bounded spelling of every blocking wait RPR018
+#: knows: (binding line, unbounded call, bounded call).
+WAIT_FORMS = [
+    ("w = threading.Event()", "w.wait()", "w.wait(0.05)"),
+    ("w = threading.Condition()", "w.wait()", "w.wait(timeout=0.05)"),
+    ("w = threading.Barrier(2)", "w.wait()", "w.wait(0.05)"),
+    ("w = pool.submit(job)", "w.result()", "w.result(timeout=1.0)"),
+    ("w = pool.submit(job)", "w.exception()", "w.exception(1.0)"),
+    ("w = queue.Queue()", "w.get()", "w.get(timeout=0.05)"),
+    ("w = queue.SimpleQueue()", "w.get(True)", "w.get(False)"),
+    ("w = threading.Lock()", "w.acquire()", "w.acquire(blocking=False)"),
+    ("w = threading.Semaphore(2)", "w.acquire()", "w.acquire(timeout=0.05)"),
+    ("w = threading.Thread(target=job)", "w.join()", "w.join(0.05)"),
+    ("w = multiprocessing.Process(target=job)", "w.join()", "w.join(timeout=1)"),
+]
 
 
-def test_rpr007_atomic_writes_only_fire_in_scoped_modules():
-    source = "import numpy as np\ndef save(path, a):\n    np.savez(path, a=a)\n"
-    findings = ENGINE.lint_source(source, module="repro.kge.checkpoint")
-    assert [finding.rule_id for finding in findings] == ["RPR007"]
-    findings = ENGINE.lint_source(source, module="repro.experiments.runner")
-    assert [finding.rule_id for finding in findings] == ["RPR007"]
-    # The sanctioned writer itself is out of scope.
-    assert ENGINE.lint_source(source, module="repro.resilience.atomic") == []
-    assert ENGINE.lint_source(source, module="repro.discovery.candidates") == []
+def _wait_source(binding: str, call: str) -> str:
+    return f"def handle(pool, job):\n    {binding}\n    {call}\n"
 
 
-def test_rpr009_raw_clocks_only_fire_in_scoped_modules():
-    source = "import time\ndef f():\n    return time.perf_counter()\n"
-    findings = ENGINE.lint_source(source, module="repro.kge.training")
-    assert [finding.rule_id for finding in findings] == ["RPR009"]
-    findings = ENGINE.lint_source(source, module="repro.experiments.runner")
-    assert [finding.rule_id for finding in findings] == ["RPR009"]
-    # The obs package owns the clocks; unscoped modules are free too.
-    assert ENGINE.lint_source(source, module="repro.obs.spans") == []
-    assert ENGINE.lint_source(source, module="repro.resilience.retry") == []
+@pytest.mark.parametrize(
+    "binding, unbounded, bounded",
+    WAIT_FORMS,
+    ids=[f"{form[0].split('(')[0].split('.')[-1]}-{form[1]}" for form in WAIT_FORMS],
+)
+def test_rpr018_flags_each_unbounded_wait_and_passes_its_bounded_form(
+    binding, unbounded, bounded
+):
+    module = "repro.serve.handlers"
+    findings = ENGINE.lint_source(_wait_source(binding, unbounded), module=module)
+    assert [(f.rule_id, f.line) for f in findings] == [("RPR018", 3)]
+    assert "'w'" in findings[0].message
+    assert ENGINE.lint_source(_wait_source(binding, bounded), module=module) == []
 
 
-def test_rpr009_summary_without_reportable_is_flagged():
+def test_rpr018_sees_waitables_bound_on_self_in_another_method():
     source = (
-        "class R:\n"
-        "    def summary(self):\n"
-        "        return {}\n"
+        "import threading\n"
+        "class Flight:\n"
+        "    def __init__(self):\n"
+        "        self._done = threading.Event()\n"
+        "    def follow(self):\n"
+        "        self._done.wait()\n"
     )
-    findings = ENGINE.lint_source(source, module="repro.resilience.guards")
-    assert [finding.rule_id for finding in findings] == ["RPR009"]
-    mixed_in = (
-        "from repro.obs import ReportableMixin\n"
-        "class R(ReportableMixin):\n"
-        "    def summary(self):\n"
-        "        return {}\n"
-    )
-    assert ENGINE.lint_source(mixed_in, module="repro.resilience.guards") == []
+    findings = ENGINE.lint_source(source, module="repro.serve.coalesce")
+    assert [(f.rule_id, f.line) for f in findings] == [("RPR018", 6)]
+    assert "'self._done' (event)" in findings[0].message
 
 
-def test_rpr007_swallowed_broad_except_fires_everywhere():
-    source = "def f(fn):\n    try:\n        fn()\n    except Exception:\n        pass\n"
-    findings = ENGINE.lint_source(source)
-    assert [finding.rule_id for finding in findings] == ["RPR007"]
-    # A handler that actually does something is fine.
-    handled = (
-        "def f(fn):\n"
-        "    try:\n"
-        "        fn()\n"
-        "    except Exception as error:\n"
-        "        raise RuntimeError('wrapped') from error\n"
+def test_rpr018_types_a_waitable_attribute_read_through_another_object():
+    # The single-flight follower shape: the Event lives on a slot object.
+    source = (
+        "import threading\n"
+        "class _Call:\n"
+        "    def __init__(self):\n"
+        "        self.event = threading.Event()\n"
+        "def follow(call, other):\n"
+        "    call.event.wait(timeout=0.05)\n"
+        "    other.done.wait()\n"
+        "    call.event.wait()\n"
     )
-    assert ENGINE.lint_source(handled) == []
+    findings = ENGINE.lint_source(source, module="repro.serve.coalesce")
+    assert [(f.rule_id, f.line) for f in findings] == [("RPR018", 8)]
+    assert "'call.event' (event)" in findings[0].message
+
+
+def test_rpr018_only_fires_in_repro_serve():
+    source = _wait_source("w = threading.Event()", "w.wait()")
+    assert ENGINE.lint_source(source, module="repro.kge.training") == []
+    assert ENGINE.lint_source(source, module="repro.serverless") == []
+    assert ENGINE.lint_source(source, module="repro.serve") != []
+
+
+def test_rpr018_ignores_waits_on_receivers_it_cannot_type():
+    # A parameter or an unrelated object's wait() is not a known waitable.
+    source = "def handle(event, client):\n    event.wait()\n    client.get()\n"
+    assert ENGINE.lint_source(source, module="repro.serve.server") == []

@@ -45,7 +45,7 @@ def test_wrong_rule_id_does_not_suppress():
 
 def test_all_wildcard_suppresses_every_rule():
     source = "a = 1  # lint: disable=all\n"
-    assert filter_suppressed([_finding(1, "RPR006")], source) == []
+    assert filter_suppressed([_finding(1, "RPR018")], source) == []
 
 
 def test_suppressed_fixture_end_to_end():

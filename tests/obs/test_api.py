@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -67,10 +70,26 @@ class TestDiscoveryConfig:
         assert from_config.strategy == from_kwargs.strategy
 
 
+def _modules_with_all() -> list[str]:
+    """``repro`` and every submodule that declares ``__all__``."""
+    names = ["repro"]
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.rsplit(".", 1)[-1] == "__main__":
+            continue  # importing an entry point would run its CLI
+        if hasattr(importlib.import_module(info.name), "__all__"):
+            names.append(info.name)
+    return names
+
+
 class TestPublicApi:
-    def test_every_all_name_is_bound(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None, name
+    @pytest.mark.parametrize("module_name", _modules_with_all())
+    def test_every_all_name_is_bound(self, module_name):
+        module = importlib.import_module(module_name)
+        exported = list(module.__all__)
+        assert all(isinstance(name, str) for name in exported)
+        assert len(set(exported)) == len(exported), "duplicate __all__ entry"
+        unbound = [name for name in exported if not hasattr(module, name)]
+        assert unbound == [], f"{module_name}.__all__ names unbound {unbound}"
 
     def test_core_workflow_names_exported(self):
         expected = {

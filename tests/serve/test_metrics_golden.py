@@ -73,7 +73,7 @@ class TestGoldenExposition:
 
 
 class TestVocabulary:
-    """RPR012 canonical suffixes hold for everything serve actually emits."""
+    """Canonical ``*_seconds``/``*_count`` suffixes hold for everything serve emits."""
 
     def test_live_serve_metric_names_are_canonical(
         self, session, model_id, test_triples

@@ -226,3 +226,24 @@ class TestLifecycle:
 
         server = DiscoveryServer(ServeApp(session))
         server.close()  # must return promptly without serve_forever running
+
+    def test_close_switches_off_the_registry_start_server_installed(self, session):
+        from repro.obs import get_registry
+
+        assert get_registry().enabled is False
+        server = start_server(session, port=0)
+        try:
+            assert get_registry().enabled is True
+            assert ServeClient(server.url, timeout_seconds=5.0).health().status == "ok"
+        finally:
+            server.close()
+        assert get_registry().enabled is False
+        server.close()  # the second close restores nothing twice
+
+    def test_close_keeps_a_registry_the_caller_installed(self, session):
+        from repro.obs import get_registry
+
+        with use_registry(MetricsRegistry()) as mine:
+            server = start_server(session, port=0)
+            server.close()
+            assert get_registry() is mine

@@ -34,16 +34,20 @@ from common import (
 from repro.discovery import discover_facts
 from repro.experiments import format_table, get_trained_model
 from repro.kg import load_dataset
-from repro.kge import RankingEngine
+from repro.kge import RankingEngine, RankingStats
 from repro.kge.evaluation import compute_ranks_reference
 
 
 class _ReferenceEngine:
     """Duck-typed engine adapter running the legacy chunked path.
 
-    ``discover_facts`` only needs ``compute_ranks``; it reads counters
-    via ``getattr(engine, "stats", None)`` so omitting ``stats`` is fine.
+    ``discover_facts`` needs ``compute_ranks`` and a ``stats`` counter
+    set to take its per-run delta from; the legacy path counts nothing,
+    so its counters stay zero.
     """
+
+    def __init__(self) -> None:
+        self.stats = RankingStats()
 
     def compute_ranks(self, model, triples, filter_triples=None, side="object"):
         return compute_ranks_reference(

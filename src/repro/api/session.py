@@ -63,7 +63,7 @@ class Session:
     Stateless beyond its registry reference, so one instance is safely
     shared by every server worker thread.  Construct with an existing
     :class:`~repro.serve.registry.ModelRegistry` or let the session build
-    one (``capacity``/``cache_size``/``workers`` forwarded).
+    one (``capacity``/``cache_size`` forwarded).
     """
 
     def __init__(
@@ -72,15 +72,12 @@ class Session:
         *,
         capacity: int = 4,
         cache_size: int = 4096,
-        workers: int = 1,
         deadline_seconds: float | None = None,
     ) -> None:
         if registry is None:
             from ..serve.registry import ModelRegistry
 
-            registry = ModelRegistry(
-                capacity=capacity, cache_size=cache_size, workers=workers
-            )
+            registry = ModelRegistry(capacity=capacity, cache_size=cache_size)
         self._registry = registry
         self._deadline_seconds = deadline_seconds
 

@@ -26,13 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autograd import no_grad
 from ..kg.graph import KnowledgeGraph
 from ..kg.stats import OBJECT, SUBJECT, GraphStatistics
-from ..kg.triples import encode_keys
 from ..kge.base import KGEModel
-from ..kge.ranking import RANKING_STATS_ALIASES, RankingEngine
+from ..kge.ranking import RankingEngine, ranking_stat_key
 from ..obs import ReportableMixin, Stopwatch, get_registry, span
+from .discover import _DiscoveryRun, _mesh_candidates, _unseen_candidates
 from .strategies import SamplingStrategy, create_strategy
 
 __all__ = ["AnytimeResult", "anytime_discover"]
@@ -80,8 +79,8 @@ class AnytimeResult(ReportableMixin):
             "exhausted_count": int(sum(self.exhausted.values())),
             "efficiency_facts_per_hour": self.facts_per_hour(),
         }
-        for legacy, value in self.ranking_stats.items():
-            out[RANKING_STATS_ALIASES.get(legacy, legacy)] = value
+        for name, value in self.ranking_stats.items():
+            out[ranking_stat_key(name)] = value
         return out
 
 
@@ -119,7 +118,6 @@ def anytime_discover(
     stats: GraphStatistics | None = None,
     max_pulls: int = 10_000,
     engine: RankingEngine | None = None,
-    workers: int = 1,
     cache_size: int = 512,
 ) -> AnytimeResult:
     """Discover facts until the wall-clock budget is exhausted.
@@ -139,12 +137,10 @@ def anytime_discover(
         Hard safety cap on the number of pulls.
     engine:
         A shared :class:`~repro.kge.ranking.RankingEngine`; built from
-        ``workers`` / ``cache_size`` when omitted.  The score-row cache
-        matters here: successive pulls of the same relation re-sample
-        popular subjects, and their ``(s, r)`` rows are served from the
-        cache instead of being re-scored.
-    workers:
-        Thread-pool width when ``engine`` is omitted.
+        ``cache_size`` when omitted.  The score-row cache matters here:
+        successive pulls of the same relation re-sample popular
+        subjects, and their ``(s, r)`` rows are served from the cache
+        instead of being re-scored.
     cache_size:
         LRU score-row cache entries when ``engine`` is omitted.
     """
@@ -167,11 +163,8 @@ def anytime_discover(
     arms = {r: _RelationArm(r) for r in relations}
     sample_size = int(np.sqrt(batch_candidates)) + 2
     if engine is None:
-        engine = RankingEngine(cache_size=cache_size, workers=workers)
-    stats_baseline = engine.stats.as_dict()
-
-    all_facts: list[np.ndarray] = []
-    all_ranks: list[np.ndarray] = []
+        engine = RankingEngine(cache_size=cache_size)
+    run = _DiscoveryRun(model, train, engine, top_n)
     registry = get_registry()
     watch = Stopwatch()
     total_pulls = 0
@@ -199,55 +192,25 @@ def anytime_discover(
                 objects = strategy.sample(
                     OBJECT, sample_size, rng, relation=arm.relation
                 )
-                s_grid, o_grid = np.meshgrid(subjects, objects, indexing="ij")
-                candidates = np.stack(
-                    [
-                        s_grid.ravel(),
-                        np.full(s_grid.size, arm.relation, dtype=np.int64),
-                        o_grid.ravel(),
-                    ],
-                    axis=1,
+                candidates, keys = _unseen_candidates(
+                    _mesh_candidates(subjects, arm.relation, objects),
+                    train,
+                    arm.seen_keys,
                 )
-                candidates = candidates[candidates[:, 0] != candidates[:, 2]]
-                candidates = candidates[~train.contains(candidates)]
-                # Vectorised cross-pull dedup against the arm's sorted key
-                # array (same semantics as the retired per-key Python loop).
-                keys = encode_keys(candidates, train.num_entities, train.num_relations)
-                fresh = ~np.isin(keys, arm.seen_keys)
-                candidates = candidates[fresh][:batch_candidates]
-                arm.seen_keys = np.union1d(
-                    arm.seen_keys, keys[fresh][:batch_candidates]
-                )
+                candidates = candidates[:batch_candidates]
+                arm.seen_keys = np.union1d(arm.seen_keys, keys[:batch_candidates])
             registry.counter("discover.candidates_count").inc(len(candidates))
 
+            arm.pulls += 1
             if len(candidates) == 0:
                 # Nothing new to try for this relation: retire the arm.
-                arm.pulls += 1
                 arm.exhausted = True
                 continue
 
-            with span("rank"):
-                with no_grad():
-                    ranks = engine.compute_ranks(
-                        model, candidates, filter_triples=train, side="object"
-                    )
-            keep = ranks <= top_n
-            accepted = int(keep.sum())
-            arm.pulls += 1
-            arm.total_reward += accepted / len(candidates)
-            registry.counter("discover.facts_count").inc(accepted)
-            if accepted:
-                all_facts.append(candidates[keep])
-                all_ranks.append(ranks[keep])
+            arm.total_reward += len(run.rank(candidates)) / len(candidates)
 
     elapsed = watch.elapsed_seconds
-    facts = (
-        np.concatenate(all_facts, axis=0)
-        if all_facts
-        else np.zeros((0, 3), dtype=np.int64)
-    )
-    ranks = np.concatenate(all_ranks) if all_ranks else np.zeros(0)
-    after = engine.stats.as_dict()
+    facts, ranks, ranking_stats, _ = run.finish()
     return AnytimeResult(
         facts=facts,
         ranks=ranks,
@@ -257,7 +220,5 @@ def anytime_discover(
         pulls={r: arms[r].pulls for r in relations},
         rewards={r: arms[r].mean_reward for r in relations},
         exhausted={r: arms[r].exhausted for r in relations},
-        ranking_stats={
-            key: after[key] - stats_baseline.get(key, 0) for key in after
-        },
+        ranking_stats=ranking_stats,
     )

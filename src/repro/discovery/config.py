@@ -28,7 +28,6 @@ class DiscoveryConfig:
     max_candidates: int = 500
     seed: int = 0
     drop_self_loops: bool = True
-    workers: int = 1
     cache_size: int = 128
 
     def __post_init__(self) -> None:
@@ -38,8 +37,6 @@ class DiscoveryConfig:
             raise ValueError(
                 f"max_candidates must be >= 1, got {self.max_candidates}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
 

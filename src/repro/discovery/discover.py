@@ -25,27 +25,15 @@ import numpy as np
 from ..autograd import no_grad
 from ..kg.graph import KnowledgeGraph
 from ..kg.stats import OBJECT, SUBJECT, GraphStatistics
-from ..kg.triples import encode_keys
+from ..kg.triples import TripleSet, encode_keys
 from ..kge.base import KGEModel
-from ..kge.ranking import RANKING_STATS_ALIASES, RankingEngine
-from ..obs import (
-    ReportableMixin,
-    flatten_spans,
-    get_registry,
-    span,
-    span_tree_delta,
-)
+from ..kge.ranking import RankingEngine, ranking_stat_key
+from ..obs import ReportableMixin, SpanDelta, get_registry, span
 from ..resilience import Deadline, spawn_stream
 from .config import DiscoveryConfig
 from .strategies import SamplingStrategy, create_strategy
 
-__all__ = [
-    "DiscoveryResult",
-    "RelationDiscovery",
-    "discover_facts",
-    "discover_relation",
-    "MAX_GENERATION_ITERATIONS",
-]
+__all__ = ["DiscoveryResult", "discover_facts", "MAX_GENERATION_ITERATIONS"]
 
 logger = logging.getLogger(__name__)
 
@@ -129,15 +117,11 @@ class DiscoveryResult(ReportableMixin):
     def summary(self) -> dict[str, float]:
         """Flat metric dict for tables and benchmarks.
 
-        Keys follow the canonical ``*_seconds``/``*_count`` naming.  The
-        pre-observability aliases (``num_facts``, ``candidates_generated``,
-        raw :class:`~repro.kge.ranking.RankingStats` counters) completed
-        their deprecation cycle and no longer resolve; the ``num_facts``
-        *attribute* remains as Python-level API.  When the run went
-        through a :class:`~repro.kge.ranking.RankingEngine` the engine's
-        counters are included, and when observability was enabled the
-        run's span tree appears as flat ``span.<path>.wall_seconds``
-        scalars.
+        Keys follow the canonical ``*_seconds``/``*_count`` naming, the
+        engine's counters included
+        (:func:`~repro.kge.ranking.ranking_stat_key`).  When observability
+        was enabled the run's span tree appears as flat
+        ``span.<path>.wall_seconds`` scalars.
         """
         out = {
             "strategy": self.strategy,
@@ -150,8 +134,8 @@ class DiscoveryResult(ReportableMixin):
             "efficiency_facts_per_hour": self.efficiency_facts_per_hour(),
             "candidates_generated_count": self.candidates_generated,
         }
-        for legacy, value in self.ranking_stats.items():
-            out[RANKING_STATS_ALIASES.get(legacy, legacy)] = value
+        for name, value in self.ranking_stats.items():
+            out[ranking_stat_key(name)] = value
         for path, node in self.trace.items():
             out[f"span.{path}.wall_seconds"] = node["wall_seconds"]
         return out
@@ -169,118 +153,166 @@ def _mesh_candidates(
     return out
 
 
-@dataclass
-class RelationDiscovery:
-    """One relation's slice of a discovery run."""
+def _unseen_candidates(
+    candidates: np.ndarray,
+    train: TripleSet,
+    seen_keys: np.ndarray | None,
+    drop_self_loops: bool = True,
+    rule_filter=None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Candidates that are neither in the graph nor seen before (line 12).
 
-    relation: int
-    facts: np.ndarray
-    ranks: np.ndarray
-    candidates_generated: int
-    generation_seconds: float
-    ranking_seconds: float
+    Drops self loops (when asked), triples of ``train``, triples the
+    optional ``rule_filter`` rejects, and triples whose key is in the
+    sorted ``seen_keys`` (repeats *within* one batch are kept).  Returns
+    the survivors and their :func:`~repro.kg.triples.encode_keys` keys;
+    the caller truncates them and unions the keys into ``seen_keys``.
+    ``seen_keys=None`` skips the dedup and returns no keys: a graph
+    complement holds each triple once, and keying ~N² rows is costly.
+    """
+    if drop_self_loops:
+        candidates = candidates[candidates[:, 0] != candidates[:, 2]]
+    candidates = candidates[~train.contains(candidates)]
+    if rule_filter is not None:
+        candidates = rule_filter.filter(candidates)
+    if seen_keys is None:
+        return candidates, None
+    keys = encode_keys(candidates, train.num_entities, train.num_relations)
+    fresh = ~np.isin(keys, seen_keys)
+    return candidates[fresh], keys[fresh]
 
 
-def discover_relation(
-    model: KGEModel,
-    train,
+def _sample_candidates(
     strategy: SamplingStrategy,
+    train: TripleSet,
     relation: int,
     rng: np.random.Generator,
-    top_n: int,
     max_candidates: int,
     sample_size: int,
     drop_self_loops: bool,
     rule_filter,
-    engine: RankingEngine,
-) -> RelationDiscovery:
-    """Lines 8–15 of Algorithm 1 for a single relation.
+) -> np.ndarray:
+    """Lines 8–13 of Algorithm 1: unseen mesh-grid candidates of a relation.
 
-    The RNG is passed in explicitly: :func:`discover_facts` gives every
-    relation its own stream, so a relation's outcome does not depend on
-    which relations ran before it.
+    Generation repeats until ``max_candidates`` candidates exist or
+    :data:`MAX_GENERATION_ITERATIONS` rounds have passed.
     """
-    with span("discover.generate") as generate_span:
-        local: list[np.ndarray] = []
-        local_count = 0
-        seen_keys = np.empty(0, dtype=np.int64)
-        iterations = 0
-        while (
-            local_count < max_candidates
-            and iterations < MAX_GENERATION_ITERATIONS
-        ):
-            subjects = strategy.sample(
-                SUBJECT, sample_size, rng, relation=relation
-            )
-            objects = strategy.sample(
-                OBJECT, sample_size, rng, relation=relation
-            )
-            candidates = _mesh_candidates(subjects, relation, objects)
-            if drop_self_loops:
-                candidates = candidates[candidates[:, 0] != candidates[:, 2]]
-            # Line 12: filter triples already in G.
-            candidates = candidates[~train.contains(candidates)]
-            if rule_filter is not None:
-                candidates = candidates[rule_filter.accept_mask(candidates)]
-            # Deduplicate across iterations: vectorised probe against
-            # the sorted seen-keys array (repeats *within* one mesh
-            # batch are kept, exactly as the retired per-key Python
-            # loop did).
-            keys = encode_keys(
-                candidates, train.num_entities, train.num_relations
-            )
-            fresh = ~np.isin(keys, seen_keys)
-            candidates = candidates[fresh]
-            seen_keys = np.union1d(seen_keys, keys[fresh])
-            local.append(candidates)
-            local_count += len(candidates)
-            iterations += 1
-        relation_candidates = (
-            np.concatenate(local, axis=0)[:max_candidates]
-            if local
+    batches: list[np.ndarray] = []
+    count = 0
+    seen_keys = np.empty(0, dtype=np.int64)
+    for _ in range(MAX_GENERATION_ITERATIONS):
+        if count >= max_candidates:
+            break
+        subjects = strategy.sample(SUBJECT, sample_size, rng, relation=relation)
+        objects = strategy.sample(OBJECT, sample_size, rng, relation=relation)
+        candidates, keys = _unseen_candidates(
+            _mesh_candidates(subjects, relation, objects),
+            train,
+            seen_keys,
+            drop_self_loops,
+            rule_filter,
+        )
+        seen_keys = np.union1d(seen_keys, keys)
+        batches.append(candidates)
+        count += len(candidates)
+    return np.concatenate(batches, axis=0)[:max_candidates]
+
+
+class _DiscoveryRun:
+    """One run's kept facts and ranks, and what finding them cost.
+
+    Built before the run starts, it remembers the engine's counters and
+    the span tree, so it reports this run alone even on a shared engine.
+    :meth:`relation` ranks, keeps and accounts one relation's generated
+    candidates; anytime pulls call :meth:`rank` directly.
+    """
+
+    def __init__(
+        self, model: KGEModel, train: TripleSet, engine: RankingEngine, top_n: int
+    ) -> None:
+        self._model = model
+        self._train = train
+        self._engine = engine
+        self._top_n = top_n
+        self._baseline = engine.stats.as_dict()
+        self._registry = get_registry()
+        self._spans = SpanDelta(self._registry)
+        self._facts: list[np.ndarray] = []
+        self._ranks: list[np.ndarray] = []
+        self.per_relation: dict[int, int] = {}
+        self.candidates_generated = 0
+        self.generation_seconds = 0.0
+        self.ranking_seconds = 0.0
+
+    def rank(self, candidates: np.ndarray) -> np.ndarray:
+        """Lines 14–15: rank candidates, keep and return those within top_n.
+
+        Ranks follow the filtered protocol (Bordes et al.) against
+        object-side corruptions.  Scoring is pure inference: ``no_grad``
+        keeps the tape from recording backward closures for millions of
+        candidate scores.
+        """
+        with span("rank") as rank_span:
+            with no_grad():
+                ranks = self._engine.compute_ranks(
+                    self._model, candidates, filter_triples=self._train, side="object"
+                )
+        self.ranking_seconds += rank_span.wall_seconds
+        keep = ranks <= self._top_n
+        facts, ranks = candidates[keep], ranks[keep]
+        self._registry.counter("discover.facts_count").inc(len(ranks))
+        self._facts.append(facts)
+        self._ranks.append(ranks)
+        return ranks
+
+    def relation(
+        self, relation: int, candidates: np.ndarray, generation_seconds: float
+    ) -> None:
+        """Rank and keep the candidates generated for one relation."""
+        self.generation_seconds += generation_seconds
+        kept = len(self.rank(candidates)) if len(candidates) else 0
+        logger.debug(
+            "relation %d: %d/%d candidates within top_n=%d",
+            relation,
+            kept,
+            len(candidates),
+            self._top_n,
+        )
+        self.candidates_generated += len(candidates)
+        self.per_relation[relation] = kept
+        self._registry.counter("discover.relations_count").inc()
+        self._registry.counter("discover.candidates_count").inc(len(candidates))
+
+    def finish(self):
+        """``(facts, ranks, ranking_stats, trace)`` of the run so far."""
+        facts = (
+            np.concatenate(self._facts, axis=0)
+            if self._facts
             else np.zeros((0, 3), dtype=np.int64)
         )
-    if len(relation_candidates) == 0:
-        return RelationDiscovery(
-            relation=relation,
-            facts=np.zeros((0, 3), dtype=np.int64),
-            ranks=np.zeros(0),
-            candidates_generated=0,
-            generation_seconds=generate_span.wall_seconds,
-            ranking_seconds=0.0,
+        ranks = np.concatenate(self._ranks) if self._ranks else np.zeros(0)
+        after = self._engine.stats.as_dict()
+        ranking_stats = {key: after[key] - self._baseline[key] for key in after}
+        return facts, ranks, ranking_stats, self._spans.flat()
+
+    def result(
+        self, strategy: str, max_candidates: int, weight_seconds: float
+    ) -> DiscoveryResult:
+        facts, ranks, ranking_stats, trace = self.finish()
+        return DiscoveryResult(
+            facts=facts,
+            ranks=ranks,
+            strategy=strategy,
+            top_n=self._top_n,
+            max_candidates=max_candidates,
+            candidates_generated=self.candidates_generated,
+            generation_seconds=self.generation_seconds,
+            ranking_seconds=self.ranking_seconds,
+            weight_seconds=weight_seconds,
+            per_relation=self.per_relation,
+            ranking_stats=ranking_stats,
+            trace=trace,
         )
-
-    # Line 14: rank candidates against their corruptions (standard
-    # filtered protocol per Bordes et al.), deduplicated by unique
-    # (s, r) query.  Scoring is pure inference: no_grad keeps the
-    # tape from recording backward closures for millions of
-    # candidate scores.
-    with span("rank") as rank_span:
-        with no_grad():
-            ranks = engine.compute_ranks(
-                model,
-                relation_candidates,
-                filter_triples=train,
-                side="object",
-            )
-
-    # Line 15: quality filter.
-    keep = ranks <= top_n
-    logger.debug(
-        "relation %d: %d/%d candidates within top_n=%d",
-        relation,
-        int(keep.sum()),
-        len(relation_candidates),
-        top_n,
-    )
-    return RelationDiscovery(
-        relation=relation,
-        facts=relation_candidates[keep],
-        ranks=ranks[keep],
-        candidates_generated=len(relation_candidates),
-        generation_seconds=generate_span.wall_seconds,
-        ranking_seconds=rank_span.wall_seconds,
-    )
 
 
 def discover_facts(
@@ -295,7 +327,6 @@ def discover_facts(
     drop_self_loops: bool = True,
     rule_filter: "RuleFilter | None" = None,
     engine: RankingEngine | None = None,
-    workers: int = 1,
     cache_size: int = 128,
     config: DiscoveryConfig | None = None,
     deadline: Deadline | None = None,
@@ -337,12 +368,9 @@ def discover_facts(
         mechanisms" direction combining CHAI-style rules with sampling.
     engine:
         A shared :class:`~repro.kge.ranking.RankingEngine`; when omitted
-        one is built from ``workers`` / ``cache_size``.  Results are
-        identical either way — the engine only changes how ranking is
-        computed, never what it returns.
-    workers:
-        Thread-pool width for scoring independent query chunks (only
-        used when ``engine`` is omitted).
+        one is built from ``cache_size``.  Results are identical either
+        way — the engine only changes how ranking is computed, never
+        what it returns.
     cache_size:
         LRU score-row cache entries (only used when ``engine`` is
         omitted); lets later generation iterations reuse rows for
@@ -351,10 +379,10 @@ def discover_facts(
     config:
         Optional :class:`~repro.discovery.config.DiscoveryConfig`.  When
         given it replaces ``strategy``, ``top_n``, ``max_candidates``,
-        ``seed``, ``drop_self_loops``, ``workers`` and ``cache_size``
-        wholesale — mixing a config with explicit values for those
-        arguments is not supported, so a serialized config replays the
-        exact run it describes.
+        ``seed``, ``drop_self_loops`` and ``cache_size`` wholesale —
+        mixing a config with explicit values for those arguments is not
+        supported, so a serialized config replays the exact run it
+        describes.
     deadline:
         Optional cooperative :class:`~repro.resilience.Deadline` from the
         caller (e.g. ``run_matrix``'s per-cell budget).  It is checked
@@ -374,7 +402,6 @@ def discover_facts(
         max_candidates = config.max_candidates
         seed = config.seed
         drop_self_loops = config.drop_self_loops
-        workers = config.workers
         cache_size = config.cache_size
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
@@ -391,16 +418,12 @@ def discover_facts(
     if stats is None:
         stats = GraphStatistics(train)
     if engine is None:
-        engine = RankingEngine(cache_size=cache_size, workers=workers)
-    stats_before = getattr(engine, "stats", None)
-    stats_baseline = stats_before.as_dict() if stats_before is not None else {}
+        engine = RankingEngine(cache_size=cache_size)
 
     if isinstance(strategy, str):
         strategy = create_strategy(strategy)
 
-    registry = get_registry()
-    spans_before = registry.snapshot()["spans"] if registry.enabled else None
-
+    run = _DiscoveryRun(model, train, engine, top_n)
     with span("discover"):
         # Line 7: compute_weights(strategy).  Done once — the distributions
         # do not change across relations — but charged to the runtime as in
@@ -416,86 +439,37 @@ def discover_facts(
         # Line 4: mesh-grid side length.
         sample_size = int(np.sqrt(max_candidates)) + 10
 
-        all_facts: list[np.ndarray] = []
-        all_ranks: list[np.ndarray] = []
-        per_relation: dict[int, int] = {}
-        candidates_generated = 0
-        generation_seconds = 0.0
-        ranking_seconds = 0.0
-
         # Cooperative deadline enforcement: a relation in progress
         # always finishes; the budget is checked at each relation
         # boundary.
         for relation in relations:
             if deadline is not None:
                 deadline.check(f"discover_facts:relation/{relation}")
-            outcome = discover_relation(
-                model,
-                train,
-                strategy,
-                relation,
-                spawn_stream(seed, relation),
-                top_n=top_n,
-                max_candidates=max_candidates,
-                sample_size=sample_size,
-                drop_self_loops=drop_self_loops,
-                rule_filter=rule_filter,
-                engine=engine,
-            )
-            generation_seconds += outcome.generation_seconds
-            ranking_seconds += outcome.ranking_seconds
-            candidates_generated += outcome.candidates_generated
-            registry.counter("discover.relations_count").inc()
-            registry.counter("discover.candidates_count").inc(
-                outcome.candidates_generated
-            )
-            per_relation[outcome.relation] = len(outcome.ranks)
-            if outcome.candidates_generated == 0:
-                continue
-            all_facts.append(outcome.facts)
-            all_ranks.append(outcome.ranks)
-            registry.counter("discover.facts_count").inc(len(outcome.ranks))
+            with span("discover.generate") as generate_span:
+                # Every relation draws from its own stream, so its outcome
+                # does not depend on which relations ran before it.
+                candidates = _sample_candidates(
+                    strategy,
+                    train,
+                    relation,
+                    spawn_stream(seed, relation),
+                    max_candidates,
+                    sample_size,
+                    drop_self_loops,
+                    rule_filter,
+                )
+            run.relation(relation, candidates, generate_span.wall_seconds)
 
-        facts = (
-            np.concatenate(all_facts, axis=0)
-            if all_facts
-            else np.zeros((0, 3), dtype=np.int64)
-        )
-        ranks = np.concatenate(all_ranks) if all_ranks else np.zeros(0)
-
-    trace: dict[str, dict[str, float]] = {}
-    if spans_before is not None:
-        trace = flatten_spans(
-            span_tree_delta(spans_before, registry.snapshot()["spans"])
-        )
+    result = run.result(strategy.name, max_candidates, weight_seconds)
     logger.info(
         "discovered %d facts with %s over %d relations "
         "(%.2fs: weights %.3fs, generation %.3fs, ranking %.3fs)",
-        len(facts),
+        result.num_facts,
         strategy.name,
         len(relations),
-        weight_seconds + generation_seconds + ranking_seconds,
+        result.runtime_seconds,
         weight_seconds,
-        generation_seconds,
-        ranking_seconds,
+        result.generation_seconds,
+        result.ranking_seconds,
     )
-    ranking_stats: dict[str, float] = {}
-    if stats_before is not None:
-        after = stats_before.as_dict()
-        ranking_stats = {
-            key: after[key] - stats_baseline.get(key, 0) for key in after
-        }
-    return DiscoveryResult(
-        facts=facts,
-        ranks=ranks,
-        strategy=strategy.name,
-        top_n=top_n,
-        max_candidates=max_candidates,
-        candidates_generated=candidates_generated,
-        generation_seconds=generation_seconds,
-        ranking_seconds=ranking_seconds,
-        weight_seconds=weight_seconds,
-        per_relation=per_relation,
-        ranking_stats=ranking_stats,
-        trace=trace,
-    )
+    return result

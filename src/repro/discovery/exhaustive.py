@@ -11,30 +11,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import no_grad
 from ..kg.graph import KnowledgeGraph
 from ..kge.base import KGEModel
 from ..kge.ranking import RankingEngine
-from ..obs import flatten_spans, get_registry, span, span_tree_delta
-from .discover import DiscoveryResult
+from ..obs import span
+from .discover import DiscoveryResult, _DiscoveryRun, _mesh_candidates, _unseen_candidates
 from .rules import RuleFilter
 
 __all__ = ["exhaustive_discover_facts"]
 
 
 def _complement_for_relation(
-    graph: KnowledgeGraph, relation: int, drop_self_loops: bool
+    graph: KnowledgeGraph,
+    relation: int,
+    drop_self_loops: bool,
+    rule_filter: RuleFilter | None,
 ) -> np.ndarray:
-    """All non-existing triples with the given relation."""
-    n = graph.num_entities
-    s_grid, o_grid = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    candidates = np.empty((n * n, 3), dtype=np.int64)
-    candidates[:, 0] = s_grid.ravel()
-    candidates[:, 1] = relation
-    candidates[:, 2] = o_grid.ravel()
-    if drop_self_loops:
-        candidates = candidates[candidates[:, 0] != candidates[:, 2]]
-    return candidates[~graph.train.contains(candidates)]
+    """All non-existing triples with the given relation that pass the rules."""
+    entities = np.arange(graph.num_entities)
+    candidates, _ = _unseen_candidates(
+        _mesh_candidates(entities, relation, entities),
+        graph.train,
+        None,
+        drop_self_loops,
+        rule_filter,
+    )
+    return candidates
 
 
 def exhaustive_discover_facts(
@@ -47,7 +49,6 @@ def exhaustive_discover_facts(
     drop_self_loops: bool = True,
     seed: int = 0,
     engine: RankingEngine | None = None,
-    workers: int = 1,
 ) -> DiscoveryResult:
     """Exhaustively discover facts for the given relations.
 
@@ -64,8 +65,6 @@ def exhaustive_discover_facts(
         pays off dramatically here: the full complement of one relation
         holds ~``N²`` candidates but only ``N`` unique ``(s, r)``
         queries, so the engine scores ~``N``× fewer rows.
-    workers:
-        Thread-pool width when ``engine`` is omitted.
 
     Returns the same :class:`DiscoveryResult` structure as Algorithm 1 so
     the two approaches can be compared on equal footing.
@@ -74,82 +73,18 @@ def exhaustive_discover_facts(
         relations = [int(r) for r in graph.train.unique_relations()]
     rng = np.random.default_rng(seed)
     if engine is None:
-        engine = RankingEngine(workers=workers)
-    stats_baseline = engine.stats.as_dict()
-
-    all_facts: list[np.ndarray] = []
-    all_ranks: list[np.ndarray] = []
-    per_relation: dict[int, int] = {}
-    generation_seconds = 0.0
-    ranking_seconds = 0.0
-    candidates_generated = 0
-    registry = get_registry()
-    spans_before = registry.snapshot()["spans"] if registry.enabled else None
-
+        engine = RankingEngine()
+    run = _DiscoveryRun(model, graph.train, engine, top_n)
+    cap = max_candidates_per_relation
     with span("discover"):
         for relation in relations:
             with span("discover.generate") as generate_span:
                 candidates = _complement_for_relation(
-                    graph, relation, drop_self_loops
+                    graph, relation, drop_self_loops, rule_filter
                 )
-                if rule_filter is not None:
-                    candidates = rule_filter.filter(candidates)
-                if (
-                    max_candidates_per_relation is not None
-                    and len(candidates) > max_candidates_per_relation
-                ):
-                    pick = rng.choice(
-                        len(candidates),
-                        size=max_candidates_per_relation,
-                        replace=False,
-                    )
+                if cap is not None and len(candidates) > cap:
+                    pick = rng.choice(len(candidates), size=cap, replace=False)
                     candidates = candidates[pick]
-            generation_seconds += generate_span.wall_seconds
-            candidates_generated += len(candidates)
-            registry.counter("discover.relations_count").inc()
-            registry.counter("discover.candidates_count").inc(len(candidates))
-            if len(candidates) == 0:
-                per_relation[relation] = 0
-                continue
-
-            with span("rank") as rank_span:
-                with no_grad():
-                    ranks = engine.compute_ranks(
-                        model, candidates, filter_triples=graph.train, side="object"
-                    )
-            ranking_seconds += rank_span.wall_seconds
-
-            keep = ranks <= top_n
-            all_facts.append(candidates[keep])
-            all_ranks.append(ranks[keep])
-            per_relation[relation] = int(keep.sum())
-            registry.counter("discover.facts_count").inc(int(keep.sum()))
-
-    facts = (
-        np.concatenate(all_facts, axis=0)
-        if all_facts
-        else np.zeros((0, 3), dtype=np.int64)
-    )
-    ranks = np.concatenate(all_ranks) if all_ranks else np.zeros(0)
-    after = engine.stats.as_dict()
-    trace: dict[str, dict[str, float]] = {}
-    if spans_before is not None:
-        trace = flatten_spans(
-            span_tree_delta(spans_before, registry.snapshot()["spans"])
-        )
-    return DiscoveryResult(
-        facts=facts,
-        ranks=ranks,
-        strategy="exhaustive" + ("+rules" if rule_filter is not None else ""),
-        top_n=top_n,
-        max_candidates=candidates_generated,
-        candidates_generated=candidates_generated,
-        generation_seconds=generation_seconds,
-        ranking_seconds=ranking_seconds,
-        weight_seconds=0.0,
-        per_relation=per_relation,
-        ranking_stats={
-            key: after[key] - stats_baseline.get(key, 0) for key in after
-        },
-        trace=trace,
-    )
+            run.relation(relation, candidates, generate_span.wall_seconds)
+    strategy = "exhaustive" + ("+rules" if rule_filter is not None else "")
+    return run.result(strategy, run.candidates_generated, weight_seconds=0.0)

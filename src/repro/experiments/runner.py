@@ -23,13 +23,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..discovery.discover import DiscoveryResult, discover_facts
-from ..obs import (
-    ReportableMixin,
-    flatten_spans,
-    get_registry,
-    span,
-    span_tree_delta,
-)
+from ..obs import ReportableMixin, SpanDelta, get_registry, span
 from ..kg.datasets import load_dataset
 from ..kg.graph import KnowledgeGraph
 from ..kg.stats import GraphStatistics
@@ -328,9 +322,7 @@ def run_matrix(
             test_mrr_cache: dict[str, float] = {}
             for model_name in models:
                 for strategy_name in strategies:
-                    cell_before = (
-                        registry.snapshot()["spans"] if registry.enabled else None
-                    )
+                    cell = SpanDelta(registry)
                     with span("matrix.cell"):
                         model = get_trained_model(
                             dataset_name, model_name, graph=graph
@@ -350,19 +342,14 @@ def run_matrix(
                             seed=seed,
                             stats=stats,
                         )
-                    trace = (
-                        flatten_spans(
-                            span_tree_delta(
-                                cell_before, registry.snapshot()["spans"]
-                            )
-                        )
-                        if cell_before is not None
-                        else {}
-                    )
                     registry.counter("matrix.cells_count").inc()
                     rows.append(
                         MatrixRow.from_result(
-                            dataset_name, model_name, result, test_mrr, trace=trace
+                            dataset_name,
+                            model_name,
+                            result,
+                            test_mrr,
+                            trace=cell.flat(),
                         )
                     )
     return rows

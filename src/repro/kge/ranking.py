@@ -20,10 +20,10 @@ the ranking cost the paper's efficiency (facts/hour) metric measures.
   Python loops, instead of the legacy per-row dict lookup + masking;
 * **score-row cache** — an optional bounded LRU (:class:`ScoreRowCache`)
   keyed by ``(model, side, s, r)`` lets repeated generation iterations
-  and anytime/protocol re-ranking reuse rows across calls;
-* **workers** — an opt-in thread pool scores independent query chunks
-  concurrently (numpy's BLAS releases the GIL in the matmul-heavy
-  models); results are assembled in deterministic order.
+  and anytime/protocol re-ranking reuse rows across calls.
+
+One engine may be shared by several caller threads (``repro serve``
+keeps one per model): its counters, filter LRU and row cache are locked.
 
 Ranks are bit-identical to the reference implementation: the tie-averaged
 rank only needs the counts of strictly-greater and equal scores, and both
@@ -32,8 +32,7 @@ paths obtain them from exact float comparisons against the same row.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from threading import Lock
 
@@ -47,8 +46,8 @@ __all__ = [
     "GroupedFilter",
     "RankingEngine",
     "RankingStats",
-    "RANKING_STATS_ALIASES",
     "ScoreRowCache",
+    "ranking_stat_key",
 ]
 
 _SIDES = ("object", "subject")
@@ -139,15 +138,13 @@ class ScoreRowCache:
             self._rows.clear()
 
 
-#: Legacy ``RankingStats`` field names → canonical ``*_count`` summary keys
-#: (the ``*_seconds`` fields were already canonically named).
-RANKING_STATS_ALIASES = {
-    "candidates_ranked": "candidates_ranked_count",
-    "unique_queries": "unique_queries_count",
-    "rows_scored": "rows_scored_count",
-    "rows_reused": "rows_reused_count",
-    "cache_hits": "cache_hits_count",
-}
+def ranking_stat_key(name: str) -> str:
+    """Canonical summary key of a :class:`RankingStats` field.
+
+    ``*_seconds`` fields keep their name; every other field is a count
+    and gets a ``_count`` suffix.
+    """
+    return name if name.endswith("_seconds") else f"{name}_count"
 
 
 @dataclass
@@ -179,15 +176,9 @@ class RankingStats(ReportableMixin):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def summary(self) -> dict[str, float]:
-        """Counters under canonical ``*_count``/``*_seconds`` names.
-
-        The raw field names completed their deprecation cycle as lookup
-        aliases; use :meth:`as_dict` for the field-named payload.
-        """
-        return {
-            RANKING_STATS_ALIASES.get(f.name, f.name): getattr(self, f.name)
-            for f in fields(self)
-        }
+        """Counters under canonical ``*_count``/``*_seconds`` names
+        (:func:`ranking_stat_key`); :meth:`as_dict` keeps field names."""
+        return {ranking_stat_key(k): v for k, v in self.as_dict().items()}
 
     def to_dict(self) -> dict[str, float]:
         """Field-named payload — the shape :meth:`from_dict` reconstructs."""
@@ -195,45 +186,33 @@ class RankingStats(ReportableMixin):
 
     @classmethod
     def from_dict(cls, data: dict[str, float]) -> "RankingStats":
-        """Rebuild from :meth:`to_dict` output (canonical keys also accepted)."""
-        canonical_to_field = {v: k for k, v in RANKING_STATS_ALIASES.items()}
-        kwargs = {canonical_to_field.get(key, key): value for key, value in data.items()}
-        unknown = set(kwargs) - {f.name for f in fields(cls)}
+        """Rebuild from :meth:`to_dict` output (field names only)."""
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown RankingStats keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**data)
 
 
 class RankingEngine:
-    """Deduplicated, cached, optionally threaded 1-vs-all ranking.
+    """Deduplicated, cached 1-vs-all ranking.
 
     Parameters
     ----------
     cache_size:
         Rows kept in the LRU score cache; ``0`` disables caching.  Each
         row costs ``2 · num_entities`` float64s (raw + sorted).
-    workers:
-        Thread-pool width for scoring independent query chunks.  ``1``
-        (the default) stays single-threaded; results are bit-identical
-        either way because chunks are assembled in deterministic order.
     chunk_size:
         Unique queries scored per vectorised model call, bounding peak
         memory at ``O(chunk_size · num_entities)``.
     """
 
-    def __init__(
-        self, cache_size: int = 0, workers: int = 1, chunk_size: int = 512
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+    def __init__(self, cache_size: int = 0, chunk_size: int = 512) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.cache = ScoreRowCache(cache_size) if cache_size else None
-        self.workers = workers
         self.chunk_size = chunk_size
         self.stats = RankingStats()
-        # One engine may serve concurrent compute_ranks calls (and the
-        # pool path runs accounting on the consumer thread); the locks
+        # One engine may serve concurrent compute_ranks calls; the locks
         # keep the counters and the filter LRU coherent.
         self._stats_lock = Lock()
         self._filters: OrderedDict[tuple[int, str], GroupedFilter] = OrderedDict()
@@ -258,8 +237,8 @@ class RankingEngine:
         """Tie-averaged ranks, bit-identical to the reference protocol.
 
         See :func:`repro.kge.evaluation.compute_ranks` for the parameter
-        contract; this entry point additionally deduplicates queries,
-        consults the row cache, and may fan scoring out to threads.
+        contract; this entry point additionally deduplicates queries
+        and consults the row cache.
         """
         if side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
@@ -317,15 +296,14 @@ class RankingEngine:
                 self.stats.filter_seconds += filter_span.wall_seconds
 
         ranks = np.zeros(len(triples))
-        scored_before = self.stats.rows_scored
-        hits_before = self.stats.cache_hits
-        chunks = [
-            (lo, min(lo + self.chunk_size, num_unique))
-            for lo in range(0, num_unique, self.chunk_size)
-        ]
-        for lo, hi, rows, sorted_rows in self._iter_row_chunks(
-            model, side, ua, ub, chunks
-        ):
+        scored = hits = 0
+        for lo in range(0, num_unique, self.chunk_size):
+            hi = min(lo + self.chunk_size, num_unique)
+            rows, sorted_rows, chunk_scored, chunk_hits = self._load_chunk(
+                model, side, ua, ub, lo, hi
+            )
+            scored += chunk_scored
+            hits += chunk_hits
             for u in range(lo, hi):
                 row = rows[u - lo]
                 sorted_row = sorted_rows[u - lo]
@@ -360,31 +338,28 @@ class RankingEngine:
                 ranks[cand] = greater + (equal - 1) / 2.0 + 1.0
         # Candidates served without a fresh model call: query dedup
         # within this call plus cache hits carried over from earlier ones.
+        reused = len(triples) - scored
         with self._stats_lock:
-            scored_delta = self.stats.rows_scored - scored_before
-            hits_delta = self.stats.cache_hits - hits_before
-            reused = len(triples) - scored_delta
             self.stats.rows_reused += reused
         registry = get_registry()
         if registry.enabled:
             registry.counter("rank.candidates_ranked_count").inc(len(triples))
             registry.counter("rank.unique_queries_count").inc(num_unique)
-            registry.counter("rank.rows_scored_count").inc(scored_delta)
-            registry.counter("rank.cache_hits_count").inc(hits_delta)
+            registry.counter("rank.rows_scored_count").inc(scored)
+            registry.counter("rank.cache_hits_count").inc(hits)
             registry.counter("rank.rows_reused_count").inc(reused)
         return ranks
 
     # ------------------------------------------------------------------
-    # Row production: cache + chunked scoring + optional thread pool
+    # Row production: cache + chunked scoring
     # ------------------------------------------------------------------
     def _load_chunk(
         self, model, side: str, ua: np.ndarray, ub: np.ndarray, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray, int, int, float]:
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
         """Score rows for unique queries ``[lo, hi)``, consulting the cache.
 
-        Returns ``(rows, sorted_rows, scored, hits, seconds)``; safe to
-        call from worker threads (the cache is locked, counters are
-        returned to the caller rather than mutated here).
+        Returns ``(rows, sorted_rows, scored, hits)`` and adds the chunk
+        to the engine's counters.
         """
         size = hi - lo
         rows: list[np.ndarray | None] = [None] * size
@@ -404,8 +379,6 @@ class RankingEngine:
         seconds = 0.0
         if missing:
             idx = np.asarray(missing, dtype=np.int64)
-            # A span rather than a raw clock: on worker threads the span
-            # roots its own subtree instead of nesting under ``rank``.
             with span("rank.score") as score_span:
                 with no_grad():
                     if side == "object":
@@ -422,50 +395,11 @@ class RankingEngine:
                     key = (id(model), side, int(ua[lo + i]), int(ub[lo + i]))
                     self.cache.put(key, (scored[j], scored_sorted[j]))
         hits = size - len(missing)
-        return np.stack(rows), np.stack(sorted_rows), len(missing), hits, seconds
-
-    def _iter_row_chunks(self, model, side, ua, ub, chunks):
-        """Yield ``(lo, hi, rows, sorted_rows)`` in deterministic order."""
-
-        def account(lo, hi, loaded):
-            rows, sorted_rows, scored, hits, seconds = loaded
-            with self._stats_lock:
-                self.stats.rows_scored += scored
-                self.stats.cache_hits += hits
-                self.stats.score_seconds += seconds
-            return lo, hi, rows, sorted_rows
-
-        if self.workers == 1 or len(chunks) <= 1:
-            for lo, hi in chunks:
-                yield account(lo, hi, self._load_chunk(model, side, ua, ub, lo, hi))
-            return
-
-        # Bounded look-ahead: at most ~2× workers chunks in flight so a
-        # long call never materialises every row at once.
-        window = self.workers * 2
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            pending: deque = deque()
-            chunk_iter = iter(chunks)
-            for lo, hi in chunk_iter:
-                pending.append(
-                    (lo, hi, pool.submit(self._load_chunk, model, side, ua, ub, lo, hi))
-                )
-                if len(pending) >= window:
-                    break
-            while pending:
-                lo, hi, future = pending.popleft()
-                yield account(lo, hi, future.result())
-                for nlo, nhi in chunk_iter:
-                    pending.append(
-                        (
-                            nlo,
-                            nhi,
-                            pool.submit(
-                                self._load_chunk, model, side, ua, ub, nlo, nhi
-                            ),
-                        )
-                    )
-                    break
+        with self._stats_lock:
+            self.stats.rows_scored += len(missing)
+            self.stats.cache_hits += hits
+            self.stats.score_seconds += seconds
+        return np.stack(rows), np.stack(sorted_rows), len(missing), hits
 
     # ------------------------------------------------------------------
     # Grouped-filter cache

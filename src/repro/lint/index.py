@@ -130,7 +130,7 @@ class FunctionInfo:
     """Facts about one function, method, or nested closure."""
 
     name: str
-    qual: str  # e.g. "RankingEngine._iter_row_chunks.<locals>.account"
+    qual: str  # e.g. "_cmd_reproduce.<locals>.write"
     cls: str | None
     calls: tuple[tuple[str, ...], ...] = ()  # dotted callees, in source order
     hazards: tuple[Hazard, ...] = ()

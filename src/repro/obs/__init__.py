@@ -8,8 +8,9 @@ The subsystem has four small parts:
   :class:`NullRegistry` (enable with :func:`enable_observability` or
   scope with :func:`use_registry`).
 - :mod:`repro.obs.spans` — the nestable :func:`span` context-manager
-  timer (always measures wall time; records only when enabled) and the
-  :class:`Stopwatch` for budget loops.
+  timer (always measures wall time; records only when enabled), the
+  :class:`Stopwatch` for budget loops, and :class:`SpanDelta`, the trace
+  of one section of work.
 - :mod:`repro.obs.exporters` — snapshot renderers (JSON, Prometheus
   text, human table) behind ``--metrics-out`` and ``repro obs``.
 - :mod:`repro.obs.reporting` — the :class:`Reportable` result protocol
@@ -37,7 +38,7 @@ from .registry import (
     use_registry,
 )
 from .reporting import Reportable, ReportableMixin, json_default
-from .spans import Span, Stopwatch, flatten_spans, span, span_tree_delta
+from .spans import Span, SpanDelta, Stopwatch, flatten_spans, span, span_tree_delta
 
 __all__ = [
     "Counter",
@@ -54,6 +55,7 @@ __all__ = [
     "Span",
     "span",
     "Stopwatch",
+    "SpanDelta",
     "flatten_spans",
     "span_tree_delta",
     "render_json",

@@ -8,9 +8,9 @@ disabled path is two ``perf_counter()`` calls and an attribute check,
 which is what keeps the instrumentation overhead under the benchmarked
 1% budget (``benchmarks/bench_obs_overhead.py``).
 
-Nesting is tracked per thread: a span opened on a worker thread (e.g.
-``rank.score`` inside a ``workers=N`` ranking pool) roots its own subtree
-rather than guessing a parent from another thread's stack.
+Nesting is tracked per thread: a span opened on another thread (e.g.
+``serve.app.handle`` on a server thread) roots its own subtree rather
+than guessing a parent from another thread's stack.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ from typing import Any
 
 from .registry import MetricsRegistry, get_registry
 
-__all__ = ["Span", "span", "Stopwatch", "flatten_spans", "span_tree_delta"]
+__all__ = [
+    "Span",
+    "span",
+    "Stopwatch",
+    "SpanDelta",
+    "flatten_spans",
+    "span_tree_delta",
+]
 
 
 class Span:
@@ -124,3 +131,27 @@ def span_tree_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, 
             "children": children,
         }
     return delta
+
+
+class SpanDelta:
+    """The spans one section of work records, as flattened rows.
+
+    Construct it where the section starts and call :meth:`flat` where it
+    ends; the result is that section's :func:`span_tree_delta`, flattened
+    by :func:`flatten_spans`.  It is ``{}`` when the registry was
+    disabled at the start, since nothing was recorded.
+    """
+
+    __slots__ = ("_registry", "_before")
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        self._registry = registry if registry is not None else get_registry()
+        self._before = (
+            self._registry.snapshot()["spans"] if self._registry.enabled else None
+        )
+
+    def flat(self) -> dict[str, dict[str, Any]]:
+        if self._before is None:
+            return {}
+        after = self._registry.snapshot()["spans"]
+        return flatten_spans(span_tree_delta(self._before, after))

@@ -139,7 +139,6 @@ class ModelRegistry:
         *,
         capacity: int = 4,
         cache_size: int = 4096,
-        workers: int = 1,
         graph_loader: Callable[[str], KnowledgeGraph] | None = None,
     ) -> None:
         if capacity < 1:
@@ -148,7 +147,6 @@ class ModelRegistry:
         self._cond = threading.Condition(self._lock)
         self._capacity = capacity
         self._cache_size = cache_size
-        self._workers = workers
         self._graph_loader = graph_loader if graph_loader is not None else resolve_dataset
         self._specs: "OrderedDict[str, RegistrySpec]" = OrderedDict()
         self._entries: "OrderedDict[str, ModelEntry]" = OrderedDict()
@@ -280,7 +278,7 @@ class ModelRegistry:
     def _load(self, spec: RegistrySpec) -> ModelEntry:
         model = load_model(spec.path)
         graph = self._graph_for(spec.ref.dataset)
-        engine = RankingEngine(cache_size=self._cache_size, workers=self._workers)
+        engine = RankingEngine(cache_size=self._cache_size)
         return ModelEntry(spec=spec, model=model, graph=graph, engine=engine)
 
     def _graph_for(self, dataset: str) -> KnowledgeGraph:

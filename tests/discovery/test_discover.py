@@ -344,8 +344,8 @@ class TestRankingEngineWiring:
     def test_engine_config_does_not_change_results(
         self, trained_distmult, tiny_graph
     ):
-        """Cache and thread-pool settings are pure optimisations: same
-        seed ⇒ same facts and ranks regardless of engine configuration."""
+        """Cache and chunk settings are pure optimisations: same seed ⇒
+        same facts and ranks regardless of engine configuration."""
         from repro.kge import RankingEngine
 
         kwargs = dict(
@@ -355,16 +355,17 @@ class TestRankingEngineWiring:
         cached = discover_facts(
             trained_distmult, tiny_graph, cache_size=64, **kwargs
         )
-        threaded = discover_facts(
-            trained_distmult, tiny_graph, workers=4, **kwargs
+        chunked = discover_facts(
+            trained_distmult, tiny_graph, engine=RankingEngine(chunk_size=3),
+            **kwargs,
         )
         shared = discover_facts(
             trained_distmult,
             tiny_graph,
-            engine=RankingEngine(cache_size=32, workers=2),
+            engine=RankingEngine(cache_size=32, chunk_size=2),
             **kwargs,
         )
-        for other in (cached, threaded, shared):
+        for other in (cached, chunked, shared):
             np.testing.assert_array_equal(plain.facts, other.facts)
             np.testing.assert_array_equal(plain.ranks, other.ranks)
 

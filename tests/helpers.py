@@ -1,7 +1,9 @@
-"""Test utilities: numerical gradient checking for the autodiff engine."""
+"""Test utilities: numerical gradient checking for the autodiff engine,
+and running one call on several threads at once."""
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -50,3 +52,24 @@ def check_gradients(
 
     numeric = numeric_gradient(objective, x.data.copy())
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def run_in_threads(count: int, call: Callable[[], object]) -> list:
+    """Run ``call()`` on ``count`` threads released together.
+
+    Returns the results in thread order; a thread that raised leaves
+    ``None`` in its slot.
+    """
+    barrier = threading.Barrier(count, timeout=60)
+    results: list = [None] * count
+
+    def run(index: int) -> None:
+        barrier.wait()
+        results[index] = call()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    return results

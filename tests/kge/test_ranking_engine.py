@@ -25,6 +25,8 @@ from repro.kge import (
 from repro.kge.base import KGEModel
 from repro.kge.evaluation import compute_ranks_reference
 
+from ..helpers import run_in_threads
+
 #: The paper's model families the equivalence suite runs over.
 MODELS = ("transe", "distmult", "complex", "rescal", "conve")
 
@@ -165,36 +167,56 @@ class TestEquivalence:
 
 
 class TestDeterminismAndWorkers:
+    """Several caller threads share one engine, as ``repro serve``'s
+    worker threads share one engine per model."""
+
     def test_workers_match_single_thread(self, kg, candidates):
         model = make_model("distmult", kg)
-        single = RankingEngine(workers=1, chunk_size=16).compute_ranks(
+        serial = RankingEngine(chunk_size=16).compute_ranks(
             model, candidates, filter_triples=kg.train
         )
-        threaded = RankingEngine(workers=4, chunk_size=16).compute_ranks(
-            model, candidates, filter_triples=kg.train
+        engine = RankingEngine(chunk_size=16)
+        results = run_in_threads(
+            4,
+            lambda: engine.compute_ranks(model, candidates, filter_triples=kg.train),
         )
-        np.testing.assert_array_equal(single, threaded)
+        for ranks in results:
+            np.testing.assert_array_equal(ranks, serial)
+        stats = engine.stats
+        assert stats.candidates_ranked == 4 * len(candidates)
+        assert stats.rows_scored + stats.rows_reused == stats.candidates_ranked
 
     def test_workers_with_cache_match(self, kg, candidates):
         model = make_model("complex", kg)
-        engine = RankingEngine(workers=4, chunk_size=8, cache_size=32)
-        first = engine.compute_ranks(model, candidates, filter_triples=kg.train)
-        second = engine.compute_ranks(model, candidates, filter_triples=kg.train)
-        np.testing.assert_array_equal(first, second)
-
-    def test_more_chunks_than_the_lookahead_window_keep_their_order(
-        self, kg, candidates
-    ):
-        # Two workers keep at most four chunks in flight; chunks of two
-        # rows force dozens of refills of that window.
-        model = make_model("rescal", kg)
-        single = RankingEngine(workers=1).compute_ranks(
+        serial = RankingEngine().compute_ranks(
             model, candidates, filter_triples=kg.train
         )
-        engine = RankingEngine(workers=2, chunk_size=2)
-        threaded = engine.compute_ranks(model, candidates, filter_triples=kg.train)
+        engine = RankingEngine(chunk_size=8, cache_size=256)
+        first = engine.compute_ranks(model, candidates, filter_triples=kg.train)
+        scored_first = engine.stats.rows_scored
+        results = run_in_threads(
+            4,
+            lambda: engine.compute_ranks(model, candidates, filter_triples=kg.train),
+        )
+        for ranks in [first, *results]:
+            np.testing.assert_array_equal(ranks, serial)
+        # The cache holds every row, so the threads score nothing anew.
+        stats = engine.stats
+        assert stats.rows_scored == scored_first
+        assert stats.cache_hits == 4 * scored_first
+        assert stats.rows_scored + stats.rows_reused == stats.candidates_ranked
+
+    def test_many_chunks_keep_their_order(self, kg, candidates):
+        # Chunks of two rows split the unique queries into dozens of
+        # scoring calls; ranks must come back in input order.
+        model = make_model("rescal", kg)
+        single = RankingEngine().compute_ranks(
+            model, candidates, filter_triples=kg.train
+        )
+        engine = RankingEngine(chunk_size=2)
+        chunked = engine.compute_ranks(model, candidates, filter_triples=kg.train)
         assert engine.stats.rows_scored > 8 * 2
-        np.testing.assert_array_equal(single, threaded)
+        np.testing.assert_array_equal(single, chunked)
 
     def test_filter_cache_eviction_keeps_results_exact(self, kg, candidates):
         """More distinct filter sets than the grouped-filter cache holds:
@@ -341,10 +363,6 @@ class TestGroupedFilter:
 
 
 class TestEngineValidation:
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            RankingEngine(workers=0)
-
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):
             RankingEngine(chunk_size=0)

@@ -33,19 +33,20 @@ class TestDiscoveryConfig:
             DiscoveryConfig("entity_frequency")
 
     def test_round_trips_through_dict(self):
-        config = DiscoveryConfig(strategy="uniform", top_n=10, workers=2)
+        config = DiscoveryConfig(strategy="uniform", top_n=10, cache_size=0)
         clone = DiscoveryConfig.from_dict(config.to_dict())
         assert clone == config
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown DiscoveryConfig keys"):
             DiscoveryConfig.from_dict({"strategy": "uniform", "nope": 1})
+        # A config saved with the removed ``workers`` knob fails loudly.
+        with pytest.raises(ValueError, match="unknown DiscoveryConfig keys.*workers"):
+            DiscoveryConfig.from_dict({"strategy": "uniform", "workers": 2})
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DiscoveryConfig(top_n=0)
-        with pytest.raises(ValueError):
-            DiscoveryConfig(workers=0)
         with pytest.raises(ValueError, match="max_candidates"):
             DiscoveryConfig(max_candidates=0)
         with pytest.raises(ValueError, match="cache_size"):

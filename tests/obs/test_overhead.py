@@ -1,5 +1,5 @@
 """Observability must not change results: bit-identical outputs either way,
-and a concurrently-shared registry must stay consistent under workers=N."""
+and a registry shared by several discovery threads must stay consistent."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ from repro.discovery import discover_facts
 from repro.kge import ModelConfig, TrainConfig, fit
 from repro.kge.ranking import RankingEngine
 from repro.obs import MetricsRegistry, use_registry
+
+from ..helpers import run_in_threads
 
 
 def _train(tiny_graph):
@@ -86,43 +88,48 @@ class TestSpanReconciliation:
 
 
 class TestConcurrentRegistry:
-    @pytest.mark.parametrize("workers", [1, 4])
+    """Caller threads share one engine and one registry, as ``repro
+    serve``'s worker threads do."""
+
+    KWARGS = dict(top_n=20, max_candidates=64, seed=0)
+
+    @pytest.mark.parametrize("threads", [1, 4])
     def test_threaded_ranking_shares_one_registry(
-        self, trained_distmult, tiny_graph, workers
+        self, trained_distmult, tiny_graph, threads
     ):
         registry = MetricsRegistry()
-        engine = RankingEngine(workers=workers, chunk_size=16)
+        engine = RankingEngine(chunk_size=16)
         with use_registry(registry):
-            result = discover_facts(
-                trained_distmult,
-                tiny_graph,
-                top_n=20,
-                max_candidates=64,
-                seed=0,
-                engine=engine,
+            results = run_in_threads(
+                threads,
+                lambda: discover_facts(
+                    trained_distmult, tiny_graph, engine=engine, **self.KWARGS
+                ),
             )
         counters = registry.snapshot()["counters"]
-        assert counters["rank.candidates_ranked_count"] == result.candidates_generated
+        generated = sum(result.candidates_generated for result in results)
+        assert counters["rank.candidates_ranked_count"] == generated
         assert (
             counters["rank.rows_scored_count"] + counters["rank.rows_reused_count"]
             == counters["rank.candidates_ranked_count"]
         )
+        stats = engine.stats
+        assert stats.candidates_ranked == generated
+        assert stats.rows_scored + stats.rows_reused == stats.candidates_ranked
 
     def test_worker_results_identical_across_widths(
         self, trained_distmult, tiny_graph
     ):
+        serial = discover_facts(trained_distmult, tiny_graph, **self.KWARGS)
+        engine = RankingEngine(chunk_size=16, cache_size=64)
         registry = MetricsRegistry()
         with use_registry(registry):
-            results = [
-                discover_facts(
-                    trained_distmult,
-                    tiny_graph,
-                    top_n=20,
-                    max_candidates=64,
-                    seed=0,
-                    engine=RankingEngine(workers=n, chunk_size=16),
-                )
-                for n in (1, 4)
-            ]
-        np.testing.assert_array_equal(results[0].facts, results[1].facts)
-        np.testing.assert_array_equal(results[0].ranks, results[1].ranks)
+            results = run_in_threads(
+                4,
+                lambda: discover_facts(
+                    trained_distmult, tiny_graph, engine=engine, **self.KWARGS
+                ),
+            )
+        for result in results:
+            np.testing.assert_array_equal(result.facts, serial.facts)
+            np.testing.assert_array_equal(result.ranks, serial.ranks)

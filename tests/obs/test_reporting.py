@@ -55,8 +55,13 @@ class TestResultClassesSpeakReportable:
         stats.candidates_ranked = 10
         stats.rows_scored = 4
         assert isinstance(stats, Reportable)
-        clone = RankingStats.from_dict(dict(stats.summary()))
+        clone = RankingStats.from_dict(stats.to_dict())
         assert clone.as_dict() == stats.as_dict()
+        # summary() speaks canonical keys; from_dict takes field names only.
+        assert stats.summary()["candidates_ranked_count"] == 10
+        assert stats.summary()["score_seconds"] == 0.0
+        with pytest.raises(ValueError, match="unknown RankingStats keys"):
+            RankingStats.from_dict(stats.summary())
 
     def test_all_retrofitted_results_satisfy_protocol(self):
         from repro.discovery.anytime import AnytimeResult

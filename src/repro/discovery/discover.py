@@ -234,7 +234,7 @@ class _DiscoveryRun:
         self._train = train
         self._engine = engine
         self._top_n = top_n
-        self._baseline = engine.stats.as_dict()
+        self._baseline = engine.stats.to_dict()
         self._registry = get_registry()
         self._spans = SpanDelta(self._registry)
         self._facts: list[np.ndarray] = []
@@ -291,7 +291,7 @@ class _DiscoveryRun:
             else np.zeros((0, 3), dtype=np.int64)
         )
         ranks = np.concatenate(self._ranks) if self._ranks else np.zeros(0)
-        after = self._engine.stats.as_dict()
+        after = self._engine.stats.to_dict()
         ranking_stats = {key: after[key] - self._baseline[key] for key in after}
         return facts, ranks, ranking_stats, self._spans.flat()
 

@@ -13,9 +13,8 @@ Public surface:
 * :func:`generate_kg` / :class:`KGProfile` — synthetic KG generation;
   :func:`generate_kg_streaming` for chunked generation straight into a
   mmap-backed store.
-* :class:`StorageBackend` / :class:`InMemoryBackend` /
-  :class:`MmapBackend` — the storage substrate behind every
-  :class:`TripleSet` (see :mod:`repro.kg.storage`).
+* :class:`MmapBackend` — the checksummed on-disk column store that
+  KG stores are written to and mmapped from (see :mod:`repro.kg.storage`).
 * :func:`load_dataset_dir` / :func:`save_dataset_dir` — TSV dataset I/O;
   :func:`save_kg_store` / :func:`load_kg_store` — binary KG stores.
 """
@@ -70,13 +69,7 @@ from .stats import (
     to_networkx,
     undirected_adjacency,
 )
-from .storage import (
-    InMemoryBackend,
-    MmapBackend,
-    StorageBackend,
-    StorageCorruptError,
-    open_backend,
-)
+from .storage import MmapBackend, StorageCorruptError
 from .transforms import (
     InverseLeak,
     detect_inverse_leakage,
@@ -110,11 +103,8 @@ __all__ = [
     "plan_node_blocks",
     "local_triangles_blocked",
     "square_clustering_blocked",
-    "StorageBackend",
-    "InMemoryBackend",
     "MmapBackend",
     "StorageCorruptError",
-    "open_backend",
     "KGProfile",
     "generate_kg",
     "generate_kg_streaming",

@@ -11,8 +11,7 @@ Two on-disk layouts are supported:
   :class:`~repro.kg.storage.MmapBackend`), the vocabularies as label
   files, and a ``meta.json``.  :func:`load_kg_store` reopens a store as
   read-only memory-mapped views, so a million-triple graph loads in
-  milliseconds and is shared page-cache-for-free across worker
-  processes; ``mmap=False`` materialises the same store into RAM for
+  milliseconds; ``mmap=False`` copies the same store into RAM for
   backend-equivalence testing.
 """
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from ..resilience.atomic import atomic_write_bytes
 from .graph import KnowledgeGraph
-from .storage import InMemoryBackend, MmapBackend, StorageCorruptError
+from .storage import MmapBackend, StorageCorruptError
 from .triples import TripleSet
 from .vocabulary import Vocabulary
 
@@ -179,11 +178,15 @@ def _jsonify_metadata(metadata: dict, backend: MmapBackend) -> dict:
     return out
 
 
-def _unjsonify_metadata(metadata: dict, backend) -> dict:
+def _unjsonify_metadata(metadata: dict, backend: MmapBackend, mmap: bool) -> dict:
     out: dict = {}
     for key, value in metadata.items():
         if isinstance(value, dict) and set(value) == {"__array__"}:
-            out[key] = backend.get(value["__array__"])
+            view = backend.get(value["__array__"])
+            if not mmap:
+                view = np.array(view)
+                view.setflags(write=False)
+            out[key] = view
         else:
             out[key] = value
     return out
@@ -254,12 +257,10 @@ def load_kg_store(
     """Load a KG store written by :func:`save_kg_store`.
 
     With ``mmap=True`` (default) the triple and key columns are
-    read-only memory maps — nothing is copied into RAM, and the
-    resulting :class:`TripleSet` objects pickle as store pointers so
-    worker processes re-attach the same files.  ``mmap=False``
-    materialises every column into an in-memory backend (useful for
-    backend-equivalence testing and for hot loops that want RAM
-    residency).  ``verify`` re-checks the manifest's sha256 content
+    read-only memory maps — nothing is copied into RAM.  ``mmap=False``
+    copies every split and metadata array into RAM, still read-only
+    (useful for backend-equivalence testing and for hot loops that want
+    RAM residency).  ``verify`` re-checks the manifest's sha256 content
     digests on first access.
     """
     directory = Path(directory)
@@ -274,17 +275,17 @@ def load_kg_store(
             f"{meta.get('format_version')!r}"
         )
     backend = MmapBackend(directory, mode="r", verify=verify)
-    if not mmap:
-        memory = InMemoryBackend()
-        for name in backend.names():
-            memory.put(name, np.asarray(backend.get(name)))
-        backend = memory
     n = int(meta["num_entities"])
     k = int(meta["num_relations"])
     splits = {
         split: TripleSet.from_backend(backend, n, k, prefix=f"{split}.")
         for split in _SPLITS
     }
+    if not mmap:
+        # The constructor copies the rows into RAM.
+        splits = {
+            name: TripleSet(split.array, n, k) for name, split in splits.items()
+        }
     entities = Vocabulary(
         _read_labels(directory, _LABEL_FILES["entities"], meta["labels"]["entities"])
     )
@@ -300,5 +301,5 @@ def load_kg_store(
         train=splits["train"],
         valid=splits["valid"],
         test=splits["test"],
-        metadata=_unjsonify_metadata(meta.get("metadata", {}), backend),
+        metadata=_unjsonify_metadata(meta.get("metadata", {}), backend, mmap),
     )

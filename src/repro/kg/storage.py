@@ -1,26 +1,18 @@
-"""Pluggable storage backends for the knowledge-graph substrate.
+"""The on-disk column store behind the knowledge-graph substrate.
 
-Every column the substrate persists — triple arrays, sorted membership
-keys, entity-type vectors — is a named numpy array living behind a
-:class:`StorageBackend`.  Two stdlib-only implementations ship:
+Every column a KG store persists — triple arrays, sorted membership
+keys, entity-type vectors — is a named ``.npy`` file inside one store
+directory, managed by :class:`MmapBackend`.  Writes go through the
+atomic temp→fsync→rename discipline of :mod:`repro.resilience.atomic`;
+reads come back as *read-only memory-mapped views*, so a million-triple
+graph is paged in on demand instead of copied into RAM.  A
+``manifest.json`` records a sha256 content digest (plus dtype and shape)
+per array; digests are re-verified the first time each array is opened,
+so a torn or bit-flipped column is a typed :class:`StorageCorruptError`
+instead of silent garbage.
 
-* :class:`InMemoryBackend` — plain dict of arrays; the default, with the
-  exact semantics the substrate always had.
-* :class:`MmapBackend` — each array is a ``.npy`` file inside one store
-  directory, written through the atomic temp→fsync→rename discipline of
-  :mod:`repro.resilience.atomic` and read back as a *read-only
-  memory-mapped view*.  A ``manifest.json`` records a sha256 content
-  digest (plus dtype and shape) per array; digests are re-verified the
-  first time each array is opened, so a torn or bit-flipped column is a
-  typed :class:`StorageCorruptError` instead of silent garbage.
-
-Mmap views make the multiprocess story free: a worker that unpickles a
-mmap-backed :class:`~repro.kg.triples.TripleSet` re-opens the same files
-and shares the page cache with every other process — no per-process
-copies of the triple arrays (see ``spec()`` / :func:`open_backend`).
-
-Large arrays can also be *streamed* into a backend chunk-by-chunk via
-:meth:`StorageBackend.writer`, which is how the streaming dataset
+Large arrays can also be *streamed* into a store chunk-by-chunk via
+:meth:`MmapBackend.writer`, which is how the streaming dataset
 generators emit million-triple replicas under a bounded resident set:
 the ``.npy`` header is patched with the final row count on close, and
 the content digest is accumulated per chunk along the way.
@@ -31,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterator
 
@@ -40,13 +31,10 @@ import numpy as np
 from ..resilience.atomic import atomic_write, atomic_write_bytes
 
 __all__ = [
-    "StorageBackend",
-    "InMemoryBackend",
     "MmapBackend",
     "ArrayWriter",
     "StorageCorruptError",
     "content_digest",
-    "open_backend",
 ]
 
 _MANIFEST_NAME = "manifest.json"
@@ -82,170 +70,6 @@ def content_digest(array: np.ndarray) -> str:
     )
 
 
-class StorageBackend(ABC):
-    """Named-array storage behind :class:`~repro.kg.triples.TripleSet`.
-
-    The contract every implementation honours:
-
-    * :meth:`get` returns a **read-only** array view; callers never
-      mutate stored columns in place.
-    * :meth:`put` replaces a column wholesale (atomically, for durable
-      backends).
-    * :meth:`writer` streams a column in chunks for data too large to
-      materialise.
-    * :meth:`spec` returns a picklable descriptor from which
-      :func:`open_backend` reconstructs an equivalent read view — the
-      hook that lets worker processes attach a store without copying it.
-    """
-
-    @abstractmethod
-    def get(self, name: str) -> np.ndarray:
-        """Read-only view of the named array; ``KeyError`` if missing."""
-
-    @abstractmethod
-    def put(self, name: str, array: np.ndarray) -> None:
-        """Store (replace) the named array."""
-
-    @abstractmethod
-    def writer(self, name: str, dtype, columns: int | None = None) -> "ArrayWriter":
-        """Open a chunked writer for the named array.
-
-        ``columns=None`` streams a 1-D array; an integer streams a 2-D
-        ``(rows, columns)`` array.
-        """
-
-    @abstractmethod
-    def names(self) -> list[str]:
-        """Sorted names of the stored arrays."""
-
-    @abstractmethod
-    def spec(self) -> dict:
-        """Picklable descriptor accepted by :func:`open_backend`."""
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names()
-
-    def close(self) -> None:
-        """Release resources (idempotent; in-memory stores no-op)."""
-
-
-class ArrayWriter:
-    """Chunk-by-chunk column writer returned by :meth:`StorageBackend.writer`.
-
-    Usage::
-
-        with backend.writer("train.triples", np.int64, columns=3) as w:
-            for chunk in chunks:          # (m, 3) arrays
-                w.append(chunk)
-
-    Subclasses implement ``_append`` / ``_close``; the base class tracks
-    the row count and validates chunk shapes.
-    """
-
-    def __init__(self, dtype, columns: int | None) -> None:
-        self.dtype = np.dtype(dtype)
-        self.columns = columns
-        self.rows = 0
-        self._closed = False
-
-    def append(self, chunk: np.ndarray) -> None:
-        chunk = np.asarray(chunk, dtype=self.dtype)
-        if self.columns is None:
-            if chunk.ndim != 1:
-                raise ValueError(f"expected 1-D chunk, got shape {chunk.shape}")
-        else:
-            if chunk.ndim != 2 or chunk.shape[1] != self.columns:
-                raise ValueError(
-                    f"expected (m, {self.columns}) chunk, got shape {chunk.shape}"
-                )
-        if chunk.shape[0]:
-            self._append(np.ascontiguousarray(chunk))
-            self.rows += chunk.shape[0]
-
-    def _append(self, chunk: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _close(self) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._close()
-
-    def __enter__(self) -> "ArrayWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self._closed = True
-            self._abort()
-
-    def _abort(self) -> None:
-        """Discard partial output after an error (best effort)."""
-
-
-# ----------------------------------------------------------------------
-# In-memory backend
-# ----------------------------------------------------------------------
-class _MemoryWriter(ArrayWriter):
-    def __init__(self, backend: "InMemoryBackend", name: str, dtype, columns) -> None:
-        super().__init__(dtype, columns)
-        self._backend = backend
-        self._name = name
-        self._chunks: list[np.ndarray] = []
-
-    def _append(self, chunk: np.ndarray) -> None:
-        self._chunks.append(chunk.copy())
-
-    def _close(self) -> None:
-        shape = (0,) if self.columns is None else (0, self.columns)
-        if self._chunks:
-            array = np.concatenate(self._chunks, axis=0)
-        else:
-            array = np.zeros(shape, dtype=self.dtype)
-        self._backend.put(self._name, array)
-        self._chunks.clear()
-
-
-class InMemoryBackend(StorageBackend):
-    """Arrays held in RAM — the substrate's historical behaviour."""
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def get(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def put(self, name: str, array: np.ndarray) -> None:
-        array = np.asarray(array)
-        if array.flags.writeable:
-            array = array.copy()
-            array.setflags(write=False)
-        self._arrays[name] = array
-
-    def writer(self, name: str, dtype, columns: int | None = None) -> ArrayWriter:
-        return _MemoryWriter(self, name, dtype, columns)
-
-    def names(self) -> list[str]:
-        return sorted(self._arrays)
-
-    def spec(self) -> dict:
-        raise TypeError(
-            "InMemoryBackend holds process-local arrays and has no "
-            "picklable spec; persist to a MmapBackend to share across "
-            "processes"
-        )
-
-    def __repr__(self) -> str:
-        return f"InMemoryBackend(arrays={len(self._arrays)})"
-
-
-# ----------------------------------------------------------------------
-# Memory-mapped .npy backend
-# ----------------------------------------------------------------------
 #: Fixed-size .npy v1 header: magic(6) + version(2) + hlen(2) + body.
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
 _NPY_HEADER_TOTAL = 128
@@ -270,12 +94,26 @@ def _npy_header_bytes(dtype: np.dtype, shape: tuple[int, ...]) -> bytes:
     return _NPY_MAGIC + len(header).to_bytes(2, "little") + header
 
 
-class _MmapWriter(ArrayWriter):
-    """Streams chunks straight into the temp ``.npy`` file, digesting as
-    it goes, then patches the header and publishes atomically."""
+class ArrayWriter:
+    """Chunk-by-chunk column writer returned by :meth:`MmapBackend.writer`.
+
+    Usage::
+
+        with backend.writer("train.triples", np.int64, columns=3) as w:
+            for chunk in chunks:          # (m, 3) arrays
+                w.append(chunk)
+
+    Chunks stream straight into a temp ``.npy`` file and into the
+    content digest; on close the header is patched with the final row
+    count and the file is published atomically.  An exception inside
+    the ``with`` block discards the temp file and publishes nothing.
+    """
 
     def __init__(self, backend: "MmapBackend", name: str, dtype, columns) -> None:
-        super().__init__(dtype, columns)
+        self.dtype = np.dtype(dtype)
+        self.columns = columns
+        self.rows = 0
+        self._closed = False
         self._backend = backend
         self._name = name
         self._path = backend._array_path(name)
@@ -287,12 +125,26 @@ class _MmapWriter(ArrayWriter):
         self._digest = hashlib.sha256()
         self._digest.update(str(self.dtype).encode("utf-8"))
 
-    def _append(self, chunk: np.ndarray) -> None:
-        data = chunk.tobytes()
-        self._handle.write(data)
-        self._digest.update(data)
+    def append(self, chunk: np.ndarray) -> None:
+        chunk = np.asarray(chunk, dtype=self.dtype)
+        if self.columns is None:
+            if chunk.ndim != 1:
+                raise ValueError(f"expected 1-D chunk, got shape {chunk.shape}")
+        else:
+            if chunk.ndim != 2 or chunk.shape[1] != self.columns:
+                raise ValueError(
+                    f"expected (m, {self.columns}) chunk, got shape {chunk.shape}"
+                )
+        if chunk.shape[0]:
+            data = np.ascontiguousarray(chunk).tobytes()
+            self._handle.write(data)
+            self._digest.update(data)
+            self.rows += chunk.shape[0]
 
-    def _close(self) -> None:
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
         shape = (self.rows,) if self.columns is None else (self.rows, self.columns)
         self._handle.flush()
         self._handle.seek(0)
@@ -305,14 +157,21 @@ class _MmapWriter(ArrayWriter):
             self._name, self._digest.hexdigest(), self.dtype, shape
         )
 
-    def _abort(self) -> None:
+    def __enter__(self) -> "ArrayWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+            return
+        self._closed = True
         try:
             self._handle.close()
         finally:
             self._tmp.unlink(missing_ok=True)
 
 
-class MmapBackend(StorageBackend):
+class MmapBackend:
     """``.npy`` columns in a store directory, read as read-only mmaps.
 
     Parameters
@@ -381,8 +240,9 @@ class MmapBackend(StorageBackend):
             raise ValueError(f"invalid array name {name!r}")
         return self.directory / f"{name}.npy"
 
-    # -- StorageBackend API --------------------------------------------
+    # -- array API -----------------------------------------------------
     def get(self, name: str) -> np.ndarray:
+        """Read-only mmap view of the named array; ``KeyError`` if missing."""
         view = self._views.get(name)
         if view is not None:
             return view
@@ -412,6 +272,7 @@ class MmapBackend(StorageBackend):
         return view
 
     def put(self, name: str, array: np.ndarray) -> None:
+        """Store (replace) the named array atomically."""
         self._check_writable()
         array = np.ascontiguousarray(array)
         path = self._array_path(name)
@@ -423,18 +284,20 @@ class MmapBackend(StorageBackend):
         self._register(name, content_digest(array), array.dtype, array.shape)
 
     def writer(self, name: str, dtype, columns: int | None = None) -> ArrayWriter:
+        """Open a chunked writer for the named array.
+
+        ``columns=None`` streams a 1-D array; an integer streams a 2-D
+        ``(rows, columns)`` array.
+        """
         self._check_writable()
-        return _MmapWriter(self, name, dtype, columns)
+        return ArrayWriter(self, name, dtype, columns)
 
     def names(self) -> list[str]:
+        """Sorted names of the stored arrays."""
         return sorted(self._manifest["arrays"])
 
-    def spec(self) -> dict:
-        return {
-            "kind": "mmap",
-            "directory": str(self.directory),
-            "verify": self.verify,
-        }
+    def __contains__(self, name: str) -> bool:
+        return name in self._manifest["arrays"]
 
     def close(self) -> None:
         # Views are plain mmap objects collected with the arrays; drop
@@ -452,18 +315,3 @@ class MmapBackend(StorageBackend):
             f"MmapBackend(directory={str(self.directory)!r}, mode={self.mode!r}, "
             f"arrays={len(self._manifest['arrays'])})"
         )
-
-
-def open_backend(spec: dict) -> StorageBackend:
-    """Reconstruct a read view of a backend from its picklable spec.
-
-    This is the cross-process attach path: a worker that receives a spec
-    opens the same store files read-only and shares the page cache with
-    every sibling — zero per-process copies.
-    """
-    kind = spec.get("kind")
-    if kind == "mmap":
-        return MmapBackend(
-            spec["directory"], mode="r", verify=bool(spec.get("verify", True))
-        )
-    raise ValueError(f"unknown backend spec kind {kind!r}")

@@ -6,14 +6,11 @@ which must filter candidate triples against the training graph — are served
 by a sorted array of scalar keys ``(s * K + r) * N + o`` and
 ``numpy.searchsorted``, giving ``O(log M)`` per probe with no Python loops.
 
-Both columns (the triple array and the sorted key index) live behind a
-:class:`~repro.kg.storage.StorageBackend`.  The default constructor keeps
-the historical in-memory semantics bit-for-bit; :meth:`TripleSet.persist`
-writes the canonical columns into any backend and
-:meth:`TripleSet.from_backend` reopens them — as zero-copy read-only mmap
-views when the backend is a :class:`~repro.kg.storage.MmapBackend`.  A
-mmap-backed set pickles as its backend *spec* (a directory pointer), so
-worker processes attach the same store files instead of receiving a copy.
+A set holds two read-only columns: the deduplicated triple array and the
+sorted key index.  :meth:`TripleSet.persist` writes them into a
+:class:`~repro.kg.storage.MmapBackend` store and
+:meth:`TripleSet.from_backend` reopens them as zero-copy read-only mmap
+views.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .storage import InMemoryBackend, StorageBackend, open_backend
+from .storage import MmapBackend
 
 __all__ = ["TripleSet", "encode_keys"]
 
@@ -83,50 +80,30 @@ class TripleSet:
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
 
-        # Deduplicate while keeping a canonical (key-sorted) order.
+        # Deduplicate: rows keep their first-occurrence order; keys are sorted.
         keys = encode_keys(arr, num_entities, num_relations)
         unique_keys, first = np.unique(keys, return_index=True)
-        backend = InMemoryBackend()
-        backend.put(_TRIPLES_COL, arr[np.sort(first)])
-        backend.put(_KEYS_COL, unique_keys)
-        self._attach(backend, "")
-
-    def _attach(self, backend: StorageBackend, prefix: str) -> None:
-        """Bind this set to read-only column views from ``backend``."""
-        self._backend = backend
-        self._prefix = prefix
-        self._array = backend.get(f"{prefix}{_TRIPLES_COL}")
-        try:
-            self._sorted_keys = backend.get(f"{prefix}{_KEYS_COL}")
-        except KeyError:
-            # Stores written before the key column (or by hand) still
-            # load; the index is rebuilt in memory.
-            self._sorted_keys = np.sort(
-                encode_keys(self._array, self.num_entities, self.num_relations)
-            )
-            self._sorted_keys.setflags(write=False)
+        self._array = arr[np.sort(first)]
+        self._sorted_keys = unique_keys
+        self._array.setflags(write=False)
+        self._sorted_keys.setflags(write=False)
 
     # ------------------------------------------------------------------
-    # Storage backends
+    # Stores
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> StorageBackend:
-        """The storage backend the column views read through."""
-        return self._backend
-
-    def persist(self, backend: StorageBackend, prefix: str = "") -> None:
+    def persist(self, backend: MmapBackend, prefix: str = "") -> None:
         """Write the canonical columns into ``backend`` under ``prefix``.
 
-        The stored arrays are already deduplicated and key-sorted, so
+        The rows are already deduplicated and the keys sorted, so
         :meth:`from_backend` can reopen them without re-validation.
         """
-        backend.put(f"{prefix}{_TRIPLES_COL}", np.asarray(self._array))
-        backend.put(f"{prefix}{_KEYS_COL}", np.asarray(self._sorted_keys))
+        backend.put(f"{prefix}{_TRIPLES_COL}", self._array)
+        backend.put(f"{prefix}{_KEYS_COL}", self._sorted_keys)
 
     @classmethod
     def from_backend(
         cls,
-        backend: StorageBackend,
+        backend: MmapBackend,
         num_entities: int,
         num_relations: int,
         prefix: str = "",
@@ -135,16 +112,23 @@ class TripleSet:
 
         Trusts the canonical invariants established at persist time
         (deduplicated rows, sorted keys); only the cheap shape/id-space
-        checks run.  With a :class:`~repro.kg.storage.MmapBackend` the
-        columns stay on disk and are paged in on demand.
+        checks run.  The columns stay on disk and are paged in on demand.
         """
         if num_entities < 1 or num_relations < 1:
             raise ValueError("num_entities and num_relations must be >= 1")
         self = cls.__new__(cls)
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
-        self._attach(backend, prefix)
-        arr = self._array
+        arr = self._array = backend.get(f"{prefix}{_TRIPLES_COL}")
+        try:
+            self._sorted_keys = backend.get(f"{prefix}{_KEYS_COL}")
+        except KeyError:
+            # Stores written before the key column (or by hand) still
+            # load; the index is rebuilt in memory.
+            self._sorted_keys = np.sort(
+                encode_keys(arr, self.num_entities, self.num_relations)
+            )
+            self._sorted_keys.setflags(write=False)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"expected (M, 3) triples, got shape {arr.shape}")
         if self._sorted_keys.shape != (arr.shape[0],):
@@ -153,24 +137,6 @@ class TripleSet:
                 f"{arr.shape[0]} triples"
             )
         return self
-
-    def __reduce__(self):
-        try:
-            spec = self._backend.spec()
-        except TypeError:
-            # In-memory sets pickle by value, as they always have.
-            return (
-                _rebuild_in_memory,
-                (
-                    np.asarray(self._array),
-                    self.num_entities,
-                    self.num_relations,
-                ),
-            )
-        return (
-            _rebuild_from_spec,
-            (spec, self.num_entities, self.num_relations, self._prefix),
-        )
 
     # ------------------------------------------------------------------
     # Basic container protocol
@@ -305,18 +271,3 @@ class TripleSet:
         """Fraction of all possible triples that are present."""
         return len(self) / (self.num_entities**2 * self.num_relations)
 
-
-def _rebuild_in_memory(
-    array: np.ndarray, num_entities: int, num_relations: int
-) -> TripleSet:
-    """Unpickle target for in-memory sets (rows are already canonical)."""
-    return TripleSet(array, num_entities, num_relations)
-
-
-def _rebuild_from_spec(
-    spec: dict, num_entities: int, num_relations: int, prefix: str
-) -> TripleSet:
-    """Unpickle target for store-backed sets: re-attach, don't copy."""
-    return TripleSet.from_backend(
-        open_backend(spec), num_entities, num_relations, prefix
-    )

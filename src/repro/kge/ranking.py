@@ -167,22 +167,14 @@ class RankingStats(ReportableMixin):
     score_seconds: float = 0.0
     filter_seconds: float = 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge(self, other: "RankingStats") -> None:
-        """Add another stats object's counters into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     def summary(self) -> dict[str, float]:
         """Counters under canonical ``*_count``/``*_seconds`` names
-        (:func:`ranking_stat_key`); :meth:`as_dict` keeps field names."""
-        return {ranking_stat_key(k): v for k, v in self.as_dict().items()}
+        (:func:`ranking_stat_key`); :meth:`to_dict` keeps field names."""
+        return {ranking_stat_key(k): v for k, v in self.to_dict().items()}
 
     def to_dict(self) -> dict[str, float]:
         """Field-named payload — the shape :meth:`from_dict` reconstructs."""
-        return self.as_dict()
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, float]) -> "RankingStats":

@@ -7,8 +7,10 @@ package ``__init__`` re-exports.
 
 :class:`CallGraph` layers call-edge resolution on top: direct calls,
 ``self.method()`` dispatch with base-class lookup across modules,
-locally-typed instances (``x = Foo(); x.m()``) and nested closures.  It
-provides reachability with witness paths for RPR010.
+locally-typed instances (``x = Foo(); x.m()``), nested closures, and
+functions passed as call arguments (a callback is an edge from the
+function that hands it over).  It provides reachability with witness
+paths for RPR010.
 
 Both are built once per run from the pass-1 records.
 """

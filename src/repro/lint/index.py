@@ -3,9 +3,10 @@
 :func:`build_module_info` distils one parsed module into a
 :class:`ModuleInfo` — the record RPR010 needs to walk the call graph:
 the import bindings with relative imports resolved to absolute dotted
-targets, the top-level symbol table, each class's bases and methods, and
-per-function call sites, nested defs, locally-typed instances and
-determinism hazards.
+targets, the top-level symbol table and ``__all__``, each class's bases
+and methods, and per-function call sites (with the functions passed to
+them as values), nested defs, locally-typed instances and determinism
+hazards.
 
 The extraction is purely syntactic and local to one module: a
 ``ModuleInfo`` is a function of the module source alone.  Everything
@@ -132,7 +133,9 @@ class FunctionInfo:
     name: str
     qual: str  # e.g. "_cmd_reproduce.<locals>.write"
     cls: str | None
-    calls: tuple[tuple[str, ...], ...] = ()  # dotted callees, in source order
+    #: Dotted callees and dotted call arguments (a function passed as a
+    #: value, e.g. a callback, may be called by the callee), in source order.
+    calls: tuple[tuple[str, ...], ...] = ()
     hazards: tuple[Hazard, ...] = ()
     nested: dict[str, str] = field(default_factory=dict)
     local_types: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -157,6 +160,7 @@ class ModuleInfo:
     #: ``"TripleSet" -> "repro.kg.triples.TripleSet"``.
     bindings: dict[str, str] = field(default_factory=dict)
     definitions: dict[str, str] = field(default_factory=dict)  # name -> kind
+    exports: tuple[str, ...] = ()  # the literal ``__all__``, if any
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
 
@@ -261,8 +265,13 @@ class _FunctionExtractor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = dotted_name(node.func)
+        # An argument may be a function the callee calls back (a callback).
+        values = [*node.args, *(keyword.value for keyword in node.keywords)]
+        refs = [
+            dotted_name(v.value if isinstance(v, ast.Starred) else v) for v in values
+        ]
+        self.calls.extend(ref for ref in [dotted, *refs] if ref is not None)
         if dotted is not None:
-            self.calls.append(dotted)
             tail = dotted[-1]
             # Unseeded RNG: default_rng()/SeedSequence() with no arguments.
             if tail in ("default_rng", "SeedSequence") and not node.args:
@@ -350,6 +359,15 @@ def build_module_info(module: str, path: str, tree: ast.Module) -> ModuleInfo:
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         info.definitions.setdefault(target.id, "assign")
+                        if target.id == "__all__" and isinstance(
+                            node.value, (ast.List, ast.Tuple)
+                        ):
+                            info.exports = tuple(
+                                elt.value
+                                for elt in node.value.elts
+                                if isinstance(elt, ast.Constant)
+                                and isinstance(elt.value, str)
+                            )
             elif isinstance(node, ast.AnnAssign) and isinstance(
                 node.target, ast.Name
             ):

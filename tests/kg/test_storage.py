@@ -1,12 +1,12 @@
-"""Storage backends: roundtrips, checksums, streaming writers, pickling."""
+"""The mmap KG store: roundtrips, checksums, streaming writers, loading."""
 
+import json
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.kg import (
-    InMemoryBackend,
     KnowledgeGraph,
     MmapBackend,
     StorageCorruptError,
@@ -14,16 +14,13 @@ from repro.kg import (
     kg_store_exists,
     load_dataset,
     load_kg_store,
-    open_backend,
     save_kg_store,
 )
 from repro.kg.storage import content_digest
 
 
-@pytest.fixture(params=["memory", "mmap"])
-def backend(request, tmp_path):
-    if request.param == "memory":
-        return InMemoryBackend()
+@pytest.fixture(params=["mmap"])
+def backend(tmp_path):
     return MmapBackend(tmp_path / "store")
 
 
@@ -84,6 +81,18 @@ class TestBackendContract:
         assert backend.get("flat").tolist() == [0, 1, 2]
         assert backend.get("cols").shape == (0, 3)
 
+    @pytest.mark.parametrize("how", ["put", "writer"])
+    def test_replacing_an_array_drops_the_cached_view(self, backend, how):
+        backend.put("x", np.arange(3, dtype=np.int64))
+        assert backend.get("x").tolist() == [0, 1, 2]
+        if how == "put":
+            backend.put("x", np.arange(5, dtype=np.int64))
+        else:
+            with backend.writer("x", np.int64) as writer:
+                writer.append(np.arange(5))
+        assert backend.get("x").tolist() == [0, 1, 2, 3, 4]
+        assert backend.names() == ["x"]
+
     def test_writer_failure_publishes_nothing(self, backend, tmp_path):
         with pytest.raises(RuntimeError, match="generator died"):
             with backend.writer("partial", np.int64, columns=3) as writer:
@@ -109,6 +118,46 @@ class TestMmapBackend:
         with pytest.raises(PermissionError):
             ro.put("b", np.arange(4))
 
+    def test_read_only_mode_rejects_streaming_writers(self, tmp_path):
+        store = tmp_path / "s"
+        MmapBackend(store).put("a", np.arange(4))
+        before = sorted(store.iterdir())
+        with pytest.raises(PermissionError):
+            MmapBackend(store, mode="r").writer("b", np.int64)
+        assert sorted(store.iterdir()) == before
+
+    def test_contains_reads_the_manifest(self, tmp_path):
+        store = tmp_path / "s"
+        MmapBackend(store).put("a", np.arange(4))
+        # A stray .npy file the manifest does not list is not an array.
+        np.save(store / "stray.npy", np.arange(4))
+        reopened = MmapBackend(store, mode="r")
+        assert "a" in reopened and "stray" not in reopened
+        with pytest.raises(KeyError):
+            reopened.get("stray")
+
+    def test_streamed_array_passes_verification_on_reopen(self, tmp_path):
+        store = tmp_path / "s"
+        rows = np.arange(30, dtype=np.int64).reshape(10, 3)
+        with MmapBackend(store).writer("rows", np.int64, columns=3) as writer:
+            for start in range(0, 10, 3):
+                writer.append(rows[start : start + 3])
+        # The digest accumulated per chunk is the digest of the whole array.
+        manifest = json.loads((store / "manifest.json").read_text())
+        assert manifest["arrays"]["rows"]["sha256"] == content_digest(rows)
+        reopened = MmapBackend(store, mode="r", verify=True)
+        np.testing.assert_array_equal(reopened.get("rows"), rows)
+
+    def test_writer_closed_without_a_with_block_publishes_once(self, tmp_path):
+        backend = MmapBackend(tmp_path / "s")
+        writer = backend.writer("keys", np.int64)
+        writer.append(np.arange(4))
+        assert "keys" not in backend
+        writer.close()
+        writer.close()
+        assert backend.get("keys").tolist() == [0, 1, 2, 3]
+        assert not list((tmp_path / "s").glob("*.tmp"))
+
     def test_missing_directory_in_read_mode(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             MmapBackend(tmp_path / "absent", mode="r")
@@ -133,18 +182,6 @@ class TestMmapBackend:
         path.write_bytes(bytes(raw))
         unchecked = MmapBackend(store, mode="r", verify=False)
         assert unchecked.get("a").shape == (64,)
-
-    def test_spec_reopens_read_only(self, tmp_path):
-        store = tmp_path / "s"
-        backend = MmapBackend(store)
-        backend.put("a", np.arange(4))
-        again = open_backend(backend.spec())
-        np.testing.assert_array_equal(again.get("a"), np.arange(4))
-        assert again.mode == "r"
-
-    def test_memory_backend_has_no_spec(self):
-        with pytest.raises(TypeError):
-            InMemoryBackend().spec()
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):
@@ -180,10 +217,6 @@ class TestMmapBackend:
         with pytest.raises(StorageCorruptError, match="unreadable array"):
             MmapBackend(tmp_path / "store", mode="r").get("x")
 
-    def test_unknown_spec_kind_rejected(self):
-        with pytest.raises(ValueError, match="spec kind"):
-            open_backend({"kind": "s3"})
-
     def test_repr_names_directory_mode_and_size(self, tmp_path):
         backend = MmapBackend(tmp_path / "store")
         backend.put("x", np.arange(3))
@@ -206,14 +239,28 @@ class TestTripleSetBackends:
         assert again == triples
         np.testing.assert_array_equal(again.array, triples.array)
 
-    def test_mmap_set_pickles_as_pointer(self, tmp_path):
+    @pytest.mark.parametrize("build", ["constructor", "mmap", "memory"])
+    def test_every_way_to_build_a_set_gives_read_only_equal_columns(
+        self, tmp_path, build
+    ):
         graph = load_dataset("wn18rr-like")
-        store = save_kg_store(graph, tmp_path / "s")
-        reopened = load_kg_store(store)
-        blob = pickle.dumps(reopened.train)
-        assert len(blob) < 4096  # a pointer, not the data
-        clone = pickle.loads(blob)
-        assert clone == reopened.train
+        n, k = graph.num_entities, graph.num_relations
+        built = TripleSet(graph.train.array, n, k)
+        if build != "constructor":
+            save_kg_store(graph, tmp_path / "s")
+            loaded = load_kg_store(tmp_path / "s", mmap=build == "mmap")
+            assert loaded.train == built
+            entity_types = loaded.metadata["entity_types"]
+            assert not entity_types.flags.writeable
+            assert isinstance(entity_types, np.memmap) == (build == "mmap")
+            built = loaded.train
+        np.testing.assert_array_equal(built.array, graph.train.array)
+        for column in (built.array, built._sorted_keys):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+            # mmap=True pages the store in; mmap=False copies it into RAM.
+            assert isinstance(column, np.memmap) == (build == "mmap")
 
     def test_in_memory_set_pickles_by_value(self):
         triples = TripleSet([(0, 0, 1)], 2, 1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.kg import TripleSet, encode_keys
+from repro.kg import MmapBackend, TripleSet, encode_keys
 
 
 def make(triples, n=10, k=3) -> TripleSet:
@@ -54,6 +54,14 @@ class TestConstruction:
         ts = make([[0, 0, 1]])
         with pytest.raises(ValueError):
             ts.array[0, 0] = 5
+
+    def test_leaves_the_callers_array_writable_and_unshared(self):
+        rows = np.asarray([[1, 0, 2], [0, 0, 1]], dtype=np.int64)
+        ts = TripleSet(rows, 10, 3)
+        assert rows.flags.writeable
+        rows[0, 0] = 9
+        assert ts.array.tolist() == [[1, 0, 2], [0, 0, 1]]
+        assert (1, 0, 2) in ts and (9, 0, 2) not in ts
 
     def test_accepts_iterable_of_tuples(self):
         ts = TripleSet([(0, 0, 1), (1, 1, 2)], 5, 2)
@@ -142,46 +150,54 @@ class TestSetAlgebra:
 
 
 class TestBackedSets:
-    def _backend(self, triples, with_keys=True):
-        from repro.kg import InMemoryBackend
-
-        backend = InMemoryBackend()
+    def _backend(self, tmp_path, triples, with_keys=True):
+        backend = MmapBackend(tmp_path / "store")
         make(triples).persist(backend)
         if not with_keys:
-            stripped = InMemoryBackend()
+            stripped = MmapBackend(tmp_path / "stripped")
             stripped.put("triples", backend.get("triples"))
             return stripped
         return backend
 
-    def test_reopened_set_equals_the_persisted_one(self):
-        backend = self._backend([[0, 0, 1], [2, 1, 3]])
+    def test_reopened_set_equals_the_persisted_one(self, tmp_path):
+        backend = self._backend(tmp_path, [[0, 0, 1], [2, 1, 3]])
         again = TripleSet.from_backend(backend, 10, 3)
         assert again == make([[0, 0, 1], [2, 1, 3]])
-        assert again.backend is backend
 
-    def test_missing_key_column_is_rebuilt_in_memory(self):
-        backend = self._backend([[2, 1, 3], [0, 0, 1]], with_keys=False)
+    def test_missing_key_column_is_rebuilt_in_memory(self, tmp_path):
+        backend = self._backend(tmp_path, [[2, 1, 3], [0, 0, 1]], with_keys=False)
         assert backend.names() == ["triples"]
         again = TripleSet.from_backend(backend, 10, 3)
         assert again == make([[0, 0, 1], [2, 1, 3]])
         assert (2, 1, 3) in again and (3, 1, 2) not in again
 
-    def test_empty_id_space_rejected(self):
-        backend = self._backend([[0, 0, 1]])
+    def test_rebuilt_key_column_is_read_only(self, tmp_path):
+        backend = self._backend(tmp_path, [[2, 1, 3]], with_keys=False)
+        keys = TripleSet.from_backend(backend, 10, 3)._sorted_keys
+        with pytest.raises(ValueError, match="read-only"):
+            keys[0] = 0
+
+    def test_persisting_a_reopened_set_writes_the_same_files(self, tmp_path):
+        backend = self._backend(tmp_path, [[2, 1, 3], [0, 0, 1]])
+        TripleSet.from_backend(backend, 10, 3).persist(MmapBackend(tmp_path / "copy"))
+        for name in ("triples.npy", "keys.npy"):
+            original = (tmp_path / "store" / name).read_bytes()
+            assert (tmp_path / "copy" / name).read_bytes() == original
+
+    def test_empty_id_space_rejected(self, tmp_path):
+        backend = self._backend(tmp_path, [[0, 0, 1]])
         with pytest.raises(ValueError, match=">= 1"):
             TripleSet.from_backend(backend, 0, 3)
 
-    def test_triple_column_of_the_wrong_shape_rejected(self):
-        from repro.kg import InMemoryBackend
-
-        backend = InMemoryBackend()
+    def test_triple_column_of_the_wrong_shape_rejected(self, tmp_path):
+        backend = MmapBackend(tmp_path)
         backend.put("triples", np.arange(6, dtype=np.int64).reshape(3, 2))
         backend.put("keys", np.arange(3, dtype=np.int64))
         with pytest.raises(ValueError, match=r"\(M, 3\)"):
             TripleSet.from_backend(backend, 10, 3)
 
-    def test_key_column_of_another_length_rejected(self):
-        backend = self._backend([[0, 0, 1], [2, 1, 3]])
+    def test_key_column_of_another_length_rejected(self, tmp_path):
+        backend = self._backend(tmp_path, [[0, 0, 1], [2, 1, 3]])
         backend.put("keys", np.arange(5, dtype=np.int64))
         with pytest.raises(ValueError, match="key column"):
             TripleSet.from_backend(backend, 10, 3)

@@ -279,7 +279,7 @@ class TestInstrumentation:
 
     def test_stats_as_dict_keys(self):
         stats = RankingEngine().stats
-        assert set(stats.as_dict()) == {
+        assert set(stats.to_dict()) == {
             "candidates_ranked",
             "unique_queries",
             "rows_scored",
@@ -294,23 +294,6 @@ class TestInstrumentation:
 
         with pytest.raises(ValueError, match="unknown RankingStats keys.*rows_guessed"):
             RankingStats.from_dict({"rows_scored": 1, "rows_guessed": 2})
-
-    def test_merge_adds_every_counter(self):
-        from repro.kge.ranking import RankingStats
-
-        total = RankingStats(candidates_ranked=3, rows_scored=2, score_seconds=0.5)
-        total.merge(
-            RankingStats(candidates_ranked=4, cache_hits=1, score_seconds=0.25)
-        )
-        assert total.to_dict() == {
-            "candidates_ranked": 7,
-            "unique_queries": 0,
-            "rows_scored": 2,
-            "rows_reused": 0,
-            "cache_hits": 1,
-            "score_seconds": 0.75,
-            "filter_seconds": 0.0,
-        }
 
 
 class TestScoreRowCache:

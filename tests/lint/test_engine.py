@@ -26,7 +26,7 @@ BAD_FIXTURES = [
     "proj/repro/discovery/rpr002_bad.py",
     "rpr003_bad.py",
     "proj/repro/autograd/rpr004_bad.py",
-    "rpr010_bad.py",
+    "proj/repro/kge/rpr010_bad.py",
     "proj/repro/serve/rpr018_bad.py",
 ]
 

@@ -1,10 +1,11 @@
 """Whole-program pass 2 over a real multi-module package.
 
-``fixtures/miniproj`` exercises what the single-file fixtures cannot:
-relative imports, package re-exports, method dispatch through a local
-instance, and an import cycle.  The same package checks that a
-configured command-line run leaves nothing behind on disk.  The
-generated rule reference's freshness check lives here too.
+``fixtures/miniproj`` holds a mini ``repro.kge`` package that exercises
+what the single-file fixtures cannot: relative imports, package
+re-exports, method dispatch through a local instance, and an import
+cycle.  The same package checks that a configured command-line run
+leaves nothing behind on disk.  The generated rule reference's
+freshness check lives here too.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import ast
 import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.lint import (
     LintEngine,
@@ -26,7 +29,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Every finding the miniproj scan must produce, in sorted order.
-EXPECTED = [("RPR010", "miniproj/util.py", 15, 11)]
+EXPECTED = [("RPR010", "miniproj/repro/kge/util.py", 13, 11)]
 
 
 def _scan(monkeypatch):
@@ -66,48 +69,55 @@ def test_import_cycle_is_indexed_not_fatal():
     index = _miniproj_index(FIXTURES / "miniproj")
     # util imports core back while core imports draw from util: both
     # directions of the cycle resolve.
-    util = index.modules["miniproj.util"]
-    core = index.modules["miniproj.core"]
+    util = index.modules["repro.kge.util"]
+    core = index.modules["repro.kge.core"]
     assert index.resolve(util.bindings["core"]) == (
         "module",
-        "miniproj.core",
+        "repro.kge.core",
     )
     assert index.resolve(core.bindings["draw"]) == (
         "symbol",
-        "miniproj.util:draw",
+        "repro.kge.util:draw",
     )
 
 
 def test_resolve_follows_package_reexports_and_classifies_the_rest():
     index = _miniproj_index(FIXTURES / "miniproj")
-    assert index.resolve("miniproj") == ("module", "miniproj")
-    # ``miniproj.Engine`` is bound in ``__init__`` by ``from .core import``.
-    assert index.resolve("miniproj.Engine") == ("symbol", "miniproj.core:Engine")
-    assert index.resolve("miniproj.core.Engine.run") == (
+    assert index.resolve("repro.kge") == ("module", "repro.kge")
+    # ``repro.kge.Engine`` is bound in ``__init__`` by ``from .core import``.
+    assert index.resolve("repro.kge.Engine") == ("symbol", "repro.kge.core:Engine")
+    assert index.resolve("repro.kge.core.Engine.run") == (
         "symbol",
-        "miniproj.core:Engine.run",
+        "repro.kge.core:Engine.run",
     )
-    assert index.resolve("miniproj.core.nothing") == (
+    assert index.resolve("repro.kge.core.nothing") == (
         "missing",
-        "miniproj.core.nothing",
+        "repro.kge.core.nothing",
     )
-    assert index.resolve("miniproj.absent.thing") == ("missing", "miniproj.absent.thing")
+    assert index.resolve("repro.kge.absent.thing") == (
+        "missing",
+        "repro.kge.absent.thing",
+    )
     assert index.resolve("numpy.random") == ("external", "numpy.random")
 
 
 def test_resolve_reports_unindexed_project_modules_as_unknown():
     index = _miniproj_index(FIXTURES / "miniproj")
-    del index.modules["miniproj"]
-    assert index.resolve("miniproj.helpers.x") == ("unknown", "miniproj.helpers.x")
+    del index.modules["repro"], index.modules["repro.kge"]
+    assert index.resolve("repro.kge.helpers.x") == ("unknown", "repro.kge.helpers.x")
 
 
-def _taint(tmp_path, files: dict[str, str]):
-    package = tmp_path / "pkg"
-    package.mkdir()
+def _taint(tmp_path, files: dict[str, str], package: str = "kge"):
+    """RPR010 over ``files`` placed in the ``repro.<package>`` package.
+
+    The default, ``repro.kge``, is an entry package."""
+    package = tmp_path / "repro" / package
+    package.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("", encoding="utf-8")
     (package / "__init__.py").write_text("", encoding="utf-8")
     for name, source in files.items():
         (package / name).write_text(source, encoding="utf-8")
-    run = LintEngine().run([package])
+    run = LintEngine().run([tmp_path / "repro"])
     return [
         (Path(f.path).name, f.line, f.message.split("(reachable via ")[1][:-1])
         for f in run.findings
@@ -132,6 +142,7 @@ def test_taint_dispatches_through_an_inherited_method_across_modules(tmp_path):
                 "def fit(graph):\n"
                 "    child = Child()\n"
                 "    return child.run()\n"
+                "__all__ = ['fit']\n"
             ),
         },
     )
@@ -151,6 +162,7 @@ def test_every_ranking_engine_method_is_an_entry_point(tmp_path):
                 "    return list({row for row in rows})\n"
                 "def unreachable():\n"
                 "    return np.random.default_rng()\n"
+                "__all__ = ['RankingEngine']\n"
             ),
         },
     )
@@ -167,12 +179,75 @@ def test_taint_reaches_nested_closures_of_an_entry_point(tmp_path):
                 "    def pick():\n"
                 "        return np.random.default_rng()\n"
                 "    return pick()\n"
+                "__all__ = ['discover_facts']\n"
             ),
         },
     )
     assert findings == [
         ("discover.py", 4, "discover_facts -> discover_facts.<locals>.pick")
     ]
+
+
+_UNSEEDED_FIT = (
+    "import numpy as np\n"
+    "def fit(graph):\n"
+    "    return np.random.default_rng()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "package, expected",
+    [
+        ("kge", [("api.py", 3, "fit")]),
+        ("discovery", [("api.py", 3, "fit")]),
+        ("serve", []),
+    ],
+    ids=["kge", "discovery", "serve"],
+)
+def test_entry_points_come_only_from_the_entry_packages(tmp_path, package, expected):
+    source = _UNSEEDED_FIT + "__all__ = ['fit']\n"
+    assert _taint(tmp_path, {"api.py": source}, package=package) == expected
+
+
+def test_a_function_left_out_of_all_is_not_an_entry_point(tmp_path):
+    source = _UNSEEDED_FIT + "def train_model(graph):\n    return graph\n"
+    findings = _taint(tmp_path, {"api.py": source + "__all__ = ['train_model']\n"})
+    assert findings == []
+
+
+def test_names_in_all_that_are_not_functions_are_skipped(tmp_path):
+    source = _UNSEEDED_FIT + "VERSION = 1\n__all__ = ['VERSION', 'unbound', 'fit']\n"
+    assert _taint(tmp_path, {"api.py": source}) == [("api.py", 3, "fit")]
+
+
+def test_a_package_reexport_listed_in_all_is_an_entry_point(tmp_path):
+    findings = _taint(
+        tmp_path,
+        {
+            "__init__.py": "from .api import fit\n__all__ = ['fit']\n",
+            "api.py": _UNSEEDED_FIT,
+        },
+    )
+    assert findings == [("api.py", 3, "fit")]
+
+
+def test_taint_follows_a_function_passed_by_keyword(tmp_path):
+    findings = _taint(
+        tmp_path,
+        {
+            "discover.py": (
+                "import numpy as np\n"
+                "def discover_facts(kg):\n"
+                "    return _accumulate(kg, generate=_draw)\n"
+                "def _accumulate(kg, generate):\n"
+                "    return [generate(batch) for batch in kg]\n"
+                "def _draw(batch):\n"
+                "    return np.random.default_rng().permutation(batch)\n"
+                "__all__ = ['discover_facts']\n"
+            ),
+        },
+    )
+    assert findings == [("discover.py", 7, "discover_facts -> _draw")]
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +266,7 @@ def test_configured_cli_run_writes_nothing(tmp_path, monkeypatch, capsys):
     before = _listing(tmp_path)
 
     assert lint_main([]) == 1
-    assert "1 finding in 1 file (3 files checked)" in capsys.readouterr().out
+    assert "1 finding in 1 file (4 files checked)" in capsys.readouterr().out
     assert _listing(tmp_path) == before
 
 

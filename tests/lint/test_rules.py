@@ -5,10 +5,12 @@ expected findings) and one *clean* fixture (no findings under the full
 rule set, which also proves the fixtures do not trip each other's rules).
 The scoped rules (RPR002/RPR004/RPR018) live under a fake package tree
 in ``fixtures/proj`` so module-name derivation resolves them into the
-``repro.*`` namespaces the rules watch.  The whole-program rule RPR010
-is exercised here on a single self-contained module — ``lint_file``
-runs pass 2 over a singleton index — and again over a real multi-module
-package in ``test_project_rules.py``.
+``repro.*`` namespaces the rules watch.  So do the fixtures of the
+whole-program rule RPR010, whose entry points are what the modules of
+``repro.discovery``/``repro.kge`` list in ``__all__``.  It is exercised
+here on single self-contained modules — ``lint_file`` runs pass 2 over a
+singleton index — and again over a real multi-module package in
+``test_project_rules.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ CASES = [
         "proj/repro/autograd/rpr004_clean.py",
         2,
     ),
-    ("RPR010", "rpr010_bad.py", "rpr010_clean.py", 2),
+    (
+        "RPR010",
+        "proj/repro/kge/rpr010_bad.py",
+        "proj/repro/kge/rpr010_clean.py",
+        2,
+    ),
     (
         "RPR018",
         "proj/repro/serve/rpr018_bad.py",
@@ -62,6 +69,23 @@ def test_bad_fixture_is_flagged(rule_id, bad, clean, count):
 )
 def test_clean_fixture_passes_all_rules(rule_id, bad, clean, count):
     assert ENGINE.lint_file(FIXTURES / clean) == []
+
+
+@pytest.mark.parametrize(
+    "fixture, witness",
+    [
+        ("rpr010_anytime_bad.py", "anytime_discover -> _pull"),
+        (
+            "rpr010_callback_bad.py",
+            "discover_facts -> discover_facts.<locals>.generate",
+        ),
+    ],
+    ids=["anytime", "callback"],
+)
+def test_rpr010_reaches_every_public_entry_and_every_callback(fixture, witness):
+    findings = ENGINE.lint_file(FIXTURES / "proj/repro/discovery" / fixture)
+    assert [finding.rule_id for finding in findings] == ["RPR010"]
+    assert f"(reachable via {witness})" in findings[0].message
 
 
 def test_derive_module_name_walks_packages():

@@ -56,7 +56,7 @@ class TestResultClassesSpeakReportable:
         stats.rows_scored = 4
         assert isinstance(stats, Reportable)
         clone = RankingStats.from_dict(stats.to_dict())
-        assert clone.as_dict() == stats.as_dict()
+        assert clone.to_dict() == stats.to_dict()
         # summary() speaks canonical keys; from_dict takes field names only.
         assert stats.summary()["candidates_ranked_count"] == 10
         assert stats.summary()["score_seconds"] == 0.0

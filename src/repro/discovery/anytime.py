@@ -207,7 +207,7 @@ def anytime_discover(
                 arm.exhausted = True
                 continue
 
-            arm.total_reward += len(run.rank(candidates)) / len(candidates)
+            arm.total_reward += int(run.rank(candidates).sum()) / len(candidates)
 
     elapsed = watch.elapsed_seconds
     facts, ranks, ranking_stats, _ = run.finish()

@@ -28,7 +28,6 @@ class DiscoveryConfig:
     max_candidates: int = 500
     seed: int = 0
     drop_self_loops: bool = True
-    cache_size: int = 128
 
     def __post_init__(self) -> None:
         if self.top_n < 1:
@@ -37,8 +36,6 @@ class DiscoveryConfig:
             raise ValueError(
                 f"max_candidates must be >= 1, got {self.max_candidates}"
             )
-        if self.cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
 
     def with_(self, **changes) -> "DiscoveryConfig":
         """Return a copy with the given fields replaced."""

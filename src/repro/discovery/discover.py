@@ -218,13 +218,20 @@ def _sample_candidates(
     return np.concatenate(batches, axis=0)[:max_candidates]
 
 
+#: Rows of queued candidates that :class:`_DiscoveryRun` ranks in one
+#: engine pass.  Algorithm 1's relations fit under it together, so one call
+#: ranks once; an exhaustive relation's ~N² complement passes it alone.
+_BATCH_ROWS = 65_536
+
+
 class _DiscoveryRun:
     """One run's kept facts and ranks, and what finding them cost.
 
     Built before the run starts, it remembers the engine's counters and
     the span tree, so it reports this run alone even on a shared engine.
-    :meth:`relation` ranks, keeps and accounts one relation's generated
-    candidates; anytime pulls call :meth:`rank` directly.
+    :meth:`relation` queues one relation's generated candidates and
+    :meth:`flush` ranks the queue in one engine pass; anytime pulls call
+    :meth:`rank` directly.
     """
 
     def __init__(
@@ -239,18 +246,20 @@ class _DiscoveryRun:
         self._spans = SpanDelta(self._registry)
         self._facts: list[np.ndarray] = []
         self._ranks: list[np.ndarray] = []
+        self._queue: list[tuple[int, np.ndarray]] = []
+        self._queued_rows = 0
         self.per_relation: dict[int, int] = {}
         self.candidates_generated = 0
         self.generation_seconds = 0.0
         self.ranking_seconds = 0.0
 
     def rank(self, candidates: np.ndarray) -> np.ndarray:
-        """Lines 14–15: rank candidates, keep and return those within top_n.
+        """Lines 14–15: rank candidates and keep those within top_n.
 
-        Ranks follow the filtered protocol (Bordes et al.) against
-        object-side corruptions.  Scoring is pure inference: ``no_grad``
-        keeps the tape from recording backward closures for millions of
-        candidate scores.
+        Returns the keep mask.  Ranks follow the filtered protocol
+        (Bordes et al.) against object-side corruptions.  Scoring is pure
+        inference: ``no_grad`` keeps the tape from recording backward
+        closures for millions of candidate scores.
         """
         with span("rank") as rank_span:
             with no_grad():
@@ -259,32 +268,51 @@ class _DiscoveryRun:
                 )
         self.ranking_seconds += rank_span.wall_seconds
         keep = ranks <= self._top_n
-        facts, ranks = candidates[keep], ranks[keep]
-        self._registry.counter("discover.facts_count").inc(len(ranks))
-        self._facts.append(facts)
-        self._ranks.append(ranks)
-        return ranks
+        self._registry.counter("discover.facts_count").inc(int(keep.sum()))
+        self._facts.append(candidates[keep])
+        self._ranks.append(ranks[keep])
+        return keep
 
     def relation(
         self, relation: int, candidates: np.ndarray, generation_seconds: float
     ) -> None:
-        """Rank and keep the candidates generated for one relation."""
+        """Queue the candidates generated for one relation.
+
+        The queue is ranked once it holds :data:`_BATCH_ROWS` rows.
+        """
         self.generation_seconds += generation_seconds
-        kept = len(self.rank(candidates)) if len(candidates) else 0
-        logger.debug(
-            "relation %d: %d/%d candidates within top_n=%d",
-            relation,
-            kept,
-            len(candidates),
-            self._top_n,
-        )
         self.candidates_generated += len(candidates)
-        self.per_relation[relation] = kept
+        self.per_relation[relation] = 0
         self._registry.counter("discover.relations_count").inc()
         self._registry.counter("discover.candidates_count").inc(len(candidates))
+        if len(candidates):
+            self._queue.append((relation, candidates))
+            self._queued_rows += len(candidates)
+            if self._queued_rows >= _BATCH_ROWS:
+                self.flush()
+
+    def flush(self) -> None:
+        """Rank every queued candidate in one pass, in relation order."""
+        if not self._queue:
+            return
+        relations, batches = zip(*self._queue)
+        self._queue, self._queued_rows = [], 0
+        lengths = [len(batch) for batch in batches]
+        keep = self.rank(np.concatenate(batches, axis=0))
+        kept = np.add.reduceat(keep.astype(np.int64), np.cumsum(lengths) - lengths)
+        for relation, count, total in zip(relations, kept.tolist(), lengths):
+            self.per_relation[relation] = count
+            logger.debug(
+                "relation %d: %d/%d candidates within top_n=%d",
+                relation,
+                count,
+                total,
+                self._top_n,
+            )
 
     def finish(self):
         """``(facts, ranks, ranking_stats, trace)`` of the run so far."""
+        self.flush()
         facts = (
             np.concatenate(self._facts, axis=0)
             if self._facts
@@ -327,7 +355,6 @@ def discover_facts(
     drop_self_loops: bool = True,
     rule_filter: "RuleFilter | None" = None,
     engine: RankingEngine | None = None,
-    cache_size: int = 128,
     config: DiscoveryConfig | None = None,
     deadline: Deadline | None = None,
 ) -> DiscoveryResult:
@@ -368,27 +395,26 @@ def discover_facts(
         mechanisms" direction combining CHAI-style rules with sampling.
     engine:
         A shared :class:`~repro.kge.ranking.RankingEngine`; when omitted
-        one is built from ``cache_size``.  Results are identical either
-        way — the engine only changes how ranking is computed, never
-        what it returns.
-    cache_size:
-        LRU score-row cache entries (only used when ``engine`` is
-        omitted); lets later generation iterations reuse rows for
-        re-sampled ``(s, r)`` queries.  Each entry holds two
-        ``num_entities``-sized float64 rows.
+        a cacheless one is built.  The run ranks its candidates in one
+        engine pass over deduplicated queries, so only a shared engine's
+        row cache (carried across calls) can hit.  Results are identical
+        either way — the engine only changes how ranking is computed,
+        never what it returns.
     config:
         Optional :class:`~repro.discovery.config.DiscoveryConfig`.  When
         given it replaces ``strategy``, ``top_n``, ``max_candidates``,
-        ``seed``, ``drop_self_loops`` and ``cache_size`` wholesale —
+        ``seed`` and ``drop_self_loops`` wholesale —
         mixing a config with explicit values for those arguments is not
         supported, so a serialized config replays the exact run it
         describes.
     deadline:
         Optional cooperative :class:`~repro.resilience.Deadline` from the
         caller (e.g. ``run_matrix``'s per-cell budget).  It is checked
-        between relations — a running relation is never interrupted —
-        and raises :class:`~repro.resilience.DeadlineExceededError` on
-        overrun.
+        before each relation's generation — a running relation is never
+        interrupted — and raises
+        :class:`~repro.resilience.DeadlineExceededError` on overrun.  The
+        relations' candidates are queued and ranked together after the
+        last check.
 
     Returns
     -------
@@ -402,7 +428,6 @@ def discover_facts(
         max_candidates = config.max_candidates
         seed = config.seed
         drop_self_loops = config.drop_self_loops
-        cache_size = config.cache_size
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     if max_candidates < 1:
@@ -418,7 +443,7 @@ def discover_facts(
     if stats is None:
         stats = GraphStatistics(train)
     if engine is None:
-        engine = RankingEngine(cache_size=cache_size)
+        engine = RankingEngine()
 
     if isinstance(strategy, str):
         strategy = create_strategy(strategy)
@@ -441,7 +466,7 @@ def discover_facts(
 
         # Cooperative deadline enforcement: a relation in progress
         # always finishes; the budget is checked at each relation
-        # boundary.
+        # boundary, and the queued candidates are ranked after the loop.
         for relation in relations:
             if deadline is not None:
                 deadline.check(f"discover_facts:relation/{relation}")
@@ -459,6 +484,7 @@ def discover_facts(
                     rule_filter,
                 )
             run.relation(relation, candidates, generate_span.wall_seconds)
+        run.flush()
 
     result = run.result(strategy.name, max_candidates, weight_seconds)
     logger.info(

@@ -86,5 +86,6 @@ def exhaustive_discover_facts(
                     pick = rng.choice(len(candidates), size=cap, replace=False)
                     candidates = candidates[pick]
             run.relation(relation, candidates, generate_span.wall_seconds)
+        run.flush()
     strategy = "exhaustive" + ("+rules" if rule_filter is not None else "")
     return run.result(strategy, run.candidates_generated, weight_seconds=0.0)

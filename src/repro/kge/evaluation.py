@@ -120,6 +120,12 @@ def compute_ranks_reference(
     Kept as the reference implementation the equivalence suite checks
     :class:`~repro.kge.ranking.RankingEngine` against; prefer
     :func:`compute_ranks` everywhere else.
+
+    The two agree bit for bit except on a filtered candidate whose own
+    score is ``-inf``.  This path masks the known entities to ``-inf``,
+    so they count as ties of such a target; the engine removes them from
+    both counts.  The reference rank is then higher by half the number
+    of known non-target entities.
     """
     if side not in ("object", "subject"):
         raise ValueError(f"side must be 'object' or 'subject', got {side!r}")

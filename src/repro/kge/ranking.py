@@ -18,9 +18,15 @@ the ranking cost the paper's efficiency (facts/hour) metric measures.
 * **grouped filtering** — the filtered protocol (Bordes et al., 2013) is
   served by :class:`GroupedFilter`, a CSR-style flat index built without
   Python loops, instead of the legacy per-row dict lookup + masking;
+* **chunk arithmetic** — per chunk of unique queries, two
+  ``searchsorted`` calls per row give the greater/equal counts, and the
+  filter corrections are one vectorised pass over (candidate, known
+  entity) pairs counted with ``np.bincount``;
 * **score-row cache** — an optional bounded LRU (:class:`ScoreRowCache`)
-  keyed by ``(model, side, s, r)`` lets repeated generation iterations
-  and anytime/protocol re-ranking reuse rows across calls.
+  keyed by ``(model, side, s, r)`` lets a shared engine reuse rows
+  across calls (anytime pulls, ``repro serve`` requests).  Within one
+  call each unique query is scored once anyway, so a single-call engine
+  needs no cache.
 
 One engine may be shared by several caller threads (``repro serve``
 keeps one per model): its counters, filter LRU and row cache are locked.
@@ -185,6 +191,53 @@ class RankingStats(ReportableMixin):
         return cls(**data)
 
 
+def _chunk_ranks(
+    rows: np.ndarray,
+    sorted_rows: np.ndarray,
+    local: np.ndarray,
+    offsets: np.ndarray,
+    target_ids: np.ndarray,
+    known: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+) -> np.ndarray:
+    """Tie-averaged ranks of one chunk's candidates against their rows.
+
+    ``rows``/``sorted_rows`` hold the chunk's score rows and their sorts.
+    Candidate ``i`` ranks ``target_ids[i]`` against row ``local[i]``, and
+    row ``u``'s candidates are ``offsets[u]:offsets[u + 1]``.  ``known``
+    is ``(entities, starts, stops)``: row ``u``'s known true entities are
+    ``entities[starts[u]:stops[u]]``, and the filtered protocol removes
+    them from both counts, restoring the target itself.
+    """
+    target_scores = rows[local, target_ids]
+    # Two binary searches per row give every candidate's counts of
+    # greater and equal scores; they are the only per-row work.
+    pos_right = np.empty(len(local), dtype=np.int64)
+    pos_left = np.empty(len(local), dtype=np.int64)
+    bounds = offsets.tolist()
+    for row, start, stop in zip(sorted_rows, bounds[:-1], bounds[1:]):
+        scores = target_scores[start:stop]
+        pos_right[start:stop] = row.searchsorted(scores, "right")
+        pos_left[start:stop] = row.searchsorted(scores, "left")
+    greater = rows.shape[1] - pos_right
+    equal = pos_right - pos_left
+    if known is not None:
+        # One (candidate, known entity) pair per known entity of each
+        # candidate's row, compared exactly against the target score.
+        entities, starts, stops = known
+        lengths = (stops - starts)[local]
+        pair = np.arange(len(local)).repeat(lengths)
+        shift = starts[local] - (lengths.cumsum() - lengths)
+        pair_entities = entities[np.arange(len(pair)) + shift[pair]]
+        pair_scores = rows[local[pair], pair_entities]
+        bar = target_scores[pair]
+        # Known entities leave both counts, except that a known target's
+        # own entry ties its score and stays, as the reference restores it.
+        tied = (pair_scores == bar) & (pair_entities != target_ids[pair])
+        greater = greater - np.bincount(pair[pair_scores > bar], minlength=len(local))
+        equal = equal - np.bincount(pair[tied], minlength=len(local))
+    return greater + (equal - 1) / 2.0 + 1.0
+
+
 class RankingEngine:
     """Deduplicated, cached 1-vs-all ranking.
 
@@ -270,9 +323,9 @@ class RankingEngine:
 
         # Candidates grouped by query: order[bounds[u]:bounds[u+1]] are
         # the positions of query u's candidates in the input.
-        order = np.argsort(inverse, kind="stable")
+        order = inverse.argsort(kind="stable")
         sorted_inverse = inverse[order]
-        bounds = np.searchsorted(sorted_inverse, np.arange(num_unique + 1))
+        bounds = sorted_inverse.searchsorted(np.arange(num_unique + 1))
 
         with self._stats_lock:
             self.stats.candidates_ranked += len(triples)
@@ -296,38 +349,16 @@ class RankingEngine:
             )
             scored += chunk_scored
             hits += chunk_hits
-            for u in range(lo, hi):
-                row = rows[u - lo]
-                sorted_row = sorted_rows[u - lo]
-                cand = order[bounds[u] : bounds[u + 1]]
-                target_ids = targets[cand]
-                target_scores = row[target_ids]
-                pos_right = np.searchsorted(sorted_row, target_scores, side="right")
-                pos_left = np.searchsorted(sorted_row, target_scores, side="left")
-                greater = len(sorted_row) - pos_right
-                equal = pos_right - pos_left
+            with span("rank.count"):
+                cand = order[bounds[lo] : bounds[hi]]
+                local = sorted_inverse[bounds[lo] : bounds[hi]] - lo
+                offsets = bounds[lo : hi + 1] - bounds[lo]
+                known = None
                 if known_flat is not None:
-                    known = known_flat[starts[u] : stops[u]]
-                    if len(known):
-                        known_scores = np.sort(row[known])
-                        k_right = np.searchsorted(
-                            known_scores, target_scores, side="right"
-                        )
-                        k_left = np.searchsorted(
-                            known_scores, target_scores, side="left"
-                        )
-                        # ``known`` is ascending (lexsort order), so the
-                        # target-membership test is a searchsorted probe.
-                        probe = np.searchsorted(known, target_ids)
-                        probe = np.minimum(probe, len(known) - 1)
-                        is_known = known[probe] == target_ids
-                        # Masking known entities to -inf removes them from
-                        # both counts; the target's own row entry equals
-                        # its score, so only the equal count needs the
-                        # restore correction.
-                        greater = greater - (len(known) - k_right)
-                        equal = equal - (k_right - k_left) + is_known
-                ranks[cand] = greater + (equal - 1) / 2.0 + 1.0
+                    known = (known_flat, starts[lo:hi], stops[lo:hi])
+                ranks[cand] = _chunk_ranks(
+                    rows, sorted_rows, local, offsets, targets[cand], known
+                )
         # Candidates served without a fresh model call: query dedup
         # within this call plus cache hits carried over from earlier ones.
         reused = len(triples) - scored
@@ -354,44 +385,47 @@ class RankingEngine:
         to the engine's counters.
         """
         size = hi - lo
+        if self.cache is None:
+            rows = self._score(model, side, ua[lo:hi], ub[lo:hi])
+            return rows, np.sort(rows, axis=1), size, 0
         rows: list[np.ndarray | None] = [None] * size
         sorted_rows: list[np.ndarray | None] = [None] * size
         missing: list[int] = []
-        if self.cache is not None:
-            for i in range(size):
-                key = (id(model), side, int(ua[lo + i]), int(ub[lo + i]))
-                hit = self.cache.get(key)
-                if hit is not None:
-                    rows[i], sorted_rows[i] = hit
-                else:
-                    missing.append(i)
-        else:
-            missing = list(range(size))
-
-        seconds = 0.0
+        for i in range(size):
+            key = (id(model), side, int(ua[lo + i]), int(ub[lo + i]))
+            hit = self.cache.get(key)
+            if hit is not None:
+                rows[i], sorted_rows[i] = hit
+            else:
+                missing.append(i)
         if missing:
-            idx = np.asarray(missing, dtype=np.int64)
-            with span("rank.score") as score_span:
-                with no_grad():
-                    if side == "object":
-                        scored = model.scores_sp(ua[lo + idx], ub[lo + idx])
-                    else:
-                        scored = model.scores_po(ua[lo + idx], ub[lo + idx])
-            seconds = score_span.wall_seconds
-            scored = np.asarray(scored)
+            idx = lo + np.asarray(missing, dtype=np.int64)
+            scored = self._score(model, side, ua[idx], ub[idx])
             scored_sorted = np.sort(scored, axis=1)
             for j, i in enumerate(missing):
                 rows[i] = scored[j]
                 sorted_rows[i] = scored_sorted[j]
-                if self.cache is not None:
-                    key = (id(model), side, int(ua[lo + i]), int(ub[lo + i]))
-                    self.cache.put(key, (scored[j], scored_sorted[j]))
+                key = (id(model), side, int(ua[lo + i]), int(ub[lo + i]))
+                self.cache.put(key, (scored[j], scored_sorted[j]))
+            if len(missing) == size:
+                return scored, scored_sorted, size, 0
         hits = size - len(missing)
         with self._stats_lock:
-            self.stats.rows_scored += len(missing)
             self.stats.cache_hits += hits
-            self.stats.score_seconds += seconds
         return np.stack(rows), np.stack(sorted_rows), len(missing), hits
+
+    def _score(self, model, side: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """1-vs-all score rows of the queries ``(a, b)``, one per row."""
+        with span("rank.score") as score_span:
+            with no_grad():
+                if side == "object":
+                    rows = model.scores_sp(a, b)
+                else:
+                    rows = model.scores_po(a, b)
+        with self._stats_lock:
+            self.stats.rows_scored += len(a)
+            self.stats.score_seconds += score_span.wall_seconds
+        return np.asarray(rows)
 
     # ------------------------------------------------------------------
     # Grouped-filter cache

@@ -7,10 +7,11 @@ package ``__init__`` re-exports.
 
 :class:`CallGraph` layers call-edge resolution on top: direct calls,
 ``self.method()`` dispatch with base-class lookup across modules,
-locally-typed instances (``x = Foo(); x.m()``), nested closures, and
+locally-typed instances (``x = Foo(); x.m()``), nested closures,
 functions passed as call arguments (a callback is an edge from the
-function that hands it over).  It provides reachability with witness
-paths for RPR010.
+function that hands it over), and methods called on a parameter or a
+lambda argument (``x.m()`` reaches every ``m`` of the module's classes).
+It provides reachability with witness paths for RPR010.
 
 Both are built once per run from the pass-1 records.
 """
@@ -187,6 +188,14 @@ class CallGraph:
                 target = self._method_node(resolved[0], resolved[1], parts[1])
                 return [target] if target else []
             return []
+        # Parameters and lambda arguments: x.m() may be any same-named
+        # method of a class this module defines.
+        if root in fn.params and len(parts) == 2:
+            return [
+                node_key(module, cls.methods[parts[1]])
+                for cls in info.classes.values()
+                if parts[1] in cls.methods
+            ]
         # Names defined in this module.
         if root in info.definitions and info.definitions[root] != "import":
             target = self._node_for_symbol(module, ".".join(parts))

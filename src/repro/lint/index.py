@@ -5,8 +5,8 @@
 the import bindings with relative imports resolved to absolute dotted
 targets, the top-level symbol table and ``__all__``, each class's bases
 and methods, and per-function call sites (with the functions passed to
-them as values), nested defs, locally-typed instances and determinism
-hazards.
+them as values), nested defs, locally-typed instances, parameter and
+lambda-argument names, and determinism hazards.
 
 The extraction is purely syntactic and local to one module: a
 ``ModuleInfo`` is a function of the module source alone.  Everything
@@ -139,6 +139,8 @@ class FunctionInfo:
     hazards: tuple[Hazard, ...] = ()
     nested: dict[str, str] = field(default_factory=dict)
     local_types: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: Names of the function's parameters and of its lambdas' arguments.
+    params: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -219,6 +221,12 @@ class _SetTracker:
         return self._is_set_expr(expr, self.set_names)
 
 
+def _arguments(args: ast.arguments) -> list[ast.arg]:
+    """Every parameter an ``ast.arguments`` declares."""
+    extra = [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+    return [*args.posonlyargs, *args.args, *args.kwonlyargs, *extra]
+
+
 _ORDER_SINKS = frozenset({"list", "tuple", "enumerate", "array", "fromiter", "stack", "concatenate"})
 
 
@@ -238,6 +246,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.hazards: list[Hazard] = []
         self.local_types: dict[str, tuple[str, ...]] = {}
         self.nested: dict[str, str] = {}
+        self.params: set[str] = {arg.arg for arg in _arguments(func.args)}
         self._sets = _SetTracker(func)
 
     def run(self) -> FunctionInfo:
@@ -251,6 +260,7 @@ class _FunctionExtractor(ast.NodeVisitor):
             hazards=tuple(self.hazards),
             nested=dict(self.nested),
             local_types=dict(self.local_types),
+            params=frozenset(self.params),
         )
 
     # Nested defs are extracted separately by the module walker; don't
@@ -259,6 +269,10 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.nested[node.name] = f"{self.qual}.<locals>.{node.name}"
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        self.params.update(arg.arg for arg in _arguments(node.args))
+        self.generic_visit(node)
 
     def _hazard(self, detail: str, node: ast.expr) -> None:
         self.hazards.append(Hazard(detail, node.lineno, node.col_offset + 1))

@@ -345,7 +345,9 @@ class TestRankingEngineWiring:
         self, trained_distmult, tiny_graph
     ):
         """Cache and chunk settings are pure optimisations: same seed ⇒
-        same facts and ranks regardless of engine configuration."""
+        same facts and ranks regardless of engine configuration.  A row
+        cache comes only with a caller's engine; ``discover_facts`` has no
+        ``cache_size`` of its own."""
         from repro.kge import RankingEngine
 
         kwargs = dict(
@@ -353,7 +355,8 @@ class TestRankingEngineWiring:
         )
         plain = discover_facts(trained_distmult, tiny_graph, **kwargs)
         cached = discover_facts(
-            trained_distmult, tiny_graph, cache_size=64, **kwargs
+            trained_distmult, tiny_graph, engine=RankingEngine(cache_size=64),
+            **kwargs,
         )
         chunked = discover_facts(
             trained_distmult, tiny_graph, engine=RankingEngine(chunk_size=3),
@@ -368,6 +371,11 @@ class TestRankingEngineWiring:
         for other in (cached, chunked, shared):
             np.testing.assert_array_equal(plain.facts, other.facts)
             np.testing.assert_array_equal(plain.ranks, other.ranks)
+            assert other.per_relation == plain.per_relation
+        # One call ranks each unique query once, so its own cache never hits.
+        assert cached.ranking_stats["cache_hits"] == 0
+        with pytest.raises(TypeError, match="cache_size"):
+            discover_facts(trained_distmult, tiny_graph, cache_size=64, **kwargs)
 
     def test_shared_engine_reports_per_run_deltas(
         self, trained_distmult, tiny_graph
@@ -386,6 +394,129 @@ class TestRankingEngineWiring:
         # The second identical run is served from the shared score cache.
         assert second.ranking_stats["cache_hits"] > 0
         assert second.ranking_stats["rows_scored"] < first.ranking_stats["rows_scored"]
+
+
+class _DropRelation:
+    """Rule-filter stand-in that rejects every candidate of one relation."""
+
+    def __init__(self, relation: int) -> None:
+        self.relation = relation
+
+    def filter(self, candidates: np.ndarray) -> np.ndarray:
+        return candidates[candidates[:, 1] != self.relation]
+
+
+class TestBatchedRanking:
+    """One call queues every relation's candidates and ranks them in one
+    engine pass; the output equals ranking each relation on its own."""
+
+    KWARGS = dict(strategy="graph_degree", top_n=15, max_candidates=80, seed=4)
+
+    @staticmethod
+    def per_relation_reference(model, graph, relations, rule_filter=None):
+        """Algorithm 1 with each relation ranked alone by the reference."""
+        from repro.discovery.discover import _sample_candidates
+        from repro.kge.evaluation import compute_ranks_reference
+        from repro.resilience import spawn_stream
+
+        kwargs = TestBatchedRanking.KWARGS
+        strategy = create_strategy(kwargs["strategy"])
+        strategy.prepare(GraphStatistics(graph.train))
+        sample_size = int(np.sqrt(kwargs["max_candidates"])) + 10
+        facts, ranks, per_relation = [], [], {}
+        for relation in relations:
+            candidates = _sample_candidates(
+                strategy,
+                graph.train,
+                relation,
+                spawn_stream(kwargs["seed"], relation),
+                kwargs["max_candidates"],
+                sample_size,
+                True,
+                rule_filter,
+            )
+            kept = 0
+            if len(candidates):
+                got = compute_ranks_reference(
+                    model, candidates, filter_triples=graph.train
+                )
+                keep = got <= kwargs["top_n"]
+                facts.append(candidates[keep])
+                ranks.append(got[keep])
+                kept = int(keep.sum())
+            per_relation[relation] = kept
+        return np.concatenate(facts), np.concatenate(ranks), per_relation
+
+    def test_matches_ranking_each_relation_alone(
+        self, trained_distmult, tiny_graph
+    ):
+        relations = [3, 0, 2, 1]
+        result = discover_facts(
+            trained_distmult, tiny_graph, relations=relations, **self.KWARGS
+        )
+        facts, ranks, per_relation = self.per_relation_reference(
+            trained_distmult, tiny_graph, relations
+        )
+        np.testing.assert_array_equal(result.facts, facts)
+        np.testing.assert_array_equal(result.ranks, ranks)
+        assert list(result.per_relation.items()) == list(per_relation.items())
+
+    def test_relation_without_candidates_keeps_its_zero(
+        self, trained_distmult, tiny_graph
+    ):
+        rules = _DropRelation(2)
+        result = discover_facts(
+            trained_distmult, tiny_graph, rule_filter=rules, **self.KWARGS
+        )
+        facts, ranks, per_relation = self.per_relation_reference(
+            trained_distmult, tiny_graph, [0, 1, 2, 3], rules
+        )
+        assert result.per_relation[2] == 0
+        assert list(result.per_relation) == [0, 1, 2, 3]
+        assert list(result.per_relation.items()) == list(per_relation.items())
+        np.testing.assert_array_equal(result.facts, facts)
+        np.testing.assert_array_equal(result.ranks, ranks)
+
+    def test_no_relations_ranks_nothing(self, trained_distmult, tiny_graph):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = discover_facts(
+                trained_distmult, tiny_graph, relations=[], **self.KWARGS
+            )
+        assert result.per_relation == {}
+        assert result.ranking_seconds == 0.0
+        assert "rank" not in registry.snapshot()["spans"].get("discover", {}).get(
+            "children", {}
+        )
+
+    @pytest.mark.parametrize("cap", [1, 100])
+    def test_flushes_under_a_small_cap_do_not_change_output(
+        self, trained_distmult, tiny_graph, monkeypatch, cap
+    ):
+        import repro.discovery.discover as discover_module
+
+        whole = discover_facts(trained_distmult, tiny_graph, **self.KWARGS)
+        monkeypatch.setattr(discover_module, "_BATCH_ROWS", cap)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            split = discover_facts(trained_distmult, tiny_graph, **self.KWARGS)
+        np.testing.assert_array_equal(split.facts, whole.facts)
+        np.testing.assert_array_equal(split.ranks, whole.ranks)
+        assert list(split.per_relation.items()) == list(whole.per_relation.items())
+        assert split.candidates_generated == whole.candidates_generated
+        rank_spans = registry.snapshot()["spans"]["discover"]["children"]["rank"]
+        assert rank_spans["count"] > 1
+
+    def test_one_rank_span_with_count_score_and_filter_children(
+        self, trained_distmult, tiny_graph
+    ):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = discover_facts(trained_distmult, tiny_graph, **self.KWARGS)
+        assert result.candidates_generated > 0
+        rank = registry.snapshot()["spans"]["discover"]["children"]["rank"]
+        assert rank["count"] == 1
+        assert set(rank["children"]) == {"rank.filter", "rank.score", "rank.count"}
 
 
 class TestEdgeCases:

@@ -166,6 +166,70 @@ class TestEquivalence:
             )
 
 
+class TestScoreEdgeCases:
+    """Scripted tables with infinities, signed zeros and train-triple
+    candidates: exact comparisons keep the engine on the reference."""
+
+    @staticmethod
+    def edge_table(seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, 3, size=(30, 4, 30)).astype(np.float64)
+        cells = rng.random(table.shape)
+        table[cells < 0.1] = np.inf
+        table[(cells >= 0.1) & (cells < 0.25)] = 0.0
+        table[(cells >= 0.25) & (cells < 0.4)] = -0.0
+        return table
+
+    @staticmethod
+    def edge_candidates(kg) -> np.ndarray:
+        rng = np.random.default_rng(2)
+        random = np.stack(
+            [
+                rng.integers(0, 30, 200),
+                rng.integers(0, 4, 200),
+                rng.integers(0, 30, 200),
+            ],
+            axis=1,
+        )
+        # Train triples are candidates too: their targets are known
+        # entities of their own query, and the filter restores them.
+        return np.concatenate([kg.train.array[:120], random])
+
+    @pytest.mark.parametrize("chunk_size", [3, 512])
+    @pytest.mark.parametrize("side", ["object", "subject"])
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_infinities_signed_zeros_and_train_triples(
+        self, kg, chunk_size, side, filtered, seed
+    ):
+        model = ScriptedModel(30, 4, self.edge_table(seed))
+        cands = self.edge_candidates(kg)
+        filter_triples = kg.train if filtered else None
+        got = RankingEngine(chunk_size=chunk_size).compute_ranks(
+            model, cands, filter_triples=filter_triples, side=side
+        )
+        want = compute_ranks_reference(
+            model, cands, filter_triples=filter_triples, side=side
+        )
+        np.testing.assert_array_equal(got, want)
+
+    def test_minus_infinity_target_with_filter(self):
+        """The engine removes known entities from a ``-inf`` target's
+        ties; the reference masks them to ``-inf``, so they stay ties."""
+        table = np.zeros((5, 1, 5))
+        table[0, 0] = [-np.inf, -np.inf, 1.0, -np.inf, 2.0]
+        train = TripleSet(np.array([[0, 0, 2], [0, 0, 3]]), 5, 1)
+        model = ScriptedModel(5, 1, table)
+        # Entity 1 is unknown; entity 3 is a known entity of the query.
+        cands = np.array([[0, 0, 1], [0, 0, 3]])
+        got = RankingEngine().compute_ranks(model, cands, filter_triples=train)
+        # Unknown target: entity 4 is greater, entities 0 and 1 tie.
+        # Known target: the same, plus the target itself restored.
+        np.testing.assert_array_equal(got, [2.5, 3.0])
+        want = compute_ranks_reference(model, cands, filter_triples=train)
+        np.testing.assert_array_equal(want, [3.5, 3.5])
+
+
 class TestDeterminismAndWorkers:
     """Several caller threads share one engine, as ``repro serve``'s
     worker threads share one engine per model."""

@@ -79,8 +79,9 @@ def test_clean_fixture_passes_all_rules(rule_id, bad, clean, count):
             "rpr010_callback_bad.py",
             "discover_facts -> discover_facts.<locals>.generate",
         ),
+        ("rpr010_lambda_bad.py", "anytime_discover -> _Arm.ucb_score"),
     ],
-    ids=["anytime", "callback"],
+    ids=["anytime", "callback", "lambda"],
 )
 def test_rpr010_reaches_every_public_entry_and_every_callback(fixture, witness):
     findings = ENGINE.lint_file(FIXTURES / "proj/repro/discovery" / fixture)

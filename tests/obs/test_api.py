@@ -33,25 +33,29 @@ class TestDiscoveryConfig:
             DiscoveryConfig("entity_frequency")
 
     def test_round_trips_through_dict(self):
-        config = DiscoveryConfig(strategy="uniform", top_n=10, cache_size=0)
+        config = DiscoveryConfig(strategy="uniform", top_n=10, seed=4)
         clone = DiscoveryConfig.from_dict(config.to_dict())
         assert clone == config
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown DiscoveryConfig keys"):
             DiscoveryConfig.from_dict({"strategy": "uniform", "nope": 1})
-        # A config saved with the removed ``workers`` knob fails loudly.
+        # Configs saved with the removed ``workers`` and ``cache_size``
+        # knobs fail loudly.
         with pytest.raises(ValueError, match="unknown DiscoveryConfig keys.*workers"):
             DiscoveryConfig.from_dict({"strategy": "uniform", "workers": 2})
+        with pytest.raises(
+            ValueError, match="unknown DiscoveryConfig keys.*cache_size"
+        ):
+            DiscoveryConfig.from_dict({"strategy": "uniform", "cache_size": 128})
+        with pytest.raises(TypeError, match="cache_size"):
+            DiscoveryConfig(cache_size=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DiscoveryConfig(top_n=0)
         with pytest.raises(ValueError, match="max_candidates"):
             DiscoveryConfig(max_candidates=0)
-        with pytest.raises(ValueError, match="cache_size"):
-            DiscoveryConfig(cache_size=-1)
-        DiscoveryConfig(cache_size=0)  # no cache is a valid setting
 
     def test_with_returns_updated_copy(self):
         base = DiscoveryConfig()

@@ -200,7 +200,7 @@ def _sample_candidates(
     batches: list[np.ndarray] = []
     count = 0
     seen_keys = np.empty(0, dtype=np.int64)
-    for _ in range(MAX_GENERATION_ITERATIONS):
+    for round_ in range(1, MAX_GENERATION_ITERATIONS + 1):
         if count >= max_candidates:
             break
         subjects = strategy.sample(SUBJECT, sample_size, rng, relation=relation)
@@ -212,9 +212,11 @@ def _sample_candidates(
             drop_self_loops,
             rule_filter,
         )
-        seen_keys = np.union1d(seen_keys, keys)
         batches.append(candidates)
         count += len(candidates)
+        # Only a round that comes next reads the seen keys.
+        if count < max_candidates and round_ < MAX_GENERATION_ITERATIONS:
+            seen_keys = np.union1d(seen_keys, keys)
     return np.concatenate(batches, axis=0)[:max_candidates]
 
 

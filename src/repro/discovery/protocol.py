@@ -27,7 +27,7 @@ import numpy as np
 from ..autograd import no_grad
 from ..kg.graph import KnowledgeGraph
 from ..kg.stats import GraphStatistics
-from ..kg.triples import TripleSet, encode_keys
+from ..kg.triples import TripleSet
 from ..kge.config import ModelConfig, TrainConfig
 from ..kge.ranking import RankingEngine
 from ..kge.training import fit
@@ -153,17 +153,14 @@ def heldout_discovery_protocol(
     per_relation_recall: dict[int, float] = {}
     if len(hidden):
         hidden_arr = hidden.array
-        n, k = graph.num_entities, graph.num_relations
-        recovered_keys = (
-            set(encode_keys(discovery.facts[recovered_mask], n, k).tolist())
-            if num_recovered
-            else set()
+        discovered = TripleSet(
+            discovery.facts, graph.num_entities, graph.num_relations
         )
-        for relation in np.unique(hidden_arr[:, 1]):
-            rel_hidden = hidden_arr[hidden_arr[:, 1] == relation]
-            keys = encode_keys(rel_hidden, n, k)
-            hits = sum(1 for key in keys.tolist() if key in recovered_keys)
-            per_relation_recall[int(relation)] = hits / len(rel_hidden)
+        found = discovered.contains(hidden_arr)
+        relations, inverse = np.unique(hidden_arr[:, 1], return_inverse=True)
+        hits = np.bincount(inverse[found], minlength=len(relations))
+        recall_of = hits / np.bincount(inverse)
+        per_relation_recall = dict(zip(relations.tolist(), recall_of.tolist()))
 
     return ProtocolResult(
         num_hidden=len(hidden),

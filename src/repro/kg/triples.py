@@ -11,6 +11,10 @@ sorted key index.  :meth:`TripleSet.persist` writes them into a
 :class:`~repro.kg.storage.MmapBackend` store and
 :meth:`TripleSet.from_backend` reopens them as zero-copy read-only mmap
 views.
+
+The key index also answers the filtered ranking protocol's lookup, which
+entities complete ``(s, r, ?)``; a second sorted ``(r, o, s)`` key
+column, built in memory on first use, answers ``(?, r, o)``.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class TripleSet:
         self._sorted_keys = unique_keys
         self._array.setflags(write=False)
         self._sorted_keys.setflags(write=False)
+        self._subject_keys: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Stores
@@ -119,6 +124,7 @@ class TripleSet:
         self = cls.__new__(cls)
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
+        self._subject_keys = None
         arr = self._array = backend.get(f"{prefix}{_TRIPLES_COL}")
         try:
             self._sorted_keys = backend.get(f"{prefix}{_KEYS_COL}")
@@ -210,19 +216,52 @@ class TripleSet:
         """Sorted array of entity ids appearing as subject or object."""
         return np.unique(self._array[:, [0, 2]])
 
-    def sp_index(self) -> dict[tuple[int, int], np.ndarray]:
-        """Map ``(s, r)`` → array of true objects (filtered-ranking index)."""
-        index: dict[tuple[int, int], list[int]] = {}
-        for s, r, o in self._array:
-            index.setdefault((int(s), int(r)), []).append(int(o))
-        return {k: np.asarray(v, dtype=np.int64) for k, v in index.items()}
+    def known_entities(
+        self, a: np.ndarray, b: np.ndarray, side: str = "object"
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entities this set knows to complete each query, in CSR form.
 
-    def po_index(self) -> dict[tuple[int, int], np.ndarray]:
-        """Map ``(r, o)`` → array of true subjects (filtered-ranking index)."""
-        index: dict[tuple[int, int], list[int]] = {}
-        for s, r, o in self._array:
-            index.setdefault((int(r), int(o)), []).append(int(s))
-        return {k: np.asarray(v, dtype=np.int64) for k, v in index.items()}
+        On the ``"object"`` side query ``i`` is ``(s, r) = (a[i], b[i])``
+        and its entities are the objects of the ``(s, r, ?)`` triples; on
+        the ``"subject"`` side it is ``(r, o)`` and they are the subjects
+        of ``(?, r, o)``.  Returns ``(entities, starts, stops)``: query
+        ``i``'s entities are ``entities[starts[i]:stops[i]]``, ascending,
+        and an unknown query has an empty segment.
+
+        Both sides read a sorted column of keys ``q·N + e``, where ``q``
+        is the query's key and ``e < N`` the entity: each query is one
+        contiguous run found by two binary searches, and each entity is
+        its key modulo ``N``.  The object side's column is the
+        membership index itself.
+        """
+        if side == "object":
+            column, radix = self._sorted_keys, self.num_relations
+        elif side == "subject":
+            column, radix = self._subject_key_column(), self.num_entities
+        else:
+            raise ValueError(f"side must be 'object' or 'subject', got {side!r}")
+        n = np.int64(self.num_entities)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        base = (a * np.int64(radix) + b) * n
+        first = column.searchsorted(base)
+        lengths = column.searchsorted(base + n) - first
+        stops = lengths.cumsum()
+        starts = stops - lengths
+        flat = np.arange(lengths.sum()) + np.repeat(first - starts, lengths)
+        return column[flat] % n, starts, stops
+
+    def _subject_key_column(self) -> np.ndarray:
+        """Sorted ``(r·N + o)·N + s`` keys, built once on first use.
+
+        The set is immutable, so threads that race to build the column
+        build equal arrays and either assignment is correct.
+        """
+        if self._subject_keys is None:
+            n = self.num_entities
+            keys = np.sort(encode_keys(self._array[:, [1, 2, 0]], n, n))
+            keys.setflags(write=False)
+            self._subject_keys = keys
+        return self._subject_keys
 
     # ------------------------------------------------------------------
     # Set algebra

@@ -30,7 +30,7 @@ from .losses import (
 )
 from .negative_sampling import NegativeSampler
 from .query import Answer, top_objects, top_subjects
-from .ranking import GroupedFilter, RankingEngine, RankingStats, ScoreRowCache
+from .ranking import RankingEngine, RankingStats, ScoreRowCache
 from .reciprocal import ReciprocalWrapper
 from .rescal import RESCAL
 from .rotate import RotatE
@@ -73,7 +73,6 @@ __all__ = [
     "compute_ranks",
     "RankingEngine",
     "RankingStats",
-    "GroupedFilter",
     "ScoreRowCache",
     "evaluate_ranking",
     "generate_hard_negatives",

@@ -61,7 +61,14 @@ class RankingMetrics:
 def _filter_index(
     triples: TripleSet, side: str
 ) -> dict[tuple[int, int], np.ndarray]:
-    return triples.sp_index() if side == "object" else triples.po_index()
+    """Map each ``(s, r)`` (object side) / ``(r, o)`` query to its known
+    entities with a plain dict — the reference path's own index, kept
+    independent of :meth:`TripleSet.known_entities`."""
+    columns = [0, 1, 2] if side == "object" else [1, 2, 0]
+    index: dict[tuple[int, int], list[int]] = {}
+    for a, b, entity in triples.array[:, columns].tolist():
+        index.setdefault((a, b), []).append(entity)
+    return {k: np.asarray(v, dtype=np.int64) for k, v in index.items()}
 
 
 def compute_ranks(
@@ -96,9 +103,8 @@ def compute_ranks(
     chunk_size:
         Number of unique queries scored per vectorised batch.
     engine:
-        A shared :class:`RankingEngine` (score cache, thread pool,
-        instrumentation); a throwaway single-threaded engine is created
-        when omitted.
+        A shared :class:`RankingEngine` (score cache, instrumentation);
+        a throwaway engine is created when omitted.
     """
     if engine is None:
         engine = RankingEngine(chunk_size=chunk_size)

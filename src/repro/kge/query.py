@@ -76,7 +76,7 @@ def top_objects(
     r = graph.relations.id_of(relation)
     with no_grad():
         scores = model.scores_sp(np.asarray([s]), np.asarray([r]))[0]
-    known = graph.train.sp_index().get((s, r), np.zeros(0, dtype=np.int64))
+    known = graph.train.known_entities([s], [r], "object")[0]
     return _answers(scores, graph, known, k, exclude_known)
 
 
@@ -93,5 +93,5 @@ def top_subjects(
     o = graph.entities.id_of(obj)
     with no_grad():
         scores = model.scores_po(np.asarray([r]), np.asarray([o]))[0]
-    known = graph.train.po_index().get((r, o), np.zeros(0, dtype=np.int64))
+    known = graph.train.known_entities([r], [o], "subject")[0]
     return _answers(scores, graph, known, k, exclude_known)

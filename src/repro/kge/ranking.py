@@ -15,9 +15,10 @@ the ranking cost the paper's efficiency (facts/hour) metric measures.
   ``(r, o)``) query; each unique query is scored once via
   ``scores_sp``/``scores_po`` and every candidate sharing it is ranked
   against the single row with sorted-row rank arithmetic;
-* **grouped filtering** — the filtered protocol (Bordes et al., 2013) is
-  served by :class:`GroupedFilter`, a CSR-style flat index built without
-  Python loops, instead of the legacy per-row dict lookup + masking;
+* **indexed filtering** — the filtered protocol (Bordes et al., 2013)
+  reads each unique query's known entities from the filter set's own
+  sorted key index (:meth:`~repro.kg.triples.TripleSet.known_entities`),
+  instead of the legacy per-row dict lookup + masking;
 * **chunk arithmetic** — per chunk of unique queries, two
   ``searchsorted`` calls per row give the greater/equal counts, and the
   filter corrections are one vectorised pass over (candidate, known
@@ -29,7 +30,7 @@ the ranking cost the paper's efficiency (facts/hour) metric measures.
   needs no cache.
 
 One engine may be shared by several caller threads (``repro serve``
-keeps one per model): its counters, filter LRU and row cache are locked.
+keeps one per model): its counters and row cache are locked.
 
 Ranks are bit-identical to the reference implementation: the tie-averaged
 rank only needs the counts of strictly-greater and equal scores, and both
@@ -49,7 +50,6 @@ from ..kg.triples import TripleSet
 from ..obs import ReportableMixin, get_registry, span
 
 __all__ = [
-    "GroupedFilter",
     "RankingEngine",
     "RankingStats",
     "ScoreRowCache",
@@ -57,50 +57,6 @@ __all__ = [
 ]
 
 _SIDES = ("object", "subject")
-
-
-class GroupedFilter:
-    """CSR-style map from a ranking query to its known true entities.
-
-    Equivalent to :meth:`TripleSet.sp_index` / :meth:`TripleSet.po_index`
-    but built without Python loops: the triples are lexsorted by
-    ``(query_key, entity)``, so each query's known entities form one
-    contiguous **ascending** slice of a single flat array — ready for
-    vectorised ``searchsorted`` membership and score-count queries.
-    """
-
-    def __init__(self, triples: TripleSet, side: str) -> None:
-        if side not in _SIDES:
-            raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-        arr = triples.array
-        if side == "object":
-            keys = arr[:, 0] * np.int64(triples.num_relations) + arr[:, 1]
-            entities = arr[:, 2]
-        else:
-            keys = arr[:, 1] * np.int64(triples.num_entities) + arr[:, 2]
-            entities = arr[:, 0]
-        order = np.lexsort((entities, keys))
-        self.side = side
-        self.num_entities = triples.num_entities
-        self.num_relations = triples.num_relations
-        self._keys = keys[order]
-        self._entities = entities[order]
-
-    @property
-    def entities(self) -> np.ndarray:
-        """Flat known-entity array; index it with :meth:`segments` bounds."""
-        return self._entities
-
-    def query_keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Scalar keys of ``(s, r)`` (object side) / ``(r, o)`` queries."""
-        radix = self.num_relations if self.side == "object" else self.num_entities
-        return a * np.int64(radix) + b
-
-    def segments(self, query_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, stops)`` slice bounds into :attr:`entities` per query."""
-        starts = np.searchsorted(self._keys, query_keys, side="left")
-        stops = np.searchsorted(self._keys, query_keys, side="right")
-        return starts, stops
 
 
 class ScoreRowCache:
@@ -162,7 +118,8 @@ class RankingStats(ReportableMixin):
     (query dedup within a call plus cache hits across calls);
     ``cache_hits`` counts unique queries answered from the cache.
     ``score_seconds`` covers model scoring only; ``filter_seconds``
-    covers building the grouped filter and its segment lookups.
+    covers looking up each unique query's known entities in the filter
+    set's index.
     """
 
     candidates_ranked: int = 0
@@ -257,12 +214,9 @@ class RankingEngine:
         self.cache = ScoreRowCache(cache_size) if cache_size else None
         self.chunk_size = chunk_size
         self.stats = RankingStats()
-        # One engine may serve concurrent compute_ranks calls; the locks
-        # keep the counters and the filter LRU coherent.
+        # One engine may serve concurrent compute_ranks calls; the lock
+        # keeps the counters coherent.
         self._stats_lock = Lock()
-        self._filters: OrderedDict[tuple[int, str], GroupedFilter] = OrderedDict()
-        self._filter_refs: dict[int, TripleSet] = {}
-        self._filters_lock = Lock()
 
     # ------------------------------------------------------------------
     # Public API
@@ -331,12 +285,10 @@ class RankingEngine:
             self.stats.candidates_ranked += len(triples)
             self.stats.unique_queries += num_unique
 
-        starts = stops = known_flat = None
+        known = None
         if filter_triples is not None:
             with span("rank.filter") as filter_span:
-                grouped = self._grouped_filter(filter_triples, side)
-                starts, stops = grouped.segments(grouped.query_keys(ua, ub))
-                known_flat = grouped.entities
+                known = filter_triples.known_entities(ua, ub, side)
             with self._stats_lock:
                 self.stats.filter_seconds += filter_span.wall_seconds
 
@@ -353,11 +305,12 @@ class RankingEngine:
                 cand = order[bounds[lo] : bounds[hi]]
                 local = sorted_inverse[bounds[lo] : bounds[hi]] - lo
                 offsets = bounds[lo : hi + 1] - bounds[lo]
-                known = None
-                if known_flat is not None:
-                    known = (known_flat, starts[lo:hi], stops[lo:hi])
+                chunk_known = None
+                if known is not None:
+                    entities, starts, stops = known
+                    chunk_known = (entities, starts[lo:hi], stops[lo:hi])
                 ranks[cand] = _chunk_ranks(
-                    rows, sorted_rows, local, offsets, targets[cand], known
+                    rows, sorted_rows, local, offsets, targets[cand], chunk_known
                 )
         # Candidates served without a fresh model call: query dedup
         # within this call plus cache hits carried over from earlier ones.
@@ -426,34 +379,3 @@ class RankingEngine:
             self.stats.rows_scored += len(a)
             self.stats.score_seconds += score_span.wall_seconds
         return np.asarray(rows)
-
-    # ------------------------------------------------------------------
-    # Grouped-filter cache
-    # ------------------------------------------------------------------
-    def _grouped_filter(self, triples: TripleSet, side: str) -> GroupedFilter:
-        """Build (or reuse) the grouped filter for an immutable TripleSet.
-
-        Keyed by identity — TripleSets are immutable, and the strong
-        reference kept here prevents id reuse while the entry lives.
-        """
-        key = (id(triples), side)
-        with self._filters_lock:
-            cached = self._filters.get(key)
-            if cached is not None:
-                self._filters.move_to_end(key)
-                return cached
-        # Build outside the lock — index construction is the slow part —
-        # and re-check on insert in case a concurrent call won the race.
-        grouped = GroupedFilter(triples, side)
-        with self._filters_lock:
-            existing = self._filters.get(key)
-            if existing is not None:
-                self._filters.move_to_end(key)
-                return existing
-            self._filters[key] = grouped
-            self._filter_refs[id(triples)] = triples
-            while len(self._filters) > 8:
-                (old_id, _), _ = self._filters.popitem(last=False)
-                if not any(fid == old_id for fid, _ in self._filters):
-                    self._filter_refs.pop(old_id, None)
-        return grouped

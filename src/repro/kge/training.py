@@ -160,37 +160,32 @@ def _negative_sampling_epoch(
 
 def _kvsall_queries(
     graph: KnowledgeGraph,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Unique (s, r) queries with their true-answer ids in CSR form.
 
     Subject-side queries could be folded in through reciprocal relation
     ids ``r + K`` — but only models trained with ``2·K`` relation rows
     use them; here we instead emit object-side queries only, matching the
     paper's object-corruption evaluation protocol.  Queries keep their
-    first-occurrence order; the answers of query ``q`` are
-    ``ids[indptr[q]:indptr[q + 1]]``, returned as ``(indptr, ids)``.
+    first-occurrence order; their answers are the training set's
+    :meth:`~repro.kg.triples.TripleSet.known_entities` view.
     """
     triples = graph.train.array
     keys = triples[:, 0] * graph.num_relations + triples[:, 1]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # Renumber the unique queries by first occurrence; a stable sort then
-    # groups each query's answers in occurrence order.
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.shape[0])
-    query_of = rank[inverse]
-    counts = np.bincount(query_of, minlength=first.shape[0])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    ids = triples[np.argsort(query_of, kind="stable"), 2]
-    return triples[np.sort(first), :2], (indptr, ids)
+    _, first = np.unique(keys, return_index=True)
+    queries = triples[np.sort(first), :2]
+    return queries, graph.train.known_entities(queries[:, 0], queries[:, 1])
 
 
 def _kvsall_targets(
-    rows: np.ndarray, answers: tuple[np.ndarray, np.ndarray], num_entities: int
+    rows: np.ndarray,
+    answers: tuple[np.ndarray, np.ndarray, np.ndarray],
+    num_entities: int,
 ) -> np.ndarray:
     """Multi-hot ``(len(rows), num_entities)`` targets of the given queries."""
-    indptr, ids = answers
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
+    ids, starts, stops = answers
+    starts = starts[rows]
+    counts = stops[rows] - starts
     owner = np.repeat(np.arange(len(rows)), counts)
     # Position of each answer inside its query's CSR slice.
     within = np.arange(owner.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -202,7 +197,7 @@ def _kvsall_targets(
 def _kvsall_epoch(
     model: KGEModel,
     queries: np.ndarray,
-    answers: tuple[np.ndarray, np.ndarray],
+    answers: tuple[np.ndarray, np.ndarray, np.ndarray],
     loss_fn: BCEWithLogitsLoss,
     optimizer: Optimizer,
     config: TrainConfig,

@@ -32,6 +32,7 @@ from ..api.types import BadRequestError, ModelInfo, ModelNotFoundError, ModelRef
 from ..kg.datasets import resolve_dataset
 from ..kg.graph import KnowledgeGraph
 from ..kg.stats import GraphStatistics
+from ..kg.triples import TripleSet
 from ..kge.base import KGEModel
 from ..kge.checkpoint import checkpoint_header, load_model
 from ..kge.ranking import RankingEngine
@@ -86,6 +87,7 @@ class ModelEntry:
         self.engine = engine
         self.pins = 0
         self._stats: GraphStatistics | None = None
+        self._all_triples: TripleSet | None = None
         self._classifications: dict[tuple[int, bool], dict[str, float]] = {}
 
     def graph_stats(self) -> GraphStatistics:
@@ -94,6 +96,13 @@ class ModelEntry:
             if self._stats is None:
                 self._stats = GraphStatistics(self.graph.train)
             return self._stats
+
+    def all_triples(self) -> TripleSet:
+        """The union of the dataset's splits, built once and reused."""
+        with self._lock:
+            if self._all_triples is None:
+                self._all_triples = self.graph.all_triples()
+            return self._all_triples
 
     def classification(
         self, seed: int, hard_negatives: bool, compute: Callable[[], dict[str, float]]

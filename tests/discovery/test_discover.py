@@ -572,3 +572,49 @@ def test_summary_flattens_the_trace_when_observed(trained_distmult, tiny_graph):
     for path, node in result.trace.items():
         assert summary[f"span.{path}.wall_seconds"] == node["wall_seconds"]
     assert "span.discover/discover.weights.wall_seconds" in summary
+
+
+class _FixedSample:
+    """A strategy that draws the same entities every round."""
+
+    def sample(self, side, size, rng, relation=None):
+        return np.arange(size, dtype=np.int64)
+
+
+class TestSampleCandidates:
+    """Generation rounds skip keys drawn earlier, and only a round that a
+    later round reads pays for recording them."""
+
+    @staticmethod
+    def sample(graph, max_candidates):
+        from repro.discovery.discover import _sample_candidates
+
+        return _sample_candidates(
+            _FixedSample(), graph.train, 0, np.random.default_rng(0),
+            max_candidates, 6, True, None,
+        )
+
+    @staticmethod
+    def count_unions(monkeypatch):
+        calls = []
+        union = np.union1d
+
+        def counting_union(*args):
+            calls.append(1)
+            return union(*args)
+
+        monkeypatch.setattr(np, "union1d", counting_union)
+        return calls
+
+    def test_repeated_rounds_add_no_duplicates(self, tiny_graph, monkeypatch):
+        from repro.discovery import MAX_GENERATION_ITERATIONS
+
+        calls = self.count_unions(monkeypatch)
+        candidates = self.sample(tiny_graph, 10**6)
+        assert len(np.unique(candidates, axis=0)) == len(candidates) > 0
+        assert len(calls) == MAX_GENERATION_ITERATIONS - 1
+
+    def test_a_filling_round_records_no_keys(self, tiny_graph, monkeypatch):
+        calls = self.count_unions(monkeypatch)
+        assert len(self.sample(tiny_graph, 3)) == 3
+        assert calls == []

@@ -93,6 +93,18 @@ class TestProtocol:
         for value in result.per_relation_recall.values():
             assert 0.0 <= value <= 1.0
 
+    def test_per_relation_recall_matches_a_hand_count(self, small_graph, result):
+        _, hidden = hide_triples(small_graph, fraction=0.15, seed=0)
+        discovered = set(map(tuple, result.discovery.facts.tolist()))
+        totals: dict[int, int] = {}
+        hits: dict[int, int] = {}
+        for s, r, o in hidden:
+            totals[r] = totals.get(r, 0) + 1
+            hits[r] = hits.get(r, 0) + ((s, r, o) in discovered)
+        want = {r: hits[r] / totals[r] for r in totals}
+        assert result.per_relation_recall == want
+        assert any(value > 0 for value in want.values())
+
     def test_summary_flat(self, result):
         summary = result.summary()
         assert set(summary) == {

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.kg import MmapBackend, TripleSet, encode_keys
+from repro.kg import KGProfile, MmapBackend, TripleSet, encode_keys, generate_kg
+from repro.kge.evaluation import _filter_index
+
+from ..helpers import run_in_threads
 
 
 def make(triples, n=10, k=3) -> TripleSet:
@@ -95,22 +100,83 @@ class TestQueries:
         np.testing.assert_array_equal(ts.unique_relations(), [0, 2])
         np.testing.assert_array_equal(ts.unique_entities(), [0, 1, 2])
 
-    def test_sp_index(self):
-        ts = make([[0, 0, 1], [0, 0, 2], [1, 0, 3]])
-        index = ts.sp_index()
-        np.testing.assert_array_equal(sorted(index[(0, 0)]), [1, 2])
-        np.testing.assert_array_equal(index[(1, 0)], [3])
+    def test_known_objects(self):
+        ts = make([[0, 0, 2], [0, 0, 1], [1, 0, 3]])
+        entities, starts, stops = ts.known_entities([0, 1], [0, 0], "object")
+        assert entities[starts[0] : stops[0]].tolist() == [1, 2]
+        assert entities[starts[1] : stops[1]].tolist() == [3]
 
-    def test_po_index(self):
-        ts = make([[0, 0, 2], [1, 0, 2]])
-        index = ts.po_index()
-        np.testing.assert_array_equal(sorted(index[(0, 2)]), [0, 1])
+    def test_known_subjects(self):
+        ts = make([[1, 0, 2], [0, 0, 2]])
+        entities, starts, stops = ts.known_entities([0], [2], "subject")
+        assert entities[starts[0] : stops[0]].tolist() == [0, 1]
 
     def test_iteration_yields_python_ints(self):
         ts = make([[0, 1, 2]])
         triple = next(iter(ts))
         assert triple == (0, 1, 2)
         assert all(isinstance(v, int) for v in triple)
+
+
+@pytest.fixture(scope="module")
+def kg():
+    """A small synthetic KG with skewed popularity (long segments)."""
+    return generate_kg(
+        KGProfile(
+            name="known-entities",
+            num_entities=30,
+            num_relations=4,
+            num_triples=200,
+            num_types=3,
+            popularity_exponent=0.8,
+            triangle_closure_prob=0.2,
+            seed=5,
+        )
+    )
+
+
+class TestKnownEntities:
+    @pytest.mark.parametrize("side", ["object", "subject"])
+    def test_matches_reference_dict(self, kg, side):
+        index = _filter_index(kg.train, side)
+        pairs = np.asarray(sorted(index), dtype=np.int64)
+        entities, starts, stops = kg.train.known_entities(
+            pairs[:, 0], pairs[:, 1], side
+        )
+        for pair, start, stop in zip(map(tuple, pairs), starts, stops):
+            np.testing.assert_array_equal(
+                entities[start:stop], np.sort(index[pair])
+            )
+
+    @pytest.mark.parametrize("side", ["object", "subject"])
+    def test_unknown_query_has_empty_segment(self, side):
+        ts = make([[0, 0, 1], [2, 1, 3]])
+        entities, starts, stops = ts.known_entities([9], [2], side)
+        assert starts[0] == stops[0] and entities.size == 0
+
+    def test_no_queries(self, kg):
+        entities, starts, stops = kg.train.known_entities([], [], "subject")
+        assert entities.size == starts.size == stops.size == 0
+
+    def test_invalid_side(self, kg):
+        with pytest.raises(ValueError):
+            kg.train.known_entities([0], [0], "diagonal")
+
+    def test_concurrent_first_subject_lookups_agree(self, kg):
+        fresh = TripleSet(kg.train.array, kg.num_entities, kg.num_relations)
+        pairs = kg.train.array[:, 1:]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_in_threads(
+                4, lambda: fresh.known_entities(pairs[:, 0], pairs[:, 1], "subject")
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result is not None for result in results)
+        for result in results:
+            for got, want in zip(result, results[0]):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestSetAlgebra:

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.kg import KGProfile, TripleSet, generate_kg
+from repro.kg import KGProfile, MmapBackend, TripleSet, generate_kg
 from repro.kge import (
-    GroupedFilter,
     RankingEngine,
     ScoreRowCache,
     compute_ranks,
@@ -283,8 +282,8 @@ class TestDeterminismAndWorkers:
         np.testing.assert_array_equal(single, chunked)
 
     def test_filter_cache_eviction_keeps_results_exact(self, kg, candidates):
-        """More distinct filter sets than the grouped-filter cache holds:
-        evicted filters are rebuilt on reuse and every rank stays exact."""
+        """Many distinct filter sets through one engine, each reused after
+        the others: every rank matches a fresh engine's."""
         model = make_model("distmult", kg)
         filters = [
             TripleSet(kg.train.array[: 20 * (i + 1)], kg.num_entities, kg.num_relations)
@@ -384,29 +383,29 @@ class TestScoreRowCache:
         assert len(cache) == 0
 
 
-class TestGroupedFilter:
+class TestBackedFilterSets:
     @pytest.mark.parametrize("side", ["object", "subject"])
-    def test_matches_dict_index(self, kg, side):
-        grouped = GroupedFilter(kg.train, side)
-        index = kg.train.sp_index() if side == "object" else kg.train.po_index()
-        pairs = np.asarray(sorted(index), dtype=np.int64)
-        starts, stops = grouped.segments(
-            grouped.query_keys(pairs[:, 0], pairs[:, 1])
+    @pytest.mark.parametrize("with_keys", [True, False])
+    def test_mmap_filter_ranks_equal_in_memory(
+        self, kg, candidates, tmp_path, side, with_keys
+    ):
+        backend = MmapBackend(tmp_path / "store")
+        kg.train.persist(backend)
+        if not with_keys:
+            # A store without the key column: the index is rebuilt.
+            stripped = MmapBackend(tmp_path / "stripped")
+            stripped.put("triples", backend.get("triples"))
+            backend = stripped
+        assert ("keys" in backend) == with_keys
+        backed = TripleSet.from_backend(backend, kg.num_entities, kg.num_relations)
+        model = make_model("complex", kg)
+        got = RankingEngine().compute_ranks(
+            model, candidates, filter_triples=backed, side=side
         )
-        for (pair, start, stop) in zip(map(tuple, pairs), starts, stops):
-            np.testing.assert_array_equal(
-                grouped.entities[start:stop], np.sort(index[pair])
-            )
-
-    def test_unknown_query_has_empty_segment(self, kg):
-        grouped = GroupedFilter(kg.train, "object")
-        # A query key beyond every real key: empty slice, no KeyError.
-        starts, stops = grouped.segments(np.asarray([np.iinfo(np.int64).max]))
-        assert starts[0] == stops[0]
-
-    def test_invalid_side(self, kg):
-        with pytest.raises(ValueError):
-            GroupedFilter(kg.train, "diagonal")
+        want = RankingEngine().compute_ranks(
+            model, candidates, filter_triples=kg.train, side=side
+        )
+        np.testing.assert_array_equal(got, want)
 
 
 class TestEngineValidation:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import ClassifyRequest, DiscoverRequest, RankRequest, Session
 from repro.api.types import BadRequestError, DeadlineError
+from repro.kg import KnowledgeGraph
 from repro.kge.ranking import RankingEngine
 from repro.obs import MetricsRegistry, use_registry
 from repro.resilience import CheckpointCorruptError, Deadline
@@ -46,6 +47,24 @@ class TestRankFilters:
         )
         np.testing.assert_array_equal(np.asarray(served.ranks), offline)
         assert served.filter == setting
+
+
+    def test_all_filter_union_is_built_once_per_model(
+        self, session, model_id, test_triples, monkeypatch
+    ):
+        built = []
+        union = KnowledgeGraph.all_triples
+
+        def counting_union(graph):
+            built.append(graph.name)
+            return union(graph)
+
+        monkeypatch.setattr(KnowledgeGraph, "all_triples", counting_union)
+        request = RankRequest(model=model_id, triples=test_triples, filter="all")
+        first = session.rank(request)
+        second = session.rank(request)
+        assert len(built) == 1
+        assert first.ranks == second.ranks
 
 
 class TestRequestErrors:

@@ -2,9 +2,8 @@
 
 The self-clean test in tier-1 runs the analyzer over ``src/repro`` on
 every pytest invocation, so the scan has to stay interactive.  The
-engine has one mode: a serial two-pass run with no on-disk state, so
-every scan is cold (parse every file, run pass 1, build the project
-index, run pass 2).  The scan must stay under 10 s and, since tier-1
+engine has one mode: a serial one-pass run with no on-disk state, so
+every scan is cold (parse every file once and run every rule over it).  The scan must stay under 10 s and, since tier-1
 keeps the tree clean, return no findings.
 """
 
@@ -40,7 +39,7 @@ def test_lint_cold_scan_runtime(benchmark):
 
     table = format_table(
         [{"mode": "cold serial", "seconds": round(cold, 3)}],
-        title="repro.lint — two-pass scan runtime (%d files)" % len(run.files),
+        title="repro.lint — one-pass scan runtime (%d files)" % len(run.files),
     )
     save_and_print("lint_runtime", table)
 

@@ -4,6 +4,8 @@ Commands
 --------
 
 * ``datasets`` — list the built-in replica datasets with shape statistics;
+* ``store`` — generate or inspect an out-of-core, mmap-backed KG store;
+* ``reproduce`` — regenerate the paper's headline tables;
 * ``analyze`` — full structural report of a dataset, including relation
   cardinalities and inverse-relation test-leakage detection;
 * ``protocol`` — held-out discovery evaluation (hide → train → discover →
@@ -13,6 +15,7 @@ Commands
 * ``discover`` — run fact discovery with a checkpointed model;
 * ``compare`` — compare sampling strategies on one dataset/model;
 * ``grid`` — sweep the ``top_n`` × ``max_candidates`` hyperparameter grid;
+* ``obs`` — re-render a ``--metrics-out`` metrics/span snapshot;
 * ``serve`` — serve checkpoints over HTTP: a long-lived query server with
   a model registry, request coalescing and live ``/metrics``;
 * ``query`` — one-shot typed client against a running ``repro serve``;

@@ -4,7 +4,6 @@ from .gridsearch import (
     PAPER_MAX_CANDIDATES_GRID,
     PAPER_TOP_N_GRID,
     GridPoint,
-    GridSearchResult,
     hyperparameter_grid,
 )
 from .model_selection import SearchResult, Trial, grid_search_models
@@ -26,11 +25,10 @@ from .runner import (
     get_trained_model,
     run_matrix,
 )
-from .workflow import FactDiscoveryWorkflow, WorkflowReport, WorkflowResult
+from .workflow import FactDiscoveryWorkflow, WorkflowReport
 
 __all__ = [
     "GridPoint",
-    "GridSearchResult",
     "hyperparameter_grid",
     "Trial",
     "SearchResult",
@@ -56,5 +54,4 @@ __all__ = [
     "PAPER_STRATEGIES",
     "FactDiscoveryWorkflow",
     "WorkflowReport",
-    "WorkflowResult",
 ]

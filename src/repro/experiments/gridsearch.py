@@ -18,7 +18,6 @@ from ..resilience import Deadline
 
 __all__ = [
     "GridPoint",
-    "GridSearchResult",
     "hyperparameter_grid",
     "PAPER_TOP_N_GRID",
     "PAPER_MAX_CANDIDATES_GRID",
@@ -54,11 +53,6 @@ class GridPoint(ReportableMixin):
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-#: Canonical name under the unified result API; ``GridPoint`` is the
-#: historical spelling and remains the class's ``__name__``.
-GridSearchResult = GridPoint
 
 
 def hyperparameter_grid(

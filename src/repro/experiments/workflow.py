@@ -24,7 +24,7 @@ from ..kge.training import fit
 from ..obs import ReportableMixin
 from .runner import default_model_config, default_train_config, get_trained_model
 
-__all__ = ["WorkflowReport", "WorkflowResult", "FactDiscoveryWorkflow"]
+__all__ = ["WorkflowReport", "FactDiscoveryWorkflow"]
 
 
 @dataclass
@@ -50,11 +50,6 @@ class WorkflowReport(ReportableMixin):
         }
         out.update(self.discovery.summary())
         return out
-
-
-#: Canonical name under the unified result API; ``WorkflowReport`` is the
-#: historical spelling and remains the class's ``__name__``.
-WorkflowResult = WorkflowReport
 
 
 class FactDiscoveryWorkflow:

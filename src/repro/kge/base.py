@@ -131,29 +131,28 @@ class KGEModel(Module):
         return Tensor(scores.data.reshape(batch, n))
 
     # ------------------------------------------------------------------
-    # Convenience numpy wrappers (inference paths)
+    # Convenience numpy wrappers (inference paths).  Each returns a fresh
+    # model output the caller owns and may write into.
     # ------------------------------------------------------------------
     def scores_spo(self, triples: np.ndarray) -> np.ndarray:
         """Numpy scores of an ``(M, 3)`` triple array (no gradient tape)."""
         triples = np.asarray(triples, dtype=np.int64)
         with no_grad():
-            return self.score_spo(
-                triples[:, 0], triples[:, 1], triples[:, 2]
-            ).data.copy()
+            return self.score_spo(triples[:, 0], triples[:, 1], triples[:, 2]).data
 
     def scores_sp(self, s: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Numpy ``(B, N)`` object-side scores (no gradient tape)."""
         with no_grad():
             return self.score_sp(
                 np.asarray(s, dtype=np.int64), np.asarray(r, dtype=np.int64)
-            ).data.copy()
+            ).data
 
     def scores_po(self, r: np.ndarray, o: np.ndarray) -> np.ndarray:
         """Numpy ``(B, N)`` subject-side scores (no gradient tape)."""
         with no_grad():
             return self.score_po(
                 np.asarray(r, dtype=np.int64), np.asarray(o, dtype=np.int64)
-            ).data.copy()
+            ).data
 
     # ------------------------------------------------------------------
     # Embedding access

@@ -8,12 +8,8 @@ package is an AST-based analyzer with a rule registry, inline
 run as ``python -m repro.lint``, ``repro lint``, or the ``repro-lint``
 console script.
 
-The engine makes one serial run in two passes and keeps no state on
-disk.  Pass 1 parses each file once, in sorted order, runs the per-file
-rules over it and extracts a per-module fact record.  Pass 2 assembles
-the records into a whole-program :class:`~repro.lint.callgraph.ProjectIndex`
-with a resolved call graph and runs the one whole-program rule, RPR010,
-over it.
+The engine makes one serial pass and keeps no state on disk: it parses
+each file once, in sorted order, and runs every rule over it.
 
 Rules
 -----
@@ -24,7 +20,7 @@ RPR002    tape hygiene — inference modules score under ``no_grad``
 RPR003    no in-place ``Tensor.data`` mutation outside optim/modules
 RPR004    backward-closure completeness (``_unbroadcast`` / guards)
 RPR010    determinism taint — unseeded RNG / unordered iteration
-          reachable from the pipeline entry points (whole-program)
+          in any scope of any module
 RPR018    bounded waits — in ``repro.serve``, ``Event``/``Condition``/
           ``Barrier.wait``, ``future.result``, ``Queue.get``,
           ``lock.acquire`` and ``join`` need timeouts
@@ -35,23 +31,18 @@ The tier-1 test ``tests/lint/test_self_clean.py`` runs the analyzer over
 hold on every future change.
 """
 
-from .callgraph import CallGraph, ProjectIndex, node_key, split_node
 from .config import LintConfig, find_pyproject, load_config
 from .engine import LintEngine, LintRun
 from .explain import render_rules_doc
 from .findings import PARSE_ERROR_ID, Finding
-from .index import ModuleInfo, build_module_info
 from .reporters import render_json, render_text
 from .rules import (
     ModuleContext,
-    ProjectRule,
     Rule,
     all_rules,
     derive_module_name,
     get_rule,
-    local_rules,
     numpy_aliases,
-    project_rules,
     register_rule,
 )
 from .suppress import filter_suppressed, suppressed_rule_ids
@@ -63,22 +54,13 @@ __all__ = [
     "Finding",
     "PARSE_ERROR_ID",
     "Rule",
-    "ProjectRule",
     "ModuleContext",
-    "ModuleInfo",
-    "ProjectIndex",
-    "CallGraph",
     "LintRun",
     "register_rule",
     "all_rules",
-    "local_rules",
-    "project_rules",
     "get_rule",
     "derive_module_name",
     "numpy_aliases",
-    "node_key",
-    "split_node",
-    "build_module_info",
     "LintConfig",
     "find_pyproject",
     "load_config",

@@ -23,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Domain-aware static analysis for the repro codebase: RNG "
-            "determinism (per file and along the call graph), autodiff-tape "
-            "hygiene, and bounded waits in the query server."
+            "determinism, autodiff-tape hygiene, and bounded waits in the "
+            "query server."
         ),
     )
     parser.add_argument(

@@ -3,12 +3,7 @@
 A rule is a stateless object with a ``rule_id`` and a :meth:`Rule.check`
 method that inspects one parsed module and yields findings.  Rules are
 registered at import time with :func:`register_rule`; the engine runs
-every registered rule.
-
-Two families share the registry.  Local rules (:class:`Rule`) see one
-module at a time and run in pass 1; project rules (:class:`ProjectRule`)
-override :meth:`ProjectRule.check_project` instead and run in pass 2
-over the whole-program :class:`~repro.lint.callgraph.ProjectIndex`.
+every registered rule over every module it scans.
 """
 
 from __future__ import annotations
@@ -16,26 +11,21 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Type
+from typing import Iterator, Type
 
 from .findings import Finding
 
-if TYPE_CHECKING:
-    from .callgraph import CallGraph, ProjectIndex
-
 __all__ = [
     "ModuleContext",
-    "ProjectRule",
     "Rule",
     "register_rule",
     "all_rules",
-    "local_rules",
-    "project_rules",
     "get_rule",
     "derive_module_name",
     "numpy_aliases",
     "in_scope",
     "call_tail",
+    "dotted_name",
     "is_bounded",
     "self_attr",
     "waitable_bindings",
@@ -88,6 +78,18 @@ def call_tail(node: ast.Call) -> str | None:
         return node.func.attr
     if isinstance(node.func, ast.Name):
         return node.func.id
+    return None
+
+
+def dotted_name(expr: ast.expr) -> tuple[str, ...] | None:
+    """``a.b.c`` as ``("a", "b", "c")``; None for non-name-rooted chains."""
+    parts: list[str] = []
+    while isinstance(expr, ast.Attribute):
+        parts.append(expr.attr)
+        expr = expr.value
+    if isinstance(expr, ast.Name):
+        parts.append(expr.id)
+        return tuple(reversed(parts))
     return None
 
 
@@ -203,8 +205,6 @@ class Rule:
     rule_id: str = "RPR???"
     name: str = ""
     description: str = ""
-    #: Scope of analysis, shown in the generated rule reference.
-    scope: str = "per-file"
     #: Why the rule exists — one short paragraph for ``--explain-all``.
     rationale: str = ""
     #: A minimal violating snippet for the generated reference table.
@@ -223,32 +223,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """Base class for inter-procedural (pass 2) rules.
-
-    Project rules never run per-module: :meth:`check` is a no-op and
-    :meth:`check_project` receives the complete index plus the resolved
-    call graph, returning findings for any module in the project.
-    """
-
-    scope = "whole-program"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, index: "ProjectIndex", graph: "CallGraph"
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def project_finding(
-        self, path: str, line: int, col: int, message: str
-    ) -> Finding:
-        return Finding(
-            rule_id=self.rule_id, path=path, line=line, col=col, message=message
-        )
-
-
 def register_rule(cls: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule instance to the registry."""
     if cls.rule_id in _REGISTRY:
@@ -260,16 +234,6 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> list[Rule]:
     """Every registered rule, ordered by id."""
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def local_rules() -> list[Rule]:
-    """Pass-1 rules: everything that is not a :class:`ProjectRule`."""
-    return [rule for rule in all_rules() if not isinstance(rule, ProjectRule)]
-
-
-def project_rules() -> list[ProjectRule]:
-    """Pass-2 rules, ordered by id."""
-    return [rule for rule in all_rules() if isinstance(rule, ProjectRule)]
 
 
 def get_rule(rule_id: str) -> Rule:

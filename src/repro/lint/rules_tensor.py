@@ -24,8 +24,7 @@ import ast
 from typing import Iterator
 
 from .findings import Finding
-from .index import scipy_sparse_aliases, sparse_locals
-from .rules import ModuleContext, Rule, in_scope, register_rule
+from .rules import ModuleContext, Rule, dotted_name, in_scope, register_rule
 
 __all__ = ["DataMutationRule", "BackwardClosureRule"]
 
@@ -37,6 +36,75 @@ _MUTATION_EXEMPT = (
 )
 
 _AUTOGRAD_PREFIX = "repro.autograd"
+
+#: Constructor names of the scipy.sparse matrix/array types whose ``.data``
+#: attribute is a raw value buffer, not an autograd ``Tensor.data``.
+_SPARSE_CONSTRUCTORS = frozenset(
+    {
+        "bsr_matrix", "coo_matrix", "csc_matrix", "csr_matrix",
+        "dia_matrix", "dok_matrix", "lil_matrix",
+        "bsr_array", "coo_array", "csc_array", "csr_array",
+        "dia_array", "dok_array", "lil_array",
+    }
+)
+
+
+def scipy_sparse_aliases(tree: ast.Module) -> frozenset[str]:
+    """Names the module binds to the ``scipy.sparse`` package."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "scipy.sparse":
+                    aliases.add(alias.asname or "scipy")
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "scipy":
+                for alias in node.names:
+                    if alias.name == "sparse":
+                        aliases.add(alias.asname or "sparse")
+    return frozenset(aliases)
+
+
+def _is_sparse_constructor(call: ast.expr, sparse_names: frozenset[str]) -> bool:
+    if not isinstance(call, ast.Call):
+        return False
+    dotted = dotted_name(call.func)
+    if dotted is None:
+        return False
+    if dotted[-1] not in _SPARSE_CONSTRUCTORS:
+        return False
+    # Either ``sp.csr_matrix(...)`` through a scipy.sparse alias or a
+    # bare ``csr_matrix(...)`` imported from it.
+    return len(dotted) == 1 or dotted[0] in sparse_names
+
+
+def sparse_locals(func: ast.AST, sparse_names: frozenset[str]) -> frozenset[str]:
+    """Names in ``func`` statically known to hold scipy sparse matrices.
+
+    A name qualifies when every assignment to it inside ``func`` binds a
+    scipy.sparse constructor call (``sp.csr_matrix(...)``) — reassigned
+    or ambiguous names never qualify, keeping the inference sound for
+    RPR003's non-Tensor exemption.
+    """
+    assigned: dict[str, bool] = {}
+    for node in ast.walk(func):
+        targets: list[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+            value = node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+            value = node.value
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                is_sparse = _is_sparse_constructor(value, sparse_names)
+                previous = assigned.get(target.id)
+                assigned[target.id] = is_sparse if previous is None else (
+                    previous and is_sparse
+                )
+    return frozenset(name for name, ok in assigned.items() if ok)
 
 
 def _mutated_data_attribute(target: ast.expr) -> ast.Attribute | None:

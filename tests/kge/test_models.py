@@ -12,6 +12,7 @@ import pytest
 
 from repro.autograd import no_grad
 from repro.kge import available_models, create_model
+from repro.kge.reciprocal import ReciprocalWrapper
 
 N_ENTITIES = 12
 N_RELATIONS = 3
@@ -186,3 +187,35 @@ def test_tape_scores_match_the_numpy_inference_path(name, options):
     np.testing.assert_allclose(
         model.score_po(r, o).data, model.scores_po(r, o), rtol=1e-9, atol=1e-9
     )
+
+
+@pytest.mark.parametrize("side", ["sp", "po", "spo"])
+@pytest.mark.parametrize("reciprocal", [False, True], ids=["plain", "reciprocal"])
+@pytest.mark.parametrize("name", available_models())
+def test_numpy_scores_are_fresh_arrays(name, reciprocal, side):
+    """The numpy wrappers return arrays nothing else holds.
+
+    Callers such as ``compute_ranks_reference`` mask score rows in place,
+    so a returned array must share no memory with a parameter and must
+    not feed the next call.
+    """
+    build = ReciprocalWrapper.create if reciprocal else create_model
+    model = build(
+        name, num_entities=N_ENTITIES, num_relations=N_RELATIONS, dim=DIM, seed=1
+    )
+    model.eval()
+    entities, relations = np.asarray([3, 0, 7]), np.asarray([0, 1, 2])
+
+    def score():
+        if side == "sp":
+            return model.scores_sp(entities, relations)
+        if side == "po":
+            return model.scores_po(relations, entities)
+        return model.scores_spo(np.stack([entities, relations, entities], axis=1))
+
+    first = score()
+    for param in model.parameters():
+        assert not np.shares_memory(first, param.data)
+    expected = first.copy()
+    first[...] = np.nan
+    np.testing.assert_array_equal(score(), expected)

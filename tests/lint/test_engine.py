@@ -1,8 +1,10 @@
-"""Engine plumbing: config, file collection, reporters, CLI."""
+"""Engine plumbing: config, file collection, reporters, CLI, rule docs."""
 
 from __future__ import annotations
 
+import ast
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -14,12 +16,13 @@ from repro.lint import (
     LintEngine,
     load_config,
     render_json,
+    render_rules_doc,
     render_text,
 )
-from repro.lint import engine as engine_module
 from repro.lint.cli import main as lint_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 BAD_FIXTURES = [
     "rpr001_bad.py",
@@ -84,8 +87,7 @@ def test_engine_runs_every_registered_rule():
     from repro.lint import all_rules
 
     engine = LintEngine(LintConfig(exclude=("*/gen/*",)))
-    rules = engine.local_rules + engine.project_rules
-    assert sorted(rules, key=lambda rule: rule.rule_id) == all_rules()
+    assert engine.rules == all_rules()
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +127,7 @@ def test_collect_files_rejects_non_python_paths(tmp_path):
 
 def test_collect_files_sorts_and_deduplicates_overlapping_paths():
     files = LintEngine().collect_files(
-        [FIXTURES / "rpr001_bad.py", FIXTURES, FIXTURES / "miniproj"]
+        [FIXTURES / "rpr001_bad.py", FIXTURES, FIXTURES / "proj"]
     )
     assert files == sorted(set(files))
     assert files == LintEngine().collect_files([FIXTURES])
@@ -133,37 +135,16 @@ def test_collect_files_sorts_and_deduplicates_overlapping_paths():
 
 def test_run_parses_each_file_exactly_once(monkeypatch):
     parsed: list[str] = []
-    real_parse = engine_module.ast.parse
+    real_parse = ast.parse
 
     def counting_parse(source, *args, **kwargs):
         parsed.append(source)
         return real_parse(source, *args, **kwargs)
 
-    monkeypatch.setattr(engine_module.ast, "parse", counting_parse)
+    monkeypatch.setattr(ast, "parse", counting_parse)
     run = LintEngine().run([FIXTURES])
     assert len(parsed) == len(run.files)
     assert parsed == [file.read_text(encoding="utf-8") for file in run.files]
-
-
-def test_run_builds_one_project_index_and_call_graph(monkeypatch):
-    built: list[str] = []
-
-    class CountingIndex(engine_module.ProjectIndex):
-        def __init__(self, *args, **kwargs):
-            built.append("index")
-            super().__init__(*args, **kwargs)
-
-    class CountingGraph(engine_module.CallGraph):
-        def __init__(self, *args, **kwargs):
-            built.append("graph")
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(engine_module, "ProjectIndex", CountingIndex)
-    monkeypatch.setattr(engine_module, "CallGraph", CountingGraph)
-    engine = LintEngine()
-    assert engine.project_rules
-    engine.run([FIXTURES])
-    assert built == ["index", "graph"]
 
 
 def test_repeated_runs_return_identical_findings():
@@ -230,6 +211,23 @@ def test_cli_list_rules(capsys):
     assert ids == ["RPR001", "RPR002", "RPR003", "RPR004", "RPR010", "RPR018"]
 
 
+def _listing(root: Path) -> list[str]:
+    return sorted(path.relative_to(root).as_posix() for path in root.rglob("*"))
+
+
+def test_configured_cli_run_writes_nothing(tmp_path, monkeypatch, capsys):
+    shutil.copytree(FIXTURES / "proj", tmp_path / "proj")
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.repro-lint]\npaths = ["proj/repro/kge"]\n', encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    before = _listing(tmp_path)
+
+    assert lint_main([]) == 1
+    assert "5 findings in 2 files (4 files checked)" in capsys.readouterr().out
+    assert _listing(tmp_path) == before
+
+
 def test_cli_explain_all_matches_the_committed_rules_doc(capsys):
     assert lint_main(["--explain-all"]) == 0
     doc = Path(__file__).parents[2] / "docs" / "lint_rules.md"
@@ -245,3 +243,24 @@ def test_repro_cli_forwards_lint_arguments(capsys):
         ["lint", "--", str(FIXTURES / "rpr001_bad.py"), "--no-config"]
     )
     assert code == 1
+
+
+# ----------------------------------------------------------------------
+# Generated documentation
+# ----------------------------------------------------------------------
+def test_rule_reference_doc_is_fresh():
+    committed = (REPO_ROOT / "docs" / "lint_rules.md").read_text(
+        encoding="utf-8"
+    )
+    assert committed == render_rules_doc(), (
+        "docs/lint_rules.md is stale; regenerate with "
+        "`python -m repro.lint --explain-all > docs/lint_rules.md`"
+    )
+
+
+def test_every_rule_documents_rationale_and_example():
+    from repro.lint import all_rules
+
+    for rule in all_rules():
+        assert rule.rationale, f"{rule.rule_id} missing rationale"
+        assert rule.example, f"{rule.rule_id} missing example"

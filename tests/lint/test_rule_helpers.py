@@ -115,24 +115,14 @@ def test_waitable_bindings_honours_the_callers_factory_table():
     assert attrs == {}
 
 
-def test_rule_registry_lookup_and_the_two_passes():
-    from repro.lint.rules import (
-        ProjectRule,
-        all_rules,
-        get_rule,
-        local_rules,
-        project_rules,
-    )
+def test_rule_registry_lookup():
+    from repro.lint.rules import all_rules, get_rule
 
     assert get_rule("RPR001").rule_id == "RPR001"
     with pytest.raises(KeyError, match="unknown rule 'RPR999'"):
         get_rule("RPR999")
-    local, project = local_rules(), project_rules()
-    # The passes partition the registry, each in id order.
-    assert sorted(local + project, key=lambda rule: rule.rule_id) == all_rules()
-    assert all(isinstance(rule, ProjectRule) for rule in project)
-    assert not any(isinstance(rule, ProjectRule) for rule in local)
-    assert [rule.rule_id for rule in project] == sorted(r.rule_id for r in project)
+    ids = [rule.rule_id for rule in all_rules()]
+    assert ids == sorted(ids)
 
 
 def test_registering_a_taken_rule_id_is_an_error():

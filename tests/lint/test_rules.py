@@ -5,12 +5,9 @@ expected findings) and one *clean* fixture (no findings under the full
 rule set, which also proves the fixtures do not trip each other's rules).
 The scoped rules (RPR002/RPR004/RPR018) live under a fake package tree
 in ``fixtures/proj`` so module-name derivation resolves them into the
-``repro.*`` namespaces the rules watch.  So do the fixtures of the
-whole-program rule RPR010, whose entry points are what the modules of
-``repro.discovery``/``repro.kge`` list in ``__all__``.  It is exercised
-here on single self-contained modules — ``lint_file`` runs pass 2 over a
-singleton index — and again over a real multi-module package in
-``test_project_rules.py``.
+``repro.*`` namespaces the rules watch.  RPR010 has no scope; its
+further bad fixtures sit in that tree too, each pinned to its exact
+findings.
 """
 
 from __future__ import annotations
@@ -71,22 +68,36 @@ def test_clean_fixture_passes_all_rules(rule_id, bad, clean, count):
     assert ENGINE.lint_file(FIXTURES / clean) == []
 
 
-@pytest.mark.parametrize(
-    "fixture, witness",
-    [
-        ("rpr010_anytime_bad.py", "anytime_discover -> _pull"),
-        (
-            "rpr010_callback_bad.py",
-            "discover_facts -> discover_facts.<locals>.generate",
-        ),
-        ("rpr010_lambda_bad.py", "anytime_discover -> _Arm.ucb_score"),
+#: Every RPR010 bad fixture under ``fixtures/proj/repro`` with its
+#: exact findings: (line, col, qualified name of the enclosing scope).
+RPR010_FINDINGS = {
+    "kge/rpr010_bad.py": [(14, 12, "_make_rng"), (19, 17, "_collect")],
+    "discovery/rpr010_anytime_bad.py": [(21, 12, "_pull")],
+    "discovery/rpr010_callback_bad.py": [
+        (14, 16, "discover_facts.<locals>.generate")
     ],
-    ids=["anytime", "callback", "lambda"],
-)
-def test_rpr010_reaches_every_public_entry_and_every_callback(fixture, witness):
-    findings = ENGINE.lint_file(FIXTURES / "proj/repro/discovery" / fixture)
-    assert [finding.rule_id for finding in findings] == ["RPR010"]
-    assert f"(reachable via {witness})" in findings[0].message
+    "discovery/rpr010_lambda_bad.py": [(17, 16, "_Arm.ucb_score")],
+    "kge/rpr010_module_bad.py": [
+        (9, 7, "<module>"),
+        (13, 14, "Sampler"),
+        (16, 14, "<module>"),
+    ],
+    "serve/rpr010_unreached_bad.py": [
+        (12, 16, "Backoff.jitter"),
+        (16, 17, "spread"),
+    ],
+}
+
+
+@pytest.mark.parametrize("fixture", list(RPR010_FINDINGS))
+def test_rpr010_flags_every_scope_of_every_module(fixture):
+    findings = ENGINE.lint_file(FIXTURES / "proj/repro" / fixture)
+    expected = RPR010_FINDINGS[fixture]
+    assert [(f.rule_id, f.line, f.col) for f in findings] == [
+        ("RPR010", line, col) for line, col, _ in expected
+    ]
+    for finding, (_, _, qual) in zip(findings, expected):
+        assert finding.message.endswith(f" in '{qual}'")
 
 
 def test_derive_module_name_walks_packages():

@@ -1,9 +1,9 @@
 """Tier-1 gate: the repository's own sources must lint clean.
 
 This is the test that makes the analyzer's invariants binding — RNG
-determinism (per file and along the call graph), tape hygiene and
-bounded waits in the query server hold on every change or the suite
-fails with the exact ``path:line:col`` of the violation.
+determinism, tape hygiene and bounded waits in the query server hold on
+every change or the suite fails with the exact ``path:line:col`` of the
+violation.
 """
 
 from __future__ import annotations

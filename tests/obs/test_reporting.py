@@ -67,9 +67,9 @@ class TestResultClassesSpeakReportable:
         from repro.discovery.anytime import AnytimeResult
         from repro.discovery.discover import DiscoveryResult
         from repro.discovery.protocol import ProtocolResult
-        from repro.experiments.gridsearch import GridPoint, GridSearchResult
+        from repro.experiments.gridsearch import GridPoint
         from repro.experiments.runner import MatrixRow
-        from repro.experiments.workflow import WorkflowReport, WorkflowResult
+        from repro.experiments.workflow import WorkflowReport
 
         for cls in (
             AnytimeResult,
@@ -80,8 +80,6 @@ class TestResultClassesSpeakReportable:
             WorkflowReport,
         ):
             assert issubclass(cls, ReportableMixin), cls
-        assert GridSearchResult is GridPoint
-        assert WorkflowResult is WorkflowReport
 
     def test_matrix_row_summary_is_canonical_only(self):
         from repro.experiments.runner import MatrixRow

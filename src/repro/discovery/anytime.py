@@ -193,7 +193,7 @@ def anytime_discover(
                     OBJECT, sample_size, rng, relation=arm.relation
                 )
                 candidates, keys = _unseen_candidates(
-                    _mesh_candidates(subjects, arm.relation, objects),
+                    _mesh_candidates([subjects], [arm.relation], [objects]),
                     train,
                     arm.seen_keys,
                 )

@@ -13,6 +13,13 @@ The implementation mirrors the pseudocode faithfully:
   does not tune;
 * triples already present in the training graph are filtered (line 12);
 * candidates ranked worse than ``top_n`` are dropped (line 15).
+
+Generation runs round-major rather than relation by relation: each round
+draws for every relation still short of its budget, each from its own
+stream, then meshes, filters and cuts all their draws as one array.  Every
+draw and every kept candidate is the one the per-relation loop would give;
+only the per-relation Python overhead goes.  All relations' candidates are
+then ranked in one engine pass.
 """
 
 from __future__ import annotations
@@ -142,14 +149,22 @@ class DiscoveryResult(ReportableMixin):
 
 
 def _mesh_candidates(
-    subjects: np.ndarray, relation: int, objects: np.ndarray
+    subjects: list[np.ndarray], relations: list[int], objects: list[np.ndarray]
 ) -> np.ndarray:
-    """All (s, r, o) combinations of the sampled entities (line 11)."""
-    s_grid, o_grid = np.meshgrid(subjects, objects, indexing="ij")
-    out = np.empty((s_grid.size, 3), dtype=np.int64)
-    out[:, 0] = s_grid.ravel()
-    out[:, 1] = relation
-    out[:, 2] = o_grid.ravel()
+    """All (s, r, o) combinations of each relation's sampled entities (line 11).
+
+    ``subjects[i]`` and ``objects[i]`` were sampled for ``relations[i]``;
+    the meshes follow one another in that order, subject-major.
+    """
+    sizes = [len(s) * len(o) for s, o in zip(subjects, objects)]
+    out = np.empty((sum(sizes), 3), dtype=np.int64)
+    stop = 0
+    for s, relation, o, size in zip(subjects, relations, objects, sizes):
+        stop += size
+        mesh = out[stop - size : stop].reshape(len(s), len(o), 3)
+        mesh[..., 0] = s[:, None]
+        mesh[..., 1] = relation
+        mesh[..., 2] = o
     return out
 
 
@@ -159,70 +174,125 @@ def _unseen_candidates(
     seen_keys: np.ndarray | None,
     drop_self_loops: bool = True,
     rule_filter=None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Candidates that are neither in the graph nor seen before (line 12).
 
     Drops self loops (when asked), triples of ``train``, triples the
     optional ``rule_filter`` rejects, and triples whose key is in the
-    sorted ``seen_keys`` (repeats *within* one batch are kept).  Returns
-    the survivors and their :func:`~repro.kg.triples.encode_keys` keys;
-    the caller truncates them and unions the keys into ``seen_keys``.
-    ``seen_keys=None`` skips the dedup and returns no keys: a graph
-    complement holds each triple once, and keying ~N² rows is costly.
+    sorted ``seen_keys`` (repeats *within* one batch are kept).  Rows keep
+    their order.  Returns the survivors and their
+    :func:`~repro.kg.triples.encode_keys` keys, encoded once for both the
+    graph probe and the seen test; the caller truncates them and unions
+    the keys into ``seen_keys``.  ``seen_keys=None`` skips the dedup: a
+    graph complement holds each triple once.
     """
+    # ``compress`` selects rows several times faster than a boolean index.
+    keys = encode_keys(candidates, train.num_entities, train.num_relations)
+    keep = ~train.contains_keys(keys)
     if drop_self_loops:
-        candidates = candidates[candidates[:, 0] != candidates[:, 2]]
-    candidates = candidates[~train.contains(candidates)]
+        keep &= candidates[:, 0] != candidates[:, 2]
+    candidates, keys = candidates.compress(keep, axis=0), keys[keep]
     if rule_filter is not None:
         candidates = rule_filter.filter(candidates)
-    if seen_keys is None:
-        return candidates, None
-    keys = encode_keys(candidates, train.num_entities, train.num_relations)
-    fresh = ~np.isin(keys, seen_keys)
-    return candidates[fresh], keys[fresh]
+        keys = encode_keys(candidates, train.num_entities, train.num_relations)
+    if seen_keys is not None and seen_keys.size:
+        fresh = ~np.isin(keys, seen_keys)
+        candidates, keys = candidates.compress(fresh, axis=0), keys[fresh]
+    return candidates, keys
 
 
 def _sample_candidates(
     strategy: SamplingStrategy,
     train: TripleSet,
-    relation: int,
-    rng: np.random.Generator,
+    relations: list[int],
+    seed: int,
     max_candidates: int,
     sample_size: int,
     drop_self_loops: bool,
     rule_filter,
-) -> np.ndarray:
-    """Lines 8–13 of Algorithm 1: unseen mesh-grid candidates of a relation.
+    start=None,
+) -> list[np.ndarray]:
+    """Lines 8–13 of Algorithm 1 for a block of distinct relations.
 
-    Generation repeats until ``max_candidates`` candidates exist or
+    Each relation draws from its own stream, ``spawn_stream(seed,
+    relation)``: subjects, then objects, round after round, exactly as it
+    would alone.  A round draws for every relation still short of
+    ``max_candidates``, meshes and filters their draws as one array in one
+    :func:`_unseen_candidates` pass, and cuts each relation to its
+    remaining budget.  Generation stops when every relation is full or
     :data:`MAX_GENERATION_ITERATIONS` rounds have passed.
+    ``start(relation)``, when given, runs before a relation's first draw.
+
+    Returns each relation's candidates, in the order of ``relations``.
     """
-    batches: list[np.ndarray] = []
-    count = 0
+    ids = np.asarray(relations, dtype=np.int64)
+    # A survivor's owner is its relation's place in ``relations``, found
+    # from its relation column; survivors stay grouped by owner.
+    slot = np.zeros(train.num_relations, dtype=np.intp)
+    slot[ids] = np.arange(len(ids))
+    rngs: list[np.random.Generator] = []
+    counts = np.zeros(len(relations), dtype=np.int64)
+    batches: list[list[np.ndarray]] = [[] for _ in relations]
     seen_keys = np.empty(0, dtype=np.int64)
+    active = list(range(len(relations)))
     for round_ in range(1, MAX_GENERATION_ITERATIONS + 1):
-        if count >= max_candidates:
+        with span("generate.sample"):
+            subjects, objects = [], []
+            for i in active:
+                relation = relations[i]
+                if round_ == 1:
+                    if start is not None:
+                        start(relation)
+                    rngs.append(spawn_stream(seed, relation))
+                for side, draws in ((SUBJECT, subjects), (OBJECT, objects)):
+                    draws.append(
+                        strategy.sample(side, sample_size, rngs[i], relation=relation)
+                    )
+        with span("generate.filter"):
+            candidates, keys = _unseen_candidates(
+                _mesh_candidates(subjects, ids[active], objects),
+                train,
+                seen_keys,
+                drop_self_loops,
+                rule_filter,
+            )
+            owner = slot[candidates[:, 1]]
+            found = np.bincount(owner, minlength=len(relations))
+            room = max_candidates - counts
+            place = np.arange(len(owner)) - (found.cumsum() - found)[owner]
+            taken = np.minimum(found, room)
+            kept = candidates.compress(place < room[owner], axis=0)
+            pieces = np.split(kept, taken.cumsum()[:-1])
+            for i in active:
+                batches[i].append(pieces[i])
+            counts += taken
+            active = [i for i in active if counts[i] < max_candidates]
+            # Only a round that comes next reads the seen keys.
+            if active and round_ < MAX_GENERATION_ITERATIONS:
+                short = counts[owner] < max_candidates
+                seen_keys = np.union1d(seen_keys, keys[short])
+        if not active:
             break
-        subjects = strategy.sample(SUBJECT, sample_size, rng, relation=relation)
-        objects = strategy.sample(OBJECT, sample_size, rng, relation=relation)
-        candidates, keys = _unseen_candidates(
-            _mesh_candidates(subjects, relation, objects),
-            train,
-            seen_keys,
-            drop_self_loops,
-            rule_filter,
-        )
-        batches.append(candidates)
-        count += len(candidates)
-        # Only a round that comes next reads the seen keys.
-        if count < max_candidates and round_ < MAX_GENERATION_ITERATIONS:
-            seen_keys = np.union1d(seen_keys, keys)
-    return np.concatenate(batches, axis=0)[:max_candidates]
+    return [np.concatenate(batch, axis=0) for batch in batches]
+
+
+def _blocks(relations: list[int], size: int):
+    """``relations`` in order, cut into runs of at most ``size`` distinct ids."""
+    block: list[int] = []
+    for relation in relations:
+        if len(block) == size or relation in block:
+            yield block
+            block = []
+        block.append(relation)
+    if block:
+        yield block
 
 
 #: Rows of queued candidates that :class:`_DiscoveryRun` ranks in one
 #: engine pass.  Algorithm 1's relations fit under it together, so one call
-#: ranks once; an exhaustive relation's ~N² complement passes it alone.
+#: ranks once; an exhaustive relation's ~N² complement passes it alone.  It
+#: also bounds the mesh rows of one generation round: ``discover_facts``
+#: takes relations in blocks of at most ``_BATCH_ROWS // sample_size²``.
 _BATCH_ROWS = 65_536
 
 
@@ -231,9 +301,10 @@ class _DiscoveryRun:
 
     Built before the run starts, it remembers the engine's counters and
     the span tree, so it reports this run alone even on a shared engine.
-    :meth:`relation` queues one relation's generated candidates and
-    :meth:`flush` ranks the queue in one engine pass; anytime pulls call
-    :meth:`rank` directly.
+    :meth:`start` counts a relation as its generation begins,
+    :meth:`relation` queues its generated candidates and :meth:`flush`
+    ranks the queue in one engine pass; anytime pulls call :meth:`rank`
+    directly.
     """
 
     def __init__(
@@ -275,17 +346,17 @@ class _DiscoveryRun:
         self._ranks.append(ranks[keep])
         return keep
 
-    def relation(
-        self, relation: int, candidates: np.ndarray, generation_seconds: float
-    ) -> None:
-        """Queue the candidates generated for one relation.
+    def start(self, relation: int) -> None:
+        """Count a relation whose generation begins now."""
+        self.per_relation[relation] = 0
+        self._registry.counter("discover.relations_count").inc()
+
+    def relation(self, relation: int, candidates: np.ndarray) -> None:
+        """Queue the candidates generated for one started relation.
 
         The queue is ranked once it holds :data:`_BATCH_ROWS` rows.
         """
-        self.generation_seconds += generation_seconds
         self.candidates_generated += len(candidates)
-        self.per_relation[relation] = 0
-        self._registry.counter("discover.relations_count").inc()
         self._registry.counter("discover.candidates_count").inc(len(candidates))
         if len(candidates):
             self._queue.append((relation, candidates))
@@ -395,6 +466,8 @@ def discover_facts(
         Optional :class:`~repro.discovery.rules.RuleFilter` applied to
         each candidate batch before ranking — the paper's §6 "pruning
         mechanisms" direction combining CHAI-style rules with sampling.
+        Any object whose ``filter(candidates)`` returns a subset of the
+        rows in their order will do; one batch holds several relations.
     engine:
         A shared :class:`~repro.kge.ranking.RankingEngine`; when omitted
         a cacheless one is built.  The run ranks its candidates in one
@@ -412,11 +485,14 @@ def discover_facts(
     deadline:
         Optional cooperative :class:`~repro.resilience.Deadline` from the
         caller (e.g. ``run_matrix``'s per-cell budget).  It is checked
-        before each relation's generation — a running relation is never
+        before each relation's first draw — a generation round is never
         interrupted — and raises
-        :class:`~repro.resilience.DeadlineExceededError` on overrun.  The
-        relations' candidates are queued and ranked together after the
-        last check.
+        :class:`~repro.resilience.DeadlineExceededError` on overrun, which
+        discards the relations already started.  Relations are generated
+        together, in blocks whose round meshes hold at most 65,536 rows,
+        so in a typical call every check comes before the first round's
+        meshes are filtered; the candidates are ranked after the last
+        block.
 
     Returns
     -------
@@ -466,26 +542,32 @@ def discover_facts(
         # Line 4: mesh-grid side length.
         sample_size = int(np.sqrt(max_candidates)) + 10
 
-        # Cooperative deadline enforcement: a relation in progress
-        # always finishes; the budget is checked at each relation
-        # boundary, and the queued candidates are ranked after the loop.
-        for relation in relations:
+        def start(relation: int) -> None:
+            # Cooperative deadline: checked before each relation's first
+            # draw; nothing started is kept on overrun.
             if deadline is not None:
                 deadline.check(f"discover_facts:relation/{relation}")
+            run.start(relation)
+
+        # Relations generate in blocks whose round meshes fit the ranking
+        # queue's row cap; one block holds every relation of a typical
+        # call.  Candidates queue in the order of ``relations``.
+        for block in _blocks(relations, max(1, _BATCH_ROWS // sample_size**2)):
             with span("discover.generate") as generate_span:
-                # Every relation draws from its own stream, so its outcome
-                # does not depend on which relations ran before it.
-                candidates = _sample_candidates(
+                batches = _sample_candidates(
                     strategy,
                     train,
-                    relation,
-                    spawn_stream(seed, relation),
+                    block,
+                    seed,
                     max_candidates,
                     sample_size,
                     drop_self_loops,
                     rule_filter,
+                    start,
                 )
-            run.relation(relation, candidates, generate_span.wall_seconds)
+            run.generation_seconds += generate_span.wall_seconds
+            for relation, candidates in zip(block, batches):
+                run.relation(relation, candidates)
         run.flush()
 
     result = run.result(strategy.name, max_candidates, weight_seconds)

@@ -30,7 +30,7 @@ def _complement_for_relation(
     """All non-existing triples with the given relation that pass the rules."""
     entities = np.arange(graph.num_entities)
     candidates, _ = _unseen_candidates(
-        _mesh_candidates(entities, relation, entities),
+        _mesh_candidates([entities], [relation], [entities]),
         graph.train,
         None,
         drop_self_loops,
@@ -78,6 +78,7 @@ def exhaustive_discover_facts(
     cap = max_candidates_per_relation
     with span("discover"):
         for relation in relations:
+            run.start(relation)
             with span("discover.generate") as generate_span:
                 candidates = _complement_for_relation(
                     graph, relation, drop_self_loops, rule_filter
@@ -85,7 +86,8 @@ def exhaustive_discover_facts(
                 if cap is not None and len(candidates) > cap:
                     pick = rng.choice(len(candidates), size=cap, replace=False)
                     candidates = candidates[pick]
-            run.relation(relation, candidates, generate_span.wall_seconds)
+            run.generation_seconds += generate_span.wall_seconds
+            run.relation(relation, candidates)
         run.flush()
     strategy = "exhaustive" + ("+rules" if rule_filter is not None else "")
     return run.result(strategy, run.candidates_generated, weight_seconds=0.0)

@@ -83,8 +83,17 @@ class KnowledgeGraph:
     # Derived triple sets
     # ------------------------------------------------------------------
     def all_triples(self) -> TripleSet:
-        """Union of train, validation and test triples."""
-        return self.train.union(self.valid).union(self.test)
+        """Union of train, validation and test triples.
+
+        One set over the three splits concatenated: its rows keep their
+        first occurrence, exactly as the chained pairwise unions would.
+        """
+        splits = (self.train, self.valid, self.test)
+        return TripleSet(
+            np.concatenate([split.array for split in splits], axis=0),
+            self.num_entities,
+            self.num_relations,
+        )
 
     def complement_size(self) -> int:
         """Size of the complement graph, |E|²·|R| − |G| over all splits."""

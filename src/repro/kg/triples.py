@@ -197,11 +197,20 @@ class TripleSet:
         triples = np.asarray(triples, dtype=np.int64)
         if triples.size == 0:
             return np.zeros(0, dtype=bool)
-        keys = encode_keys(triples, self.num_entities, self.num_relations)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.minimum(pos, len(self._sorted_keys) - 1) if len(self) else pos
+        return self.contains_keys(
+            encode_keys(triples, self.num_entities, self.num_relations)
+        )
+
+    def contains_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Membership mask for triples already encoded by :func:`encode_keys`.
+
+        Callers that keep the keys of their rows probe with them directly
+        instead of encoding the rows a second time.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
         if len(self) == 0:
             return np.zeros(len(keys), dtype=bool)
+        pos = np.minimum(self._sorted_keys.searchsorted(keys), len(self) - 1)
         return self._sorted_keys[pos] == keys
 
     def by_relation(self, relation: int) -> np.ndarray:

@@ -396,6 +396,74 @@ class TestRankingEngineWiring:
         assert second.ranking_stats["rows_scored"] < first.ranking_stats["rows_scored"]
 
 
+def _reference_candidates(
+    strategy, train, relation, seed, max_candidates, sample_size, rule_filter=None
+):
+    """Lines 8–13 of Algorithm 1 for one relation, transcribed row by row.
+
+    Returns the relation's candidates and the round that ended its
+    generation.
+    """
+    from repro.kg.stats import OBJECT, SUBJECT
+    from repro.resilience import spawn_stream
+
+    rng = spawn_stream(seed, relation)
+    kept: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int, int]] = set()
+    for round_ in range(1, MAX_GENERATION_ITERATIONS + 1):
+        subjects = strategy.sample(SUBJECT, sample_size, rng, relation=relation)
+        objects = strategy.sample(OBJECT, sample_size, rng, relation=relation)
+        mesh = np.asarray(
+            [(s, relation, o) for s in subjects for o in objects if s != o],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        mesh = mesh[~train.contains(mesh)]
+        if rule_filter is not None:
+            mesh = rule_filter.filter(mesh)
+        fresh = [tuple(int(x) for x in row) for row in mesh]
+        fresh = [row for row in fresh if row not in seen]
+        seen.update(fresh)
+        kept.extend(fresh)
+        if len(kept) >= max_candidates:
+            break
+    candidates = np.asarray(kept[:max_candidates], dtype=np.int64).reshape(-1, 3)
+    return candidates, round_
+
+
+def _per_relation_reference(
+    model, graph, relations, strategy, top_n, max_candidates, seed, rule_filter=None
+):
+    """Algorithm 1 relation by relation: each relation's candidates from
+    :func:`_reference_candidates`, ranked alone by the reference ranker.
+
+    Returns ``(facts, ranks, per_relation, candidates_generated, rounds)``,
+    where ``rounds`` is the set of rounds that ended some relation.
+    """
+    from repro.kge.evaluation import compute_ranks_reference
+
+    strategy = create_strategy(strategy)
+    strategy.prepare(GraphStatistics(graph.train))
+    sample_size = int(np.sqrt(max_candidates)) + 10
+    facts, ranks, per_relation = [np.zeros((0, 3), np.int64)], [np.zeros(0)], {}
+    generated, rounds = 0, set()
+    for relation in relations:
+        candidates, round_ = _reference_candidates(
+            strategy, graph.train, relation, seed, max_candidates, sample_size,
+            rule_filter,
+        )
+        rounds.add(round_)
+        generated += len(candidates)
+        kept = 0
+        if len(candidates):
+            got = compute_ranks_reference(model, candidates, filter_triples=graph.train)
+            keep = got <= top_n
+            facts.append(candidates[keep])
+            ranks.append(got[keep])
+            kept = int(keep.sum())
+        per_relation[relation] = kept
+    return np.concatenate(facts), np.concatenate(ranks), per_relation, generated, rounds
+
+
 class _DropRelation:
     """Rule-filter stand-in that rejects every candidate of one relation."""
 
@@ -415,37 +483,11 @@ class TestBatchedRanking:
     @staticmethod
     def per_relation_reference(model, graph, relations, rule_filter=None):
         """Algorithm 1 with each relation ranked alone by the reference."""
-        from repro.discovery.discover import _sample_candidates
-        from repro.kge.evaluation import compute_ranks_reference
-        from repro.resilience import spawn_stream
-
-        kwargs = TestBatchedRanking.KWARGS
-        strategy = create_strategy(kwargs["strategy"])
-        strategy.prepare(GraphStatistics(graph.train))
-        sample_size = int(np.sqrt(kwargs["max_candidates"])) + 10
-        facts, ranks, per_relation = [], [], {}
-        for relation in relations:
-            candidates = _sample_candidates(
-                strategy,
-                graph.train,
-                relation,
-                spawn_stream(kwargs["seed"], relation),
-                kwargs["max_candidates"],
-                sample_size,
-                True,
-                rule_filter,
-            )
-            kept = 0
-            if len(candidates):
-                got = compute_ranks_reference(
-                    model, candidates, filter_triples=graph.train
-                )
-                keep = got <= kwargs["top_n"]
-                facts.append(candidates[keep])
-                ranks.append(got[keep])
-                kept = int(keep.sum())
-            per_relation[relation] = kept
-        return np.concatenate(facts), np.concatenate(ranks), per_relation
+        facts, ranks, per_relation, _, _ = _per_relation_reference(
+            model, graph, relations, rule_filter=rule_filter,
+            **TestBatchedRanking.KWARGS,
+        )
+        return facts, ranks, per_relation
 
     def test_matches_ranking_each_relation_alone(
         self, trained_distmult, tiny_graph
@@ -589,10 +631,10 @@ class TestSampleCandidates:
     def sample(graph, max_candidates):
         from repro.discovery.discover import _sample_candidates
 
-        return _sample_candidates(
-            _FixedSample(), graph.train, 0, np.random.default_rng(0),
-            max_candidates, 6, True, None,
+        [candidates] = _sample_candidates(
+            _FixedSample(), graph.train, [0], 0, max_candidates, 6, True, None,
         )
+        return candidates
 
     @staticmethod
     def count_unions(monkeypatch):
@@ -618,3 +660,114 @@ class TestSampleCandidates:
         calls = self.count_unions(monkeypatch)
         assert len(self.sample(tiny_graph, 3)) == 3
         assert calls == []
+
+
+class TestRoundMajorGeneration:
+    """A block's relations are generated round by round, their meshes
+    filtered as one array; the output equals the per-relation transcription
+    ranked relation by relation, whatever the rounds, filter, order or
+    block size."""
+
+    KWARGS = dict(strategy="graph_degree", top_n=15, max_candidates=100, seed=4)
+
+    @staticmethod
+    def check(model, graph, relations, rule_filter=None, **kwargs):
+        """Assert discover_facts equals the reference; return its rounds."""
+        result = discover_facts(
+            model, graph, relations=relations, rule_filter=rule_filter, **kwargs
+        )
+        facts, ranks, per_relation, generated, rounds = _per_relation_reference(
+            model, graph, relations, rule_filter=rule_filter, **kwargs
+        )
+        np.testing.assert_array_equal(result.facts, facts)
+        np.testing.assert_array_equal(result.ranks, ranks)
+        assert list(result.per_relation.items()) == list(per_relation.items())
+        assert result.candidates_generated == generated
+        return rounds
+
+    @pytest.mark.parametrize(
+        "strategy, max_candidates, rules",
+        [("graph_degree", 300, True), ("relation_frequency", 700, False)],
+    )
+    def test_relations_that_finish_in_different_rounds(
+        self, trained_distmult, tiny_graph, strategy, max_candidates, rules
+    ):
+        from repro.discovery import RuleFilter
+
+        rounds = self.check(
+            trained_distmult,
+            tiny_graph,
+            [0, 1, 2, 3],
+            rule_filter=RuleFilter(tiny_graph.train) if rules else None,
+            strategy=strategy,
+            top_n=15,
+            max_candidates=max_candidates,
+            seed=3,
+        )
+        assert len(rounds) > 1
+
+    def test_a_rule_filter_that_empties_a_relation(
+        self, trained_distmult, tiny_graph
+    ):
+        self.check(
+            trained_distmult, tiny_graph, [0, 1, 2, 3],
+            rule_filter=_DropRelation(1), **self.KWARGS,
+        )
+
+    @pytest.mark.parametrize(
+        "relations", [[3, 1, 2], [2, 2, 0, 2], [1, 3, 1], [0], []]
+    )
+    def test_out_of_order_repeated_and_empty_relations(
+        self, trained_distmult, tiny_graph, relations
+    ):
+        self.check(trained_distmult, tiny_graph, relations, **self.KWARGS)
+
+    @pytest.mark.parametrize("cap, blocks", [(1, 4), (100, 4), (800, 2)])
+    def test_block_size_does_not_change_output(
+        self, trained_distmult, tiny_graph, monkeypatch, cap, blocks
+    ):
+        """A 20×20 mesh is 400 rows: caps under it give one relation per
+        block, 800 gives two."""
+        import repro.discovery.discover as discover_module
+
+        monkeypatch.setattr(discover_module, "_BATCH_ROWS", cap)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            self.check(trained_distmult, tiny_graph, [0, 1, 2, 3], **self.KWARGS)
+        generate = registry.snapshot()["spans"]["discover"]["children"][
+            "discover.generate"
+        ]
+        assert generate["count"] == blocks
+
+    def test_a_repeated_relation_starts_a_new_block(
+        self, trained_distmult, tiny_graph
+    ):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            self.check(trained_distmult, tiny_graph, [2, 2, 0, 2], **self.KWARGS)
+        spans = registry.snapshot()["spans"]["discover"]["children"]
+        assert spans["discover.generate"]["count"] == 3
+
+    @pytest.mark.parametrize(
+        "max_candidates, rounds", [(50, 1), (100, 2), (300, 3)]
+    )
+    def test_generate_has_one_sample_and_one_filter_span_per_round(
+        self, trained_distmult, tiny_graph, max_candidates, rounds
+    ):
+        from repro.discovery import RuleFilter
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            discover_facts(
+                trained_distmult, tiny_graph, strategy="graph_degree", top_n=15,
+                max_candidates=max_candidates, seed=3,
+                rule_filter=RuleFilter(tiny_graph.train),
+            )
+        generate = registry.snapshot()["spans"]["discover"]["children"][
+            "discover.generate"
+        ]
+        assert generate["count"] == 1
+        assert set(generate["children"]) == {"generate.sample", "generate.filter"}
+        for child in generate["children"].values():
+            assert child["count"] == rounds
+            assert child["children"] == {}

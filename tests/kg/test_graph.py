@@ -90,6 +90,20 @@ class TestDerived:
         g = build([[0, 0, 1]], valid=[(1, 0, 2)], test=[(2, 0, 3)])
         assert len(g.all_triples()) == 3
 
+    def test_all_triples_equals_the_chained_union(self):
+        """Overlapping splits: rows keep their first occurrence, so the
+        array and keys equal those of train ∪ valid ∪ test done pairwise."""
+        g = build(
+            [[3, 1, 0], [0, 0, 1], [3, 1, 0]],
+            valid=[(5, 1, 4), (0, 0, 1), (2, 0, 2)],
+            test=[(2, 0, 2), (1, 1, 5), (3, 1, 0), (4, 0, 3)],
+        )
+        chained = g.train.union(g.valid).union(g.test)
+        merged = g.all_triples()
+        np.testing.assert_array_equal(merged.array, chained.array)
+        np.testing.assert_array_equal(merged._sorted_keys, chained._sorted_keys)
+        assert merged == chained and len(merged) == 6
+
     def test_complement_size(self):
         g = build([[0, 0, 1]], n=4, k=1)
         assert g.complement_size() == 4 * 4 * 1 - 1

@@ -88,6 +88,15 @@ class TestQueries:
         ts = make([])
         mask = ts.contains(np.asarray([[0, 0, 1]]))
         np.testing.assert_array_equal(mask, [False])
+        assert ts.contains_keys(np.asarray([0, 7])).tolist() == [False, False]
+
+    def test_contains_keys_probes_encoded_rows(self):
+        ts = make([[0, 0, 1], [1, 1, 2], [9, 2, 9]])
+        probe = np.asarray([[0, 0, 1], [5, 2, 5], [9, 2, 9], [0, 0, 0]])
+        keys = encode_keys(probe, ts.num_entities, ts.num_relations)
+        np.testing.assert_array_equal(ts.contains_keys(keys), ts.contains(probe))
+        assert ts.contains_keys(keys).tolist() == [True, False, True, False]
+        assert ts.contains_keys(np.empty(0, dtype=np.int64)).shape == (0,)
 
     def test_by_relation(self):
         ts = make([[0, 0, 1], [1, 1, 2], [2, 1, 3]])

@@ -241,4 +241,4 @@ def _filter_split(entry: "ModelEntry", name: str):
         return None
     if name == "train":
         return entry.graph.train
-    return entry.all_triples()
+    return entry.graph.all_triples()

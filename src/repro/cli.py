@@ -304,12 +304,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _training_job(model: str, job: str = "auto") -> tuple[str, str]:
+    """The training job and its loss; ``"auto"`` picks by model family."""
+    if job == "auto":
+        job = "negative_sampling" if model in ("transe", "rotate") else "kvsall"
+    return job, {"negative_sampling": "margin", "kvsall": "bce", "1vsall": "softmax"}[job]
+
+
 def _cmd_protocol(args: argparse.Namespace) -> int:
     from .discovery import heldout_discovery_protocol
 
     graph = _load_graph(args.dataset)
-    job = "negative_sampling" if args.model in ("transe", "rotate") else "kvsall"
-    loss = "margin" if job == "negative_sampling" else "bce"
+    job, loss = _training_job(args.model)
     result = heldout_discovery_protocol(
         graph,
         ModelConfig(args.model, dim=args.dim, seed=args.seed),
@@ -337,10 +343,7 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     graph = _load_graph(args.dataset)
-    job = args.job
-    if job == "auto":
-        job = "negative_sampling" if args.model in ("transe", "rotate") else "kvsall"
-    loss = {"negative_sampling": "margin", "kvsall": "bce", "1vsall": "softmax"}[job]
+    job, loss = _training_job(args.model, args.job)
     config = TrainConfig(
         job=job,
         loss=loss,

@@ -30,7 +30,6 @@ from ..kg.stats import GraphStatistics
 from ..kge.base import KGEModel, create_model
 from ..kge.checkpoint import load_model, save_model
 from ..kge.config import ModelConfig, TrainConfig
-from ..kge.evaluation import evaluate_ranking
 from ..kge.training import train_model
 from ..resilience import CheckpointCorruptError
 
@@ -248,7 +247,6 @@ class MatrixRow(ReportableMixin):
     runtime_seconds: float
     weight_seconds: float
     efficiency_facts_per_hour: float
-    test_mrr: float = float("nan")
     trace: dict = field(default_factory=dict)
 
     @classmethod
@@ -257,7 +255,6 @@ class MatrixRow(ReportableMixin):
         dataset: str,
         model: str,
         result: DiscoveryResult,
-        test_mrr: float = float("nan"),
         trace: dict | None = None,
     ) -> "MatrixRow":
         return cls(
@@ -269,7 +266,6 @@ class MatrixRow(ReportableMixin):
             runtime_seconds=result.runtime_seconds,
             weight_seconds=result.weight_seconds,
             efficiency_facts_per_hour=result.efficiency_facts_per_hour(),
-            test_mrr=test_mrr,
             trace=dict(trace) if trace else {},
         )
 
@@ -284,7 +280,6 @@ class MatrixRow(ReportableMixin):
             "runtime_seconds": self.runtime_seconds,
             "weight_seconds": self.weight_seconds,
             "efficiency_facts_per_hour": self.efficiency_facts_per_hour,
-            "test_mrr": self.test_mrr,
         }
         for path, node in self.trace.items():
             out[f"span.{path}.wall_seconds"] = node["wall_seconds"]
@@ -302,24 +297,18 @@ def run_matrix(
     top_n: int = 500,
     max_candidates: int = 500,
     seed: int = 0,
-    evaluate_models: bool = False,
-    share_statistics: bool = False,
 ) -> list[MatrixRow]:
     """Run discovery for every (dataset, model, strategy) combination.
 
-    ``share_statistics=False`` (default) recomputes graph statistics per
-    run so each strategy is charged its own weight-computation cost,
-    exactly as in the paper's runtime measurements; pass ``True`` to
-    amortise it when only fact quality matters.  A failing cell
-    propagates its error.
+    Graph statistics are recomputed per cell so each strategy is charged
+    its own weight-computation cost, exactly as in the paper's runtime
+    measurements.  A failing cell propagates its error.
     """
     rows: list[MatrixRow] = []
     registry = get_registry()
     with span("matrix"):
         for dataset_name in datasets:
             graph = load_dataset(dataset_name)
-            shared_stats = GraphStatistics(graph.train) if share_statistics else None
-            test_mrr_cache: dict[str, float] = {}
             for model_name in models:
                 for strategy_name in strategies:
                     cell = SpanDelta(registry)
@@ -327,12 +316,6 @@ def run_matrix(
                         model = get_trained_model(
                             dataset_name, model_name, graph=graph
                         )
-                        if evaluate_models and model_name not in test_mrr_cache:
-                            test_mrr_cache[model_name] = evaluate_ranking(
-                                model, graph, split="test"
-                            ).mrr
-                        test_mrr = test_mrr_cache.get(model_name, float("nan"))
-                        stats = shared_stats or GraphStatistics(graph.train)
                         result = discover_facts(
                             model,
                             graph,
@@ -340,7 +323,7 @@ def run_matrix(
                             top_n=top_n,
                             max_candidates=max_candidates,
                             seed=seed,
-                            stats=stats,
+                            stats=GraphStatistics(graph.train),
                         )
                     registry.counter("matrix.cells_count").inc()
                     rows.append(
@@ -348,7 +331,6 @@ def run_matrix(
                             dataset_name,
                             model_name,
                             result,
-                            test_mrr,
                             trace=cell.flat(),
                         )
                     )

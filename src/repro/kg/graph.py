@@ -16,9 +16,13 @@ from .vocabulary import Vocabulary
 __all__ = ["KnowledgeGraph"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeGraph:
-    """A knowledge graph with train/validation/test splits.
+    """A frozen knowledge graph with train/validation/test splits.
+
+    The graph builds the union of its splits once, on first use, and
+    keeps it.  Graph statistics are not cached here: each discovery run
+    is charged for its own weight computation, as in the paper.
 
     Attributes
     ----------
@@ -83,23 +87,27 @@ class KnowledgeGraph:
     # Derived triple sets
     # ------------------------------------------------------------------
     def all_triples(self) -> TripleSet:
-        """Union of train, validation and test triples.
+        """Union of train, validation and test triples, built once on first use.
 
         One set over the three splits concatenated: its rows keep their
         first occurrence, exactly as the chained pairwise unions would.
+        The graph is immutable, so threads that race to build the union
+        build equal sets and either assignment is correct.
         """
-        splits = (self.train, self.valid, self.test)
-        return TripleSet(
-            np.concatenate([split.array for split in splits], axis=0),
-            self.num_entities,
-            self.num_relations,
-        )
+        union = self.__dict__.get("_all_triples")
+        if union is None:
+            splits = (self.train, self.valid, self.test)
+            union = TripleSet(
+                np.concatenate([split.array for split in splits], axis=0),
+                self.num_entities,
+                self.num_relations,
+            )
+            object.__setattr__(self, "_all_triples", union)
+        return union
 
     def complement_size(self) -> int:
         """Size of the complement graph, |E|²·|R| − |G| over all splits."""
-        return (
-            self.num_entities**2 * self.num_relations - len(self.all_triples())
-        )
+        return self.all_triples().complement_size()
 
     def average_relations_per_entity(self) -> float:
         """2·M / N — the paper quotes ≈4.5 for WN18RR to explain sparsity."""

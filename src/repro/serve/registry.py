@@ -3,11 +3,13 @@
 Models are registered as ``(dataset, model, config-digest)`` coordinates
 pointing at checksummed checkpoints (:mod:`repro.kge.checkpoint`).  The
 first request touching a model loads it — checksum-verified — and builds
-its warm serving state: the dataset graph, a per-model
+its warm serving state: a per-model
 :class:`~repro.kge.ranking.RankingEngine` whose ``ScoreRowCache``
 persists across requests, lazily-computed graph statistics, and tuned
-classification thresholds.  Loaded entries live in an LRU of bounded
-capacity.
+classification thresholds.  The dataset graph, which caches the union
+of its splits, is loaded once per dataset and shared by every model on
+it, an evicted and reloaded one included.  Loaded entries live in an
+LRU of bounded capacity.
 
 Concurrency contract:
 
@@ -32,7 +34,6 @@ from ..api.types import BadRequestError, ModelInfo, ModelNotFoundError, ModelRef
 from ..kg.datasets import resolve_dataset
 from ..kg.graph import KnowledgeGraph
 from ..kg.stats import GraphStatistics
-from ..kg.triples import TripleSet
 from ..kge.base import KGEModel
 from ..kge.checkpoint import checkpoint_header, load_model
 from ..kge.ranking import RankingEngine
@@ -87,7 +88,6 @@ class ModelEntry:
         self.engine = engine
         self.pins = 0
         self._stats: GraphStatistics | None = None
-        self._all_triples: TripleSet | None = None
         self._classifications: dict[tuple[int, bool], dict[str, float]] = {}
 
     def graph_stats(self) -> GraphStatistics:
@@ -96,13 +96,6 @@ class ModelEntry:
             if self._stats is None:
                 self._stats = GraphStatistics(self.graph.train)
             return self._stats
-
-    def all_triples(self) -> TripleSet:
-        """The union of the dataset's splits, built once and reused."""
-        with self._lock:
-            if self._all_triples is None:
-                self._all_triples = self.graph.all_triples()
-            return self._all_triples
 
     def classification(
         self, seed: int, hard_negatives: bool, compute: Callable[[], dict[str, float]]

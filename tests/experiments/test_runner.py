@@ -234,7 +234,7 @@ def _result(**overrides) -> DiscoveryResult:
 class TestMatrixRow:
     def test_from_result_copies_the_discovery_metrics(self):
         result = _result()
-        row = MatrixRow.from_result("ds", "transe", result, test_mrr=0.4)
+        row = MatrixRow.from_result("ds", "transe", result)
         assert (row.dataset, row.model, row.strategy) == (
             "ds", "transe", "graph_degree",
         )
@@ -243,7 +243,7 @@ class TestMatrixRow:
         assert row.runtime_seconds == result.runtime_seconds
         assert row.weight_seconds == 0.3
         assert row.efficiency_facts_per_hour == result.efficiency_facts_per_hour()
-        assert (row.test_mrr, row.trace) == (0.4, {})
+        assert row.trace == {}
 
     def test_json_round_trip_is_bit_exact(self):
         trace = {"matrix.cell": {"count": 1, "wall_seconds": 0.1, "cpu_seconds": 0.2}}
@@ -251,8 +251,8 @@ class TestMatrixRow:
             "ds", "transe", _result(generation_seconds=1 / 3), trace=trace
         )
         clone = MatrixRow(**json.loads(row.to_json()))
-        # JSON spells every float by its repr, NaN (the unevaluated test
-        # MRR) included, so equal texts mean bit-equal fields.
+        # JSON spells every float by its repr, so equal texts mean
+        # bit-equal fields.
         assert clone.to_json() == row.to_json()
         assert clone.runtime_seconds == row.runtime_seconds
 
@@ -285,9 +285,7 @@ _CAMPAIGN = dict(
 def _deterministic_fields(rows):
     """The deterministic comparison tuple (repr makes NaN comparable)."""
     return [
-        (r.dataset, r.model, r.strategy, r.num_facts, repr(r.mrr),
-         repr(r.test_mrr))
-        for r in rows
+        (r.dataset, r.model, r.strategy, r.num_facts, repr(r.mrr)) for r in rows
     ]
 
 
@@ -310,17 +308,6 @@ def class_model_cache(tmp_path_factory):
 @pytest.mark.usefixtures("class_model_cache")
 class TestRunMatrixOptions:
     CAMPAIGN = dict(_CAMPAIGN, seed=0)
-
-    def test_shared_statistics_do_not_change_results(self):
-        per_cell = run_matrix(**self.CAMPAIGN)
-        shared = run_matrix(**self.CAMPAIGN, share_statistics=True)
-        assert _deterministic_fields(shared) == _deterministic_fields(per_cell)
-
-    def test_evaluate_models_fills_test_mrr_per_model(self):
-        rows = run_matrix(**self.CAMPAIGN, evaluate_models=True)
-        assert 0.0 < rows[0].test_mrr <= 1.0
-        # One evaluation per model, shared by all of its strategies.
-        assert rows[0].test_mrr == rows[1].test_mrr
 
     def test_rows_carry_cell_traces_when_observed(self):
         registry = MetricsRegistry()

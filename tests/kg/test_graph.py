@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.kg import KnowledgeGraph, TripleSet, Vocabulary
+from repro.kge.evaluation import evaluate_ranking
 
 
 def build(train, valid=(), test=(), n=6, k=2) -> KnowledgeGraph:
@@ -116,3 +121,69 @@ class TestDerived:
         g = build([[0, 0, 1]])
         text = repr(g)
         assert "'g'" in text and "train=1" in text
+
+
+def _fresh_union(g: KnowledgeGraph) -> TripleSet:
+    """The union of ``g``'s splits, built from scratch."""
+    splits = np.concatenate([g.train.array, g.valid.array, g.test.array])
+    return TripleSet(splits, g.num_entities, g.num_relations)
+
+
+class TestFrozenUnion:
+    def test_assigning_a_split_raises(self):
+        g = build([[0, 0, 1]], valid=[(1, 0, 2)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.train = g.valid
+
+    def test_union_is_cached_and_equals_a_fresh_build(self):
+        g = build(
+            [[3, 1, 0], [0, 0, 1]],
+            valid=[(5, 1, 4), (0, 0, 1)],
+            test=[(2, 0, 2), (3, 1, 0)],
+        )
+        union = g.all_triples()
+        assert g.all_triples() is union
+        fresh = _fresh_union(g)
+        np.testing.assert_array_equal(union.array, fresh.array)
+        np.testing.assert_array_equal(union._sorted_keys, fresh._sorted_keys)
+
+    def test_two_rankings_build_the_union_and_its_subject_column_once(
+        self, tiny_graph, trained_distmult, monkeypatch
+    ):
+        graph = dataclasses.replace(tiny_graph)  # a cold copy: no union yet
+        reference = _fresh_union(graph)
+        unions, columns = [], []
+        init, column = TripleSet.__init__, TripleSet._subject_key_column
+
+        def counting_init(triples, *args, **kwargs):
+            init(triples, *args, **kwargs)
+            if triples == reference:
+                unions.append(triples)
+
+        def counting_column(triples):
+            if triples._subject_keys is None:
+                columns.append(triples)
+            return column(triples)
+
+        monkeypatch.setattr(TripleSet, "__init__", counting_init)
+        monkeypatch.setattr(TripleSet, "_subject_key_column", counting_column)
+        first = evaluate_ranking(trained_distmult, graph, split="valid", side="both")
+        second = evaluate_ranking(trained_distmult, graph, split="valid", side="both")
+        assert len(unions) == 1 and len(columns) == 1
+        assert columns[0] is unions[0] is graph.all_triples()
+        assert first.mrr == second.mrr
+
+    def test_threads_racing_on_a_cold_graph_get_equal_unions(self, tiny_graph):
+        graph = dataclasses.replace(tiny_graph)
+        reference = _fresh_union(graph)
+        barrier = threading.Barrier(4)
+
+        def first_call(_):
+            barrier.wait(timeout=10)
+            return graph.all_triples()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            unions = list(pool.map(first_call, range(4)))
+        for union in unions:
+            assert union == reference
+            np.testing.assert_array_equal(union.array, reference.array)

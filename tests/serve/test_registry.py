@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api.types import BadRequestError, ModelNotFoundError
@@ -125,6 +127,24 @@ class TestWarmState:
         ref = registry.register("tiny", checkpoint_path)
         with registry.acquire(ref.model_id) as entry:
             assert entry.graph_stats() is entry.graph_stats()
+
+    def test_models_on_one_dataset_share_one_union(
+        self, make_registry, alt_checkpoints, tiny_graph
+    ):
+        # Every load gets a fresh graph copy: sharing comes from the registry.
+        registry = make_registry(
+            capacity=1, graph_loader=lambda name: dataclasses.replace(tiny_graph)
+        )
+        first, second = (
+            registry.register("tiny", path) for path in alt_checkpoints[:2]
+        )
+        with registry.acquire(first.model_id) as entry:
+            union = entry.graph.all_triples()
+        with registry.acquire(second.model_id) as entry:
+            assert entry.graph.all_triples() is union
+        assert first.model_id not in registry.loaded_ids()  # evicted
+        with registry.acquire(first.model_id) as entry:  # and reloaded
+            assert entry.graph.all_triples() is union
 
 
 class TestEviction:

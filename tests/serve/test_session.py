@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from repro.api import ClassifyRequest, DiscoverRequest, RankRequest, Session
 from repro.api.types import BadRequestError, DeadlineError
-from repro.kg import KnowledgeGraph
+from repro.kg import TripleSet
 from repro.kge.ranking import RankingEngine
 from repro.obs import MetricsRegistry, use_registry
 from repro.resilience import CheckpointCorruptError, Deadline
@@ -50,16 +51,21 @@ class TestRankFilters:
 
 
     def test_all_filter_union_is_built_once_per_model(
-        self, session, model_id, test_triples, monkeypatch
+        self, make_registry, checkpoint_path, test_triples, tiny_graph, monkeypatch
     ):
+        cold = dataclasses.replace(tiny_graph)  # a copy with no union yet
+        session = Session(make_registry(graph_loader=lambda name: cold))
+        model_id = session.add_model("tiny", checkpoint_path).model_id
+        reference = tiny_graph.all_triples()
         built = []
-        union = KnowledgeGraph.all_triples
+        init = TripleSet.__init__
 
-        def counting_union(graph):
-            built.append(graph.name)
-            return union(graph)
+        def counting_init(triples, *args, **kwargs):
+            init(triples, *args, **kwargs)
+            if triples == reference:
+                built.append(triples)
 
-        monkeypatch.setattr(KnowledgeGraph, "all_triples", counting_union)
+        monkeypatch.setattr(TripleSet, "__init__", counting_init)
         request = RankRequest(model=model_id, triples=test_triples, filter="all")
         first = session.rank(request)
         second = session.rank(request)

@@ -12,10 +12,13 @@ Bit-identity contract
 Everything here is constructed so that a sparse training run produces
 **the same floating-point bits** as the dense run it replaces:
 
-* deduplication uses ``np.unique(..., return_inverse=True)`` followed by
-  an ``np.add.at`` segment-sum, which adds duplicate contributions in
-  exactly the same element order as the dense ``np.add.at(full, indices,
-  grad)`` scatter it stands in for;
+* every row scatter of the tape — the deduplicated rows of
+  :meth:`SparseGrad.from_indices` and the dense ``gather_rows``
+  backward alike — is :func:`row_segment_sum`: one ``np.bincount`` over
+  flattened ``(row, column)`` keys, which starts each element at zero
+  and adds its contributions in occurrence order.  That is exactly the
+  order of ``np.add.at(np.zeros(...), indices, grad)``, so both paths
+  carry the same bits, zero signs included;
 * merging two sparse gradients (a parameter gathered twice in one
   forward pass) adds the operands in arrival order, matching the dense
   tape's ``grad += contribution`` accumulation order;
@@ -23,16 +26,40 @@ Everything here is constructed so that a sparse training run produces
   the dense path would add exact zeros everywhere else, which is a
   bitwise no-op.
 
-The only tolerated divergence is the sign of floating-point zeros
-(``-0.0 + 0.0`` is ``+0.0`` on the dense path), which ``==`` and
-``np.array_equal`` cannot observe.
+The only tolerated divergence is the sign of floating-point zeros in
+those last two steps (``-0.0 + 0.0`` is ``+0.0`` on the dense path),
+which ``==`` and ``np.array_equal`` cannot observe.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["SparseGrad"]
+__all__ = ["SparseGrad", "row_segment_sum"]
+
+
+def row_segment_sum(
+    rows: np.ndarray, values: np.ndarray, num_rows: int
+) -> np.ndarray:
+    """Sum ``values[i]`` into row ``rows[i]`` of a ``num_rows``-row zero array.
+
+    The exact stand-in for ``np.add.at(np.zeros((num_rows,) + tail),
+    rows, values)``.  Each ``(row, column)`` target becomes one flat key
+    ``row * width + column``, and ``np.bincount`` adds the weights of
+    every key from zero in occurrence order — the dense scatter's order,
+    so the bits match, while the loop runs in C instead of numpy's
+    element-by-element ``ufunc.at``.  ``rows`` must be non-negative.
+    """
+    tail = values.shape[1:]
+    width = math.prod(tail)
+    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    summed = np.bincount(
+        flat, weights=values.reshape(-1), minlength=num_rows * width
+    )
+    # An empty ``flat`` makes numpy return int64 zeros whatever the weights.
+    return summed.astype(np.float64, copy=False).reshape((num_rows,) + tail)
 
 
 class SparseGrad:
@@ -68,38 +95,16 @@ class SparseGrad:
 
         ``indices`` is the 1-D row-id array of a ``gather_rows`` call and
         ``values`` the upstream gradient (one leading batch axis).
-        Duplicate rows are summed in occurrence order — the exact order
-        ``np.add.at`` would use on a dense target — so the result is
-        bitwise equal to the dense scatter, row for row.
-
-        ``np.add.at`` loops element by element, so the hot path assigns
-        each row's *first* occurrence with a vectorised fancy index and
-        scatter-adds only the duplicate occurrences.  Per row that
-        computes ``(v₁ + v₂) + v₃`` where the dense scatter computes
-        ``((0 + v₁) + v₂) + v₃`` — identical bits apart from the sign of
-        a ``-0.0`` first occurrence, the divergence this module already
-        tolerates.
+        ``np.unique`` maps every occurrence to its compact row and
+        :func:`row_segment_sum` sums each row from zero in occurrence
+        order, ``((0 + v₁) + v₂) + v₃`` — the dense ``np.add.at`` scatter's
+        own order — so the result equals the dense scatter bit for bit,
+        row for row, including the sign of zeros.
         """
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        rows, inverse, counts = np.unique(
-            indices, return_inverse=True, return_counts=True
-        )
-        compact = np.empty((rows.shape[0],) + tuple(shape[1:]), dtype=np.float64)
-        if rows.shape[0] == indices.shape[0]:
-            compact[inverse] = values
-            return cls(rows, compact, shape)
-        # Stable sort groups occurrences by row while keeping each group
-        # in occurrence order; the group heads are the first occurrences.
-        order = np.argsort(inverse, kind="stable")
-        heads = np.zeros(indices.shape[0], dtype=bool)
-        heads[np.cumsum(counts[:-1])] = True
-        heads[0] = True
-        first = order[heads]
-        compact[inverse[first]] = values[first]
-        rest = order[~heads]
-        np.add.at(compact, inverse[rest], values[rest])
-        return cls(rows, compact, shape)
+        rows, inverse = np.unique(indices, return_inverse=True)
+        return cls(rows, row_segment_sum(inverse, values, rows.shape[0]), shape)
 
     @property
     def nnz_rows(self) -> int:

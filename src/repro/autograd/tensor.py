@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .sparse import SparseGrad
+from .sparse import SparseGrad, row_segment_sum
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "concatenate", "stack"]
 
@@ -438,17 +438,17 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         if (
-            self.sparse_grad
-            and isinstance(index, np.ndarray)
+            isinstance(index, np.ndarray)
             and index.ndim == 1
             and np.issubdtype(index.dtype, np.integer)
         ):
-            # Route 1-D integer-array row lookups through the sparse-grad
-            # primitive (e.g. ConvE's per-entity bias vector).
+            # Every 1-D integer-array row lookup (e.g. ConvE's per-entity
+            # bias vector) takes the one row-lookup primitive.
             return self.gather_rows(index)
         out_data = self.data[index]
 
         def backward(grad: np.ndarray) -> None:
+            # Slices, masks and n-D indices: the general scatter.
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
             self._accumulate(full)
@@ -458,14 +458,25 @@ class Tensor:
     def gather_rows(self, indices: np.ndarray) -> "Tensor":
         """Row lookup with scatter-add backward — the embedding primitive.
 
-        Equivalent to ``self[indices]`` for a 1-D integer index array but
-        kept as a named method because it is the hottest op in KGE training.
-        When :attr:`sparse_grad` is set, the backward pass emits a
-        deduplicated :class:`SparseGrad` instead of scatter-adding into a
-        dense zero array — bitwise the same per-row sums, without the
+        Equivalent to ``self[indices]`` for a 1-D integer index array (which
+        ``__getitem__`` routes here) but kept as a named method because it
+        is the hottest op in KGE training.  The backward pass sums the
+        gradient rows with :func:`~repro.autograd.sparse.row_segment_sum`,
+        bit for bit the dense ``np.add.at`` scatter.  When
+        :attr:`sparse_grad` is set it emits a deduplicated
+        :class:`SparseGrad` of the same per-row sums instead, without the
         ``(num_rows, dim)`` materialisation.
         """
         indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and indices.min() < 0:
+            # Resolve numpy's wrap-around ids: scatter keys and sparse
+            # row ids must be non-negative.
+            if indices.min() < -self.shape[0]:
+                raise IndexError(
+                    f"index {indices.min()} is out of bounds for axis 0 "
+                    f"with size {self.shape[0]}"
+                )
+            indices = np.where(indices < 0, indices + self.shape[0], indices)
         if self._catch_up is not None:
             # A lazy optimizer has deferred updates on this parameter:
             # settle the rows being read so the forward pass (and hence
@@ -481,9 +492,7 @@ class Tensor:
         else:
 
             def backward(grad: np.ndarray) -> None:
-                full = np.zeros_like(self.data)
-                np.add.at(full, indices, grad)
-                self._accumulate(full)
+                self._accumulate(row_segment_sum(indices, grad, self.shape[0]))
 
         return Tensor._make(out_data, (self,), backward)
 

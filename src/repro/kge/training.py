@@ -118,33 +118,36 @@ def _negative_sampling_epoch(
     batches = 0
     registry = get_registry()
     for start in range(0, len(order), config.batch_size):
-        batch = triples[order[start : start + config.batch_size]]
-        negatives = sampler.sample(batch)
-        flat_neg = negatives.reshape(-1, 3)
+        with span("train.sample"):
+            batch = triples[order[start : start + config.batch_size]]
+            negatives = sampler.sample(batch)
+            flat_neg = negatives.reshape(-1, 3)
 
         optimizer.zero_grad()
-        pos_scores = model.score_spo(batch[:, 0], batch[:, 1], batch[:, 2])
-        neg_scores = model.score_spo(
-            flat_neg[:, 0], flat_neg[:, 1], flat_neg[:, 2]
-        ).reshape(len(batch), -1)
+        with span("train.forward"):
+            pos_scores = model.score_spo(batch[:, 0], batch[:, 1], batch[:, 2])
+            neg_scores = model.score_spo(
+                flat_neg[:, 0], flat_neg[:, 1], flat_neg[:, 2]
+            ).reshape(len(batch), -1)
 
-        if isinstance(loss_fn, (MarginRankingLoss, SelfAdversarialLoss)):
-            loss = loss_fn(pos_scores, neg_scores)
-        elif isinstance(loss_fn, BCEWithLogitsLoss):
-            from ..autograd import concatenate
+            if isinstance(loss_fn, (MarginRankingLoss, SelfAdversarialLoss)):
+                loss = loss_fn(pos_scores, neg_scores)
+            elif isinstance(loss_fn, BCEWithLogitsLoss):
+                from ..autograd import concatenate
 
-            logits = concatenate(
-                [pos_scores, neg_scores.reshape(-1)], axis=0
-            )
-            targets = np.concatenate(
-                [np.ones(len(batch)), np.zeros(neg_scores.size)]
-            )
-            loss = loss_fn(logits, targets)
-        else:
-            raise TypeError(
-                f"negative_sampling job cannot use loss {type(loss_fn).__name__}"
-            )
-        loss.backward()
+                logits = concatenate(
+                    [pos_scores, neg_scores.reshape(-1)], axis=0
+                )
+                targets = np.concatenate(
+                    [np.ones(len(batch)), np.zeros(neg_scores.size)]
+                )
+                loss = loss_fn(logits, targets)
+            else:
+                raise TypeError(
+                    f"negative_sampling job cannot use loss {type(loss_fn).__name__}"
+                )
+        with span("train.backward"):
+            loss.backward()
         with span("train.step"):
             optimizer.step()
             if batch_flush:
@@ -210,14 +213,17 @@ def _kvsall_epoch(
     n = model.num_entities
     registry = get_registry()
     for start in range(0, len(order), config.batch_size):
-        rows = order[start : start + config.batch_size]
-        batch = queries[rows]
-        targets = _kvsall_targets(rows, answers, n)
+        with span("train.sample"):
+            rows = order[start : start + config.batch_size]
+            batch = queries[rows]
+            targets = _kvsall_targets(rows, answers, n)
 
         optimizer.zero_grad()
-        logits = model.score_sp(batch[:, 0], batch[:, 1])
-        loss = loss_fn(logits, targets)
-        loss.backward()
+        with span("train.forward"):
+            logits = model.score_sp(batch[:, 0], batch[:, 1])
+            loss = loss_fn(logits, targets)
+        with span("train.backward"):
+            loss.backward()
         with span("train.step"):
             optimizer.step()
             if batch_flush:
@@ -247,11 +253,14 @@ def _one_vs_all_epoch(
     batches = 0
     registry = get_registry()
     for start in range(0, len(order), config.batch_size):
-        batch = triples[order[start : start + config.batch_size]]
+        with span("train.sample"):
+            batch = triples[order[start : start + config.batch_size]]
         optimizer.zero_grad()
-        logits = model.score_sp(batch[:, 0], batch[:, 1])
-        loss = loss_fn(logits, batch[:, 2])
-        loss.backward()
+        with span("train.forward"):
+            logits = model.score_sp(batch[:, 0], batch[:, 1])
+            loss = loss_fn(logits, batch[:, 2])
+        with span("train.backward"):
+            loss.backward()
         with span("train.step"):
             optimizer.step()
             if batch_flush:

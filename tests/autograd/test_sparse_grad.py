@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import SGD, Adagrad, Adam, SparseGrad, Tensor
+from repro.autograd.sparse import row_segment_sum
 
 # ----------------------------------------------------------------------
 # SparseGrad container
@@ -76,6 +77,97 @@ class TestSparseGrad:
         )
         assert sparse.nnz_rows == 2
         assert repr(sparse) == "SparseGrad(rows=2/9, shape=(9, 2))"
+
+
+# ----------------------------------------------------------------------
+# The segment-sum: bit for bit the dense np.add.at scatter
+# ----------------------------------------------------------------------
+
+
+def _zipf_batch():
+    # Heavy duplicates (Zipf row ids) of values spread over 16 decades,
+    # so any re-association of a row's sum would change its bits.
+    rng = np.random.default_rng(11)
+    indices = np.minimum(rng.zipf(1.3, size=3000) - 1, 49).astype(np.int64)
+    values = rng.standard_normal((3000, 6)) * 10.0 ** rng.integers(
+        -8, 8, size=(3000, 1)
+    )
+    return indices, values, (50, 6)
+
+
+def _lone_negative_zero_row():
+    # Row 2 occurs once with -0.0 among duplicated rows: 0.0 + -0.0 is +0.0.
+    values = np.array([[-0.0, 1.5], [2.0, -0.0], [3.0, 4.0]])
+    return np.array([2, 0, 0], dtype=np.int64), values, (4, 2)
+
+
+def _lone_negative_zero_unique():
+    # No duplicates at all, and the only value is -0.0.
+    return np.array([3], dtype=np.int64), np.array([[-0.0, -0.0]]), (5, 2)
+
+
+def _one_dimensional():
+    # A per-entity bias vector: scalar rows.
+    rng = np.random.default_rng(12)
+    indices = rng.integers(0, 7, size=40).astype(np.int64)
+    return indices, rng.standard_normal(40) * 10.0 ** rng.integers(-8, 8, 40), (7,)
+
+
+def _three_dimensional():
+    rng = np.random.default_rng(13)
+    indices = rng.integers(0, 5, size=30).astype(np.int64)
+    return indices, rng.standard_normal((30, 2, 3)), (5, 2, 3)
+
+
+def _empty():
+    return np.array([], dtype=np.int64), np.zeros((0, 4)), (6, 4)
+
+
+SCATTER_CASES = {
+    "zipf_16_decades": _zipf_batch,
+    "lone_negative_zero_row": _lone_negative_zero_row,
+    "lone_negative_zero_unique": _lone_negative_zero_unique,
+    "one_dimensional": _one_dimensional,
+    "three_dimensional": _three_dimensional,
+    "empty": _empty,
+}
+
+
+def _reference_scatter(indices, values, shape):
+    dense = np.zeros(shape)
+    np.add.at(dense, indices, values)
+    return dense
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+class TestScatterBitIdentity:
+    def test_from_indices_equals_dense_scatter(self, case):
+        indices, values, shape = SCATTER_CASES[case]()
+        sparse = SparseGrad.from_indices(indices, values, shape)
+        np.testing.assert_array_equal(sparse.rows, np.unique(indices))
+        assert sparse.values.dtype == np.float64
+        _assert_same_bits(sparse.to_dense(), _reference_scatter(indices, values, shape))
+
+    def test_dense_gather_rows_backward_equals_dense_scatter(self, case):
+        indices, values, shape = SCATTER_CASES[case]()
+        param = Tensor(np.ones(shape), requires_grad=True)
+        param.gather_rows(indices).backward(values)
+        assert isinstance(param.grad, np.ndarray)
+        _assert_same_bits(param.grad, _reference_scatter(indices, values, shape))
+
+    def test_row_segment_sum_equals_dense_scatter(self, case):
+        indices, values, shape = SCATTER_CASES[case]()
+        _assert_same_bits(
+            row_segment_sum(indices, values, shape[0]),
+            _reference_scatter(indices, values, shape),
+        )
 
 
 # ----------------------------------------------------------------------

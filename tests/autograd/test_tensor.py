@@ -174,6 +174,38 @@ class TestGradients:
         idx = np.asarray([0, 2, 2, 1])
         check_gradients(lambda x: x.gather_rows(idx) * 1.5, RNG.normal(size=(3, 4)))
 
+    @pytest.mark.parametrize("shape", [(6,), (6, 3)])
+    def test_int_array_getitem_matches_gather_rows(self, shape):
+        # A 1-D integer index on a non-sparse tensor takes the same
+        # row-lookup path, so both give the same value and gradient bits.
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=shape)
+        idx = rng.integers(0, 6, size=20)
+        upstream = rng.normal(size=(20,) + shape[1:]) * 10.0 ** rng.integers(
+            -8, 8, size=(20,) + (1,) * (len(shape) - 1)
+        )
+        a = Tensor(data, requires_grad=True)
+        b = Tensor(data, requires_grad=True)
+        out_a, out_b = a[idx], b.gather_rows(idx)
+        np.testing.assert_array_equal(out_a.data, out_b.data)
+        out_a.backward(upstream)
+        out_b.backward(upstream)
+        assert np.array_equal(a.grad, b.grad)
+        assert np.array_equal(np.signbit(a.grad), np.signbit(b.grad))
+
+    def test_negative_int_array_getitem_wraps_like_numpy(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        y = x[np.asarray([-1, 0, -1, -4])]
+        np.testing.assert_array_equal(y.data, [3.0, 0.0, 3.0, 0.0])
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [-5, 4])
+    def test_out_of_range_int_array_getitem_raises_like_numpy(self, bad):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        with pytest.raises(IndexError):
+            x[np.asarray([0, bad])]
+
     def test_exp_log(self):
         check_gradients(lambda x: x.exp(), RNG.normal(size=(4,)))
         check_gradients(lambda x: x.log(), RNG.normal(size=(4,)) + 3.0)

@@ -87,6 +87,37 @@ class TestSpanReconciliation:
         assert rank_child_wall <= rank["wall_seconds"]
 
 
+    @pytest.mark.parametrize(
+        "model, job, loss",
+        [
+            ("transe", "negative_sampling", "margin"),
+            ("distmult", "kvsall", "bce"),
+            ("distmult", "1vsall", "softmax"),
+        ],
+    )
+    def test_every_training_batch_splits_into_four_phases(
+        self, tiny_graph, model, job, loss
+    ):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            fit(
+                tiny_graph,
+                ModelConfig(model, dim=8, seed=3),
+                TrainConfig(job=job, loss=loss, epochs=2, batch_size=64, seed=3),
+            )
+        snapshot = registry.snapshot()
+        epoch = snapshot["spans"]["train"]["children"]["train.epoch"]
+        batches = snapshot["counters"]["train.batches_count"]
+        phases = ("train.sample", "train.forward", "train.backward", "train.step")
+        assert set(phases) <= set(epoch["children"])
+        for phase in phases:
+            assert epoch["children"][phase]["count"] == batches
+        child_wall = sum(
+            child["wall_seconds"] for child in epoch["children"].values()
+        )
+        assert child_wall <= epoch["wall_seconds"]
+
+
 class TestConcurrentRegistry:
     """Caller threads share one engine and one registry, as ``repro
     serve``'s worker threads do."""

@@ -86,7 +86,6 @@ class TestSpanReconciliation:
         )
         assert rank_child_wall <= rank["wall_seconds"]
 
-
     @pytest.mark.parametrize(
         "model, job, loss",
         [

@@ -37,8 +37,8 @@ Because laziness defers updates, callers must :meth:`Optimizer.flush`
 before reading parameters for evaluation, snapshots, or checkpoints; the
 KGE training loop does this at every epoch boundary (and after every
 batch for models whose ``post_batch_hook`` mutates parameters directly).
-The learning rate must stay constant between flushes — the training
-loop's ``lr_decay`` runs right after the epoch-boundary flush.
+The learning rate must stay constant between flushes; the KGE training
+loop keeps it constant for the whole fit.
 """
 
 from __future__ import annotations

@@ -499,22 +499,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def sqrt(self) -> "Tensor":
         return self**0.5
 
@@ -555,22 +539,6 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * _sigmoid(self.data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def cos(self) -> "Tensor":
-        out_data = np.cos(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad * np.sin(self.data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sin(self) -> "Tensor":
-        out_data = np.sin(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.cos(self.data))
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -117,7 +117,6 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 def _cmd_store_generate(args: argparse.Namespace) -> int:
     from .kg import (
-        DATASET_PROFILES,
         FULL_SCALE_PROFILES,
         generate_kg_streaming,
         kg_store_exists,
@@ -179,9 +178,6 @@ def _cmd_store_info(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     """Regenerate the paper's headline tables without pytest."""
-    import numpy as np
-
-    from .discovery import STRATEGY_ABBREVIATIONS
     from .experiments import group_rows, run_matrix
     from .kg import PAPER_METADATA
 
@@ -307,8 +303,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _training_job(model: str, job: str = "auto") -> tuple[str, str]:
     """The training job and its loss; ``"auto"`` picks by model family."""
     if job == "auto":
-        job = "negative_sampling" if model in ("transe", "rotate") else "kvsall"
-    return job, {"negative_sampling": "margin", "kvsall": "bce", "1vsall": "softmax"}[job]
+        job = "negative_sampling" if model == "transe" else "kvsall"
+    return job, {"negative_sampling": "margin", "kvsall": "bce"}[job]
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
@@ -387,7 +383,14 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     model = load_model(args.checkpoint)
     relations = None
     if args.relations:
-        relations = [graph.relations.id_of(label) for label in args.relations]
+        try:
+            relations = [graph.relations.id_of(label) for label in args.relations]
+        except KeyError as error:
+            known = ", ".join(graph.relations.labels[:5])
+            raise SystemExit(
+                f"error: unknown relation {error.args[0]!r} "
+                f"(known relations include: {known}, ...)"
+            ) from None
     result = discover_facts(
         model,
         graph,
@@ -672,8 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("model", choices=available_models())
     train.add_argument("--dim", type=int, default=32)
     train.add_argument(
-        "--job", choices=["auto", "negative_sampling", "kvsall", "1vsall"],
-        default="auto",
+        "--job", choices=["auto", "negative_sampling", "kvsall"], default="auto"
     )
     train.add_argument("--epochs", type=int, default=60)
     train.add_argument("--batch-size", type=int, default=128)

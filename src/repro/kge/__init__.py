@@ -24,20 +24,14 @@ from .hole import HolE
 from .losses import (
     BCEWithLogitsLoss,
     MarginRankingLoss,
-    SelfAdversarialLoss,
-    SoftmaxCrossEntropyLoss,
     create_loss,
 )
 from .negative_sampling import NegativeSampler
 from .query import Answer, top_objects, top_subjects
 from .ranking import RankingEngine, RankingStats, ScoreRowCache
-from .reciprocal import ReciprocalWrapper
 from .rescal import RESCAL
-from .rotate import RotatE
-from .simple_ import SimplE
 from .training import TrainingResult, fit, train_model
 from .transe import TransE
-from .tucker import TuckER
 
 __all__ = [
     "KGEModel",
@@ -50,9 +44,6 @@ __all__ = [
     "RESCAL",
     "HolE",
     "ConvE",
-    "RotatE",
-    "SimplE",
-    "TuckER",
     "checkpoint_header",
     "save_model",
     "load_model",
@@ -61,11 +52,8 @@ __all__ = [
     "expand_grid",
     "MarginRankingLoss",
     "BCEWithLogitsLoss",
-    "SelfAdversarialLoss",
-    "SoftmaxCrossEntropyLoss",
     "create_loss",
     "NegativeSampler",
-    "ReciprocalWrapper",
     "TrainingResult",
     "train_model",
     "fit",

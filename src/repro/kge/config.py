@@ -44,9 +44,9 @@ class TrainConfig:
     supported spelling.
 
     ``job`` selects the training regime: ``"negative_sampling"`` (margin
-    or BCE loss on corrupted triples), ``"kvsall"`` (BCE against all
-    entities per (s, r) query, ConvE-style), or ``"1vsall"`` (softmax
-    cross-entropy where the true object competes with every entity).
+    or BCE loss on corrupted triples) or ``"kvsall"`` (BCE against all
+    entities per (s, r) query, ConvE-style).  The learning rate ``lr``
+    stays constant for the whole fit.
 
     ``sparse_grads`` selects the row-sparse embedding fast path:
     ``"auto"`` (default) enables it for entity embeddings under the
@@ -64,13 +64,11 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 256
     lr: float = 0.05
-    lr_decay: float = 1.0
     optimizer: str = "adam"
     momentum: float = 0.0
     sparse_grads: str = "auto"
     num_negatives: int = 8
     margin: float = 1.0
-    adversarial_temperature: float = 1.0
     label_smoothing: float = 0.0
     weight_decay: float = 0.0
     corrupt: str = "both"
@@ -81,14 +79,12 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self) -> None:
-        if self.job not in ("negative_sampling", "kvsall", "1vsall"):
+        if self.job not in ("negative_sampling", "kvsall"):
             raise ValueError(f"unknown training job {self.job!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must be in (0, 1]")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.sparse_grads not in ("auto", "on", "off"):

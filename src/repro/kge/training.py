@@ -1,26 +1,24 @@
 """Training jobs for KGE models.
 
-Three regimes, selected by :class:`~repro.kge.config.TrainConfig.job`:
+Two regimes, selected by :class:`~repro.kge.config.TrainConfig.job`:
 
 * **negative_sampling** — classic corrupt-and-rank training with a
-  margin, BCE, or self-adversarial loss (TransE/RotatE's native regime);
+  margin or BCE loss (TransE's native regime);
 * **kvsall** — for every ``(s, r)`` query score all entities and apply a
   multi-label BCE against the set of true objects, the regime under
-  which DistMult/ComplEx/ConvE shine;
-* **1vsall** — softmax cross-entropy where the true object competes with
-  every entity.
+  which DistMult/ComplEx/ConvE shine.
 
-All optimisation uses the optimizers from :mod:`repro.autograd.optim`;
-the paper trains everything with Adam.
+All optimisation uses the optimizers from :mod:`repro.autograd.optim`
+at a constant learning rate; the paper trains everything with Adam.
 
 Sparse fast path: ``TrainConfig.sparse_grads`` ("auto" by default)
 flips the entity tables named by ``model.sparse_entity_parameters()``
 into row-sparse gradient accumulation for the negative-sampling job,
 where a batch touches a few hundred of thousands of rows.  Lazy
 optimizers (SGD with momentum, Adam) are flushed at every epoch
-boundary — before the loss check, lr decay, evaluation, and early
-stopping — and after every batch for models whose ``post_batch_hook``
-mutates parameters directly (TransE's row renormalisation).  The sparse
+boundary — before the loss check, evaluation, and early stopping — and
+after every batch for models whose ``post_batch_hook`` mutates
+parameters directly (TransE's row renormalisation).  The sparse
 and dense paths produce bit-identical models.
 
 Divergence: an epoch whose mean loss is NaN or infinite stops training
@@ -42,12 +40,7 @@ from ..resilience import TrainingDivergedError
 from .base import KGEModel, create_model
 from .config import ModelConfig, TrainConfig
 from .evaluation import evaluate_ranking
-from .losses import (
-    BCEWithLogitsLoss,
-    MarginRankingLoss,
-    SelfAdversarialLoss,
-    create_loss,
-)
+from .losses import BCEWithLogitsLoss, MarginRankingLoss, create_loss
 from .negative_sampling import NegativeSampler
 
 __all__ = ["TrainingResult", "train_model", "fit"]
@@ -81,7 +74,7 @@ def _enable_sparse_grads(model: KGEModel, config: TrainConfig) -> None:
     """Flip entity-table parameters into row-sparse accumulation.
 
     ``"auto"`` restricts the fast path to the negative-sampling job: the
-    kvsall/1vsall regimes score against *all* entities, so their entity
+    kvsall regime scores against *all* entities, so its entity
     gradients are inherently dense and the flag would only add a
     densify round-trip per step.  Lazy optimizers (Adam, SGD with
     momentum) stay enabled even for models whose ``post_batch_hook``
@@ -90,7 +83,7 @@ def _enable_sparse_grads(model: KGEModel, config: TrainConfig) -> None:
     the optimizers replay through a fused in-place kernel that costs no
     more than the dense sweep while still skipping the dense gradient
     materialisation.  ``"on"`` forces the flag regardless of job (still
-    bit-identical, just not faster under kvsall/1vsall).
+    bit-identical, just not faster under kvsall).
     """
     enable = config.sparse_grads == "on" or (
         config.sparse_grads == "auto" and config.job == "negative_sampling"
@@ -130,9 +123,9 @@ def _negative_sampling_epoch(
                 flat_neg[:, 0], flat_neg[:, 1], flat_neg[:, 2]
             ).reshape(len(batch), -1)
 
-            if isinstance(loss_fn, (MarginRankingLoss, SelfAdversarialLoss)):
+            if isinstance(loss_fn, MarginRankingLoss):
                 loss = loss_fn(pos_scores, neg_scores)
-            elif isinstance(loss_fn, BCEWithLogitsLoss):
+            else:  # BCEWithLogitsLoss
                 from ..autograd import concatenate
 
                 logits = concatenate(
@@ -142,10 +135,6 @@ def _negative_sampling_epoch(
                     [np.ones(len(batch)), np.zeros(neg_scores.size)]
                 )
                 loss = loss_fn(logits, targets)
-            else:
-                raise TypeError(
-                    f"negative_sampling job cannot use loss {type(loss_fn).__name__}"
-                )
         with span("train.backward"):
             loss.backward()
         with span("train.step"):
@@ -235,43 +224,6 @@ def _kvsall_epoch(
     return total / max(batches, 1)
 
 
-def _one_vs_all_epoch(
-    model: KGEModel,
-    graph: KnowledgeGraph,
-    loss_fn,
-    optimizer: Optimizer,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    batch_flush: bool = False,
-) -> float:
-    from .losses import SoftmaxCrossEntropyLoss
-
-    assert isinstance(loss_fn, SoftmaxCrossEntropyLoss)
-    triples = graph.train.array
-    order = rng.permutation(len(triples))
-    total = 0.0
-    batches = 0
-    registry = get_registry()
-    for start in range(0, len(order), config.batch_size):
-        with span("train.sample"):
-            batch = triples[order[start : start + config.batch_size]]
-        optimizer.zero_grad()
-        with span("train.forward"):
-            logits = model.score_sp(batch[:, 0], batch[:, 1])
-            loss = loss_fn(logits, batch[:, 2])
-        with span("train.backward"):
-            loss.backward()
-        with span("train.step"):
-            optimizer.step()
-            if batch_flush:
-                optimizer.flush()
-        model.post_batch_hook()
-        registry.counter("train.batches_count").inc()
-        total += loss.item()
-        batches += 1
-    return total / max(batches, 1)
-
-
 def train_model(
     model: KGEModel,
     graph: KnowledgeGraph,
@@ -301,11 +253,6 @@ def train_model(
         )
         if config.loss == "margin":
             loss_fn = MarginRankingLoss(margin=config.margin)
-        elif config.loss == "self_adversarial":
-            loss_fn = SelfAdversarialLoss(
-                margin=config.margin,
-                temperature=config.adversarial_temperature,
-            )
         else:
             loss_fn = create_loss(config.loss, label_smoothing=config.label_smoothing)
 
@@ -315,7 +262,7 @@ def train_model(
                 batch_flush=batch_flush,
             )
 
-    elif config.job == "kvsall":
+    else:  # kvsall
         if config.loss != "bce":
             raise ValueError("kvsall training requires the 'bce' loss")
         queries, answers = _kvsall_queries(graph)
@@ -324,19 +271,6 @@ def train_model(
         def run_epoch() -> float:
             return _kvsall_epoch(
                 model, queries, answers, loss_fn, optimizer, config, rng,
-                batch_flush=batch_flush,
-            )
-
-    else:  # 1vsall
-        if config.loss != "softmax":
-            raise ValueError("1vsall training requires the 'softmax' loss")
-        from .losses import SoftmaxCrossEntropyLoss
-
-        loss_fn = SoftmaxCrossEntropyLoss()
-
-        def run_epoch() -> float:
-            return _one_vs_all_epoch(
-                model, graph, loss_fn, optimizer, config, rng,
                 batch_flush=batch_flush,
             )
 
@@ -350,7 +284,7 @@ def train_model(
             with span("train.epoch"):
                 mean_loss = run_epoch()
                 # Settle lazily-deferred sparse rows before anything reads
-                # or perturbs state: lr decay, evaluation.  The replay is
+                # parameters (evaluation, early stopping).  The replay is
                 # exact, so flushing here cannot change the final bits.
                 optimizer.flush()
             if not math.isfinite(mean_loss):
@@ -364,8 +298,6 @@ def train_model(
             result.epochs_run = epoch + 1
             registry.counter("train.epochs_count").inc()
             registry.gauge("train.loss").set(mean_loss)
-            if config.lr_decay < 1.0:
-                optimizer.lr *= config.lr_decay
             logger.debug(
                 "epoch %d/%d: loss=%.4f", epoch + 1, config.epochs, mean_loss
             )

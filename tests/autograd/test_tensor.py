@@ -206,10 +206,6 @@ class TestGradients:
         with pytest.raises(IndexError):
             x[np.asarray([0, bad])]
 
-    def test_exp_log(self):
-        check_gradients(lambda x: x.exp(), RNG.normal(size=(4,)))
-        check_gradients(lambda x: x.log(), RNG.normal(size=(4,)) + 3.0)
-
     def test_sqrt_abs(self):
         check_gradients(lambda x: x.sqrt(), RNG.normal(size=(4,)) ** 2 + 1.0)
         check_gradients(lambda x: x.abs(), RNG.normal(size=(4,)) + 2.0)
@@ -224,16 +220,6 @@ class TestGradients:
         check_gradients(lambda x: x.sigmoid(), data)
         check_gradients(lambda x: x.tanh(), data)
         check_gradients(lambda x: x.softplus(), data)
-
-    def test_cos_sin(self):
-        data = RNG.normal(size=(6,))
-        check_gradients(lambda x: x.cos(), data)
-        check_gradients(lambda x: x.sin(), data)
-
-    def test_sin_cos_pythagorean(self):
-        x = Tensor(RNG.normal(size=(5,)))
-        identity = x.sin() ** 2 + x.cos() ** 2
-        np.testing.assert_allclose(identity.data, 1.0)
 
     def test_clamp_min(self):
         data = np.asarray([-2.0, -0.5, 0.5, 2.0])

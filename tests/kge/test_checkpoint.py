@@ -29,9 +29,6 @@ class TestRoundTrip:
             ("complex", 8, {}),
             ("rescal", 4, {}),
             ("hole", 8, {}),
-            ("rotate", 8, {}),
-            ("simple", 8, {}),
-            ("tucker", 4, {}),
         ],
     )
     def test_scores_identical_after_reload(self, tmp_path, name, dim, options):

@@ -37,6 +37,12 @@ class TestTrainConfig:
         with pytest.raises(AttributeError):
             TrainConfig().lr = 1.0
 
+    @pytest.mark.parametrize("key", ["lr_decay", "adversarial_temperature"])
+    def test_from_dict_rejects_retired_keys(self, key):
+        data = {**TrainConfig().to_dict(), key: 0.5}
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_dict(data)
+
 
 class TestExpandGrid:
     def test_cartesian_product(self):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.kge import (
-    BCEWithLogitsLoss,
-    MarginRankingLoss,
-    SoftmaxCrossEntropyLoss,
-    create_loss,
-)
+from repro.kge import BCEWithLogitsLoss, MarginRankingLoss, create_loss
 
 
 class TestMarginRankingLoss:
@@ -83,86 +78,16 @@ class TestBCEWithLogitsLoss:
         assert logits.grad[1] > 0  # push negative logit down
 
 
-class TestSelfAdversarialLoss:
-    def test_matches_reference(self):
-        from repro.kge import SelfAdversarialLoss
-
-        margin, temperature = 4.0, 0.7
-        pos = np.asarray([1.0, -0.5])
-        neg = np.asarray([[-2.0, 0.3], [-1.0, -3.0]])
-        loss = SelfAdversarialLoss(margin, temperature)(
-            Tensor(pos), Tensor(neg)
-        ).item()
-
-        def sigmoid(x):
-            return 1 / (1 + np.exp(-x))
-
-        weights = np.exp(temperature * neg)
-        weights /= weights.sum(axis=1, keepdims=True)
-        expected = (
-            -np.log(sigmoid(margin + pos))
-            - (weights * np.log(sigmoid(-margin - neg))).sum(axis=1)
-        ).mean()
-        assert loss == pytest.approx(expected, rel=1e-10)
-
-    def test_hard_negatives_weighted_more(self):
-        """The gradient wrt the highest-scoring negative dominates."""
-        from repro.kge import SelfAdversarialLoss
-
-        pos = Tensor([0.0], requires_grad=True)
-        neg = Tensor(np.asarray([[2.0, -2.0]]), requires_grad=True)
-        SelfAdversarialLoss(margin=1.0, temperature=1.0)(pos, neg).backward()
-        assert neg.grad[0, 0] > neg.grad[0, 1] > 0
-
-    def test_validation(self):
-        from repro.kge import SelfAdversarialLoss
-
-        with pytest.raises(ValueError):
-            SelfAdversarialLoss(margin=0.0)
-        with pytest.raises(ValueError):
-            SelfAdversarialLoss(temperature=0.0)
-        with pytest.raises(ValueError):
-            SelfAdversarialLoss()(Tensor([1.0]), Tensor([1.0]))
-
-    def test_factory(self):
-        from repro.kge import SelfAdversarialLoss
-
-        loss = create_loss("self_adversarial", margin=3.0, temperature=2.0)
-        assert isinstance(loss, SelfAdversarialLoss)
-        assert loss.margin == 3.0
-
-
-class TestSoftmaxCrossEntropyLoss:
-    def test_uniform_logits(self):
-        n = 5
-        loss = SoftmaxCrossEntropyLoss()(
-            Tensor(np.zeros((2, n))), np.asarray([0, 3])
-        ).item()
-        assert loss == pytest.approx(np.log(n))
-
-    def test_confident_correct_is_small(self):
-        logits = np.full((1, 4), -10.0)
-        logits[0, 2] = 10.0
-        loss = SoftmaxCrossEntropyLoss()(Tensor(logits), np.asarray([2])).item()
-        assert loss < 1e-6
-
-    def test_gradient_favours_target(self):
-        logits = Tensor(np.zeros((1, 3)), requires_grad=True)
-        SoftmaxCrossEntropyLoss()(logits, np.asarray([1])).backward()
-        assert logits.grad[0, 1] < 0
-        assert logits.grad[0, 0] > 0 and logits.grad[0, 2] > 0
-
-
 class TestFactory:
     def test_creates_each(self):
         assert isinstance(create_loss("margin"), MarginRankingLoss)
         assert isinstance(create_loss("bce"), BCEWithLogitsLoss)
-        assert isinstance(create_loss("softmax"), SoftmaxCrossEntropyLoss)
 
     def test_kwargs_forwarded(self):
         loss = create_loss("margin", margin=3.0)
         assert loss.margin == 3.0
 
-    def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            create_loss("focal")
+    @pytest.mark.parametrize("name", ["focal", "softmax", "self_adversarial"])
+    def test_unknown_raises(self, name):
+        with pytest.raises(KeyError, match="available: \\['bce', 'margin'\\]"):
+            create_loss(name)

@@ -91,7 +91,6 @@ class TestSpanReconciliation:
         [
             ("transe", "negative_sampling", "margin"),
             ("distmult", "kvsall", "bce"),
-            ("distmult", "1vsall", "softmax"),
         ],
     )
     def test_every_training_batch_splits_into_four_phases(

@@ -135,6 +135,14 @@ class TestTrainCommand:
     def test_auto_job_picks_negative_sampling_for_transe(self):
         args = build_parser().parse_args(["train", "x", "transe"])
         assert args.job == "auto"  # resolution happens inside _cmd_train
+        from repro.cli import _training_job
+
+        assert _training_job("transe") == ("negative_sampling", "margin")
+        assert _training_job("distmult") == ("kvsall", "bce")
+
+    def test_retired_1vsall_job_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "x", "distmult", "--job", "1vsall"])
 
     def test_unknown_dataset_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown dataset"):
@@ -178,6 +186,18 @@ class TestDiscoverCommand:
         lines = out_file.read_text().strip().splitlines()
         assert lines
         assert all(line.split("\t")[1] == "r_0" for line in lines)
+
+    def test_unknown_relation_exits_with_an_error(self, checkpoint, dataset_dir):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "discover", str(checkpoint), str(dataset_dir),
+                    "--relations", "r_0", "no_such_rel",
+                ]
+            )
+        message = str(excinfo.value)
+        assert message.startswith("error: unknown relation 'no_such_rel'")
+        assert "r_0" in message
 
     def test_writes_tsv(self, checkpoint, dataset_dir, tmp_path, capsys):
         out_file = tmp_path / "facts.tsv"

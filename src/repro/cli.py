@@ -50,6 +50,7 @@ from .kg import (
     load_dataset,
 )
 from .kge import (
+    KGEModel,
     ModelConfig,
     TrainConfig,
     available_models,
@@ -92,6 +93,29 @@ def _load_graph(name: str) -> KnowledgeGraph:
         return resolve_dataset(name)
     except KeyError as error:
         raise SystemExit(f"error: {error.args[0]}") from None
+
+
+def _load_checkpoint(path: str, graph: KnowledgeGraph) -> KGEModel:
+    """Load a checkpoint trained on ``graph``, or exit with ``error: …``.
+
+    A missing or corrupt file, a model name no longer registered and a
+    checkpoint built for another dataset's entity or relation count all
+    end in one line, like every other bad argument.
+    """
+    try:
+        model = load_model(path)
+    except FileNotFoundError:
+        raise SystemExit(f"error: no checkpoint at {path}") from None
+    except (KeyError, ValueError) as error:
+        raise SystemExit(f"error: cannot load {path}: {error.args[0]}") from None
+    built_for = (model.num_entities, model.num_relations)
+    if built_for != (graph.num_entities, graph.num_relations):
+        raise SystemExit(
+            f"error: {path} was built for {built_for[0]} entities and "
+            f"{built_for[1]} relations, but {graph.name} has "
+            f"{graph.num_entities} and {graph.num_relations}"
+        )
+    return model
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -362,7 +386,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     graph = _load_graph(args.dataset)
-    model = load_model(args.checkpoint)
+    model = _load_checkpoint(args.checkpoint, graph)
     metrics = evaluate_ranking(
         model, graph, split=args.split, filtered=not args.raw
     )
@@ -380,7 +404,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_discover(args: argparse.Namespace) -> int:
     graph = _load_graph(args.dataset)
-    model = load_model(args.checkpoint)
+    model = _load_checkpoint(args.checkpoint, graph)
     relations = None
     if args.relations:
         try:
@@ -422,7 +446,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     graph = _load_graph(args.dataset)
-    model = load_model(args.checkpoint)
+    model = _load_checkpoint(args.checkpoint, graph)
     strategies = args.strategies or [
         s for s in available_strategies() if s != "cluster_squares"
     ]
@@ -453,7 +477,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     graph = _load_graph(args.dataset)
-    model = load_model(args.checkpoint)
+    model = _load_checkpoint(args.checkpoint, graph)
     points = hyperparameter_grid(
         model,
         graph,

@@ -46,7 +46,9 @@ class TrainConfig:
     ``job`` selects the training regime: ``"negative_sampling"`` (margin
     or BCE loss on corrupted triples) or ``"kvsall"`` (BCE against all
     entities per (s, r) query, ConvE-style).  The learning rate ``lr``
-    stays constant for the whole fit.
+    stays constant for the whole fit.  Construction rejects an unknown
+    ``job`` or ``loss`` and a non-positive ``lr``, a negative
+    ``weight_decay``, ``eval_every`` or ``early_stopping_patience``.
 
     ``sparse_grads`` selects the row-sparse embedding fast path:
     ``"auto"`` (default) enables it for entity embeddings under the
@@ -81,6 +83,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.job not in ("negative_sampling", "kvsall"):
             raise ValueError(f"unknown training job {self.job!r}")
+        if self.loss not in ("margin", "bce"):
+            raise ValueError(f"loss must be 'margin' or 'bce', got {self.loss!r}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.eval_every < 0 or self.early_stopping_patience < 0:
+            raise ValueError("eval_every and early_stopping_patience must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -29,6 +29,7 @@ class TestRoundTrip:
             ("complex", 8, {}),
             ("rescal", 4, {}),
             ("hole", 8, {}),
+            ("conve", 8, {"num_filters": 4, "kernel_size": 2}),
         ],
     )
     def test_scores_identical_after_reload(self, tmp_path, name, dim, options):
@@ -184,6 +185,7 @@ _PAPER_MODELS = [
     ("complex", {}),
     ("conve", {"num_filters": 4}),
     ("distmult", {}),
+    ("hole", {}),
     ("rescal", {}),
     ("transe", {"norm": "l1"}),
 ]

@@ -37,6 +37,23 @@ class TestTrainConfig:
         with pytest.raises(AttributeError):
             TrainConfig().lr = 1.0
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("loss", "self_adversarial", "loss"),
+            ("loss", "Margin", "loss"),
+            ("lr", 0.0, "lr"),
+            ("lr", -0.05, "lr"),
+            ("lr", float("nan"), "lr"),
+            ("weight_decay", -1e-4, "weight_decay"),
+            ("eval_every", -1, "eval_every"),
+            ("early_stopping_patience", -1, "early_stopping_patience"),
+        ],
+    )
+    def test_rejects_invalid_values(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("key", ["lr_decay", "adversarial_temperature"])
     def test_from_dict_rejects_retired_keys(self, key):
         data = {**TrainConfig().to_dict(), key: 0.5}

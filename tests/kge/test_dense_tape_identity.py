@@ -57,7 +57,9 @@ def graph():
     return load_dataset("wn18rr-like")
 
 
-@pytest.mark.parametrize("name", ["distmult", "conve", "transe"])
+@pytest.mark.parametrize(
+    "name", ["distmult", "conve", "transe", "complex", "rescal", "hole"]
+)
 def test_fast_tape_matches_reference_tape(graph, name, monkeypatch):
     fast = _state_bytes(graph, name)
     monkeypatch.setattr(Tensor, "_accumulate", _reference_accumulate)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import no_grad
+from repro.autograd import Tensor, no_grad
 from repro.kge import available_models, create_model
 
 N_ENTITIES = 12
@@ -22,8 +22,12 @@ ALL_MODELS = ["transe", "distmult", "complex", "rescal", "hole", "conve"]
 
 @pytest.fixture(params=ALL_MODELS)
 def model(request):
+    return _eval_model(request.param)
+
+
+def _eval_model(name):
     m = create_model(
-        request.param,
+        name,
         num_entities=N_ENTITIES,
         num_relations=N_RELATIONS,
         dim=DIM,
@@ -164,12 +168,18 @@ class TestModelSpecifics:
     [
         ("transe", {"norm": "l1"}),
         ("transe", {"norm": "l2"}),
+        ("distmult", {}),
+        ("complex", {}),
+        ("rescal", {}),
+        ("hole", {}),
+        ("conve", {}),
     ],
-    ids=["transe-l1", "transe-l2"],
+    ids=["transe-l1", "transe-l2", "distmult", "complex", "rescal", "hole", "conve"],
 )
 def test_tape_scores_match_the_numpy_inference_path(name, options):
-    """Models with a numpy fast path for ranking keep the tape-based
-    score_sp/score_po (used for gradients) numerically identical to it."""
+    """The tape-based score_sp/score_po (used for gradients) stay
+    numerically identical to the numpy inference path ranking reads,
+    whether a model has a numpy fast path (TransE) or not."""
     model = create_model(
         name, num_entities=N_ENTITIES, num_relations=N_RELATIONS, dim=DIM,
         seed=1, **options,
@@ -214,3 +224,78 @@ def test_numpy_scores_are_fresh_arrays(name, side):
     expected = first.copy()
     first[...] = np.nan
     np.testing.assert_array_equal(score(), expected)
+
+
+def _side_scores(model, side, entities, relations, others):
+    if side == "sp":
+        return model.score_sp(entities, relations)
+    if side == "po":
+        return model.score_po(relations, others)
+    return model.score_spo(entities, relations, others)
+
+
+#: ConvE scores subjects through the base class's no-grad fallback.
+GRADIENT_CASES = [
+    (name, side)
+    for name in ALL_MODELS
+    for side in ("spo", "sp", "po")
+    if (name, side) != ("conve", "po")
+]
+
+
+@pytest.mark.parametrize(
+    "name, side", GRADIENT_CASES, ids=[f"{n}-{s}" for n, s in GRADIENT_CASES]
+)
+def test_tape_gradients_match_finite_differences(name, side):
+    """Every parameter's gradient through each tape scoring form agrees
+    with central differences of the same weighted score sum."""
+    model = _eval_model(name)
+    entities, relations, others = (
+        np.asarray([0, 3, 7, 3]), np.asarray([0, 1, 2, 1]), np.asarray([5, 9, 1, 2])
+    )
+    rng = np.random.default_rng(11)
+    out = _side_scores(model, side, entities, relations, others)
+    weights = rng.standard_normal(out.shape)
+    (out * Tensor(weights)).sum().backward()
+
+    def objective():
+        with no_grad():
+            scores = _side_scores(model, side, entities, relations, others)
+        return float((scores.data * weights).sum())
+
+    eps = 1e-6
+    checked = 0
+    for param in model.parameters():
+        analytic = np.zeros_like(param.data) if param.grad is None else param.grad
+        flat = param.data.reshape(-1)
+        for index in rng.choice(flat.size, size=min(flat.size, 6), replace=False):
+            original = flat[index]
+            flat[index] = original + eps
+            plus = objective()
+            flat[index] = original - eps
+            minus = objective()
+            flat[index] = original
+            numeric = (plus - minus) / (2 * eps)
+            np.testing.assert_allclose(
+                analytic.reshape(-1)[index], numeric, rtol=1e-4, atol=1e-6
+            )
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("side", ["sp", "po", "spo"])
+def test_batch_rows_score_independently(model, side):
+    """A row's scores do not depend on the rest of its batch (eval mode)."""
+    entities, relations, others = (
+        np.asarray([0, 3, 7, 11]), np.asarray([0, 1, 2, 0]), np.asarray([5, 9, 1, 0])
+    )
+    with no_grad():
+        batch = _side_scores(model, side, entities, relations, others).data
+        rows = [
+            _side_scores(
+                model, side, entities[i : i + 1], relations[i : i + 1],
+                others[i : i + 1],
+            ).data
+            for i in range(len(entities))
+        ]
+    np.testing.assert_allclose(batch, np.concatenate(rows), rtol=1e-12, atol=1e-12)

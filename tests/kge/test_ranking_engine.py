@@ -27,7 +27,7 @@ from repro.kge.evaluation import compute_ranks_reference
 from ..helpers import run_in_threads
 
 #: The paper's model families the equivalence suite runs over.
-MODELS = ("transe", "distmult", "complex", "rescal", "conve")
+MODELS = ("transe", "distmult", "complex", "rescal", "hole", "conve")
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -319,3 +321,61 @@ class TestGridCommand:
         assert "max_candidates" in out
         # 2 × 2 grid rows plus header material.
         assert len([l for l in out.splitlines() if l and l[0].isdigit()]) == 4
+
+
+def _retired_model_checkpoint(path, checkpoint):
+    """Copy ``checkpoint`` with its header naming the retired RotatE."""
+    with np.load(checkpoint) as stored:
+        arrays = {key: stored[key].copy() for key in stored.files}
+    header = json.loads(arrays["__repro_header__"].tobytes().decode("utf-8"))
+    header["model"] = "rotate"
+    arrays["__repro_header__"] = np.frombuffer(
+        json.dumps(header).encode("utf-8"), dtype=np.uint8
+    )
+    np.savez(path, **arrays)
+
+
+class TestUnloadableCheckpoint:
+    """Every command that reads a checkpoint ends a bad one in ``error: …``."""
+
+    @pytest.fixture(params=["evaluate", "discover", "compare", "grid"])
+    def command(self, request):
+        return request.param
+
+    def _run(self, command, path, dataset_dir):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(path), str(dataset_dir)])
+        return str(excinfo.value)
+
+    def test_missing_file(self, command, tmp_path, dataset_dir):
+        path = tmp_path / "never_saved.npz"
+        message = self._run(command, path, dataset_dir)
+        assert message == f"error: no checkpoint at {path}"
+
+    def test_truncated_file(self, command, checkpoint, dataset_dir):
+        checkpoint.write_bytes(checkpoint.read_bytes()[:100])
+        message = self._run(command, checkpoint, dataset_dir)
+        assert message.startswith(f"error: cannot load {checkpoint}: unreadable")
+
+    def test_retired_model(self, command, checkpoint, tmp_path, dataset_dir):
+        path = tmp_path / "rotate.npz"
+        _retired_model_checkpoint(path, checkpoint)
+        message = self._run(command, path, dataset_dir)
+        assert message.startswith(f"error: cannot load {path}: unknown model 'rotate'")
+        assert "'distmult'" in message
+
+    def test_checkpoint_of_another_dataset(
+        self, command, tmp_path, tiny_graph, dataset_dir
+    ):
+        model = create_model(
+            "distmult",
+            num_entities=tiny_graph.num_entities + 1,
+            num_relations=tiny_graph.num_relations,
+            dim=8,
+        )
+        path = tmp_path / "other.npz"
+        save_model(model, path)
+        message = self._run(command, path, dataset_dir)
+        assert message.startswith(
+            f"error: {path} was built for {tiny_graph.num_entities + 1} entities"
+        )
